@@ -13,14 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from realflag.catalog import build_pair, catalog_entries
+from realflag.catalog import VERDICT_MATCHES, build_pair, catalog_entries
 from realflag.spherical import is_spherical
-
-MATCH = {
-    "spherical": {"spherical"},
-    "not-spherical": {"not-spherical-at-confidence", "dimension-obstructed"},
-    "dimension-obstructed": {"dimension-obstructed"},
-}
 
 
 def main() -> int:
@@ -42,7 +36,7 @@ def main() -> int:
         pd = build_pair(entry.name, args.n)
         rep = is_spherical(pd.g, pd.h, pd.P, samples=args.samples, seed=args.seed,
                            pair_name=entry.name)
-        ok = rep.verdict in MATCH[entry.expected]
+        ok = rep.verdict in VERDICT_MATCHES[entry.expected]
         failures += 0 if ok else 1
         elapsed = time.monotonic() - t0
         mark = "ok " if ok else "BAD"

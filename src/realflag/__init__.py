@@ -13,7 +13,7 @@ from .orbits import (bruhat_cell_of, nonreductive_orbit_count, normalize_nonredu
                      orbit_dim_at, symmetric_coincidence)
 from .reduction import induced_pair, levi_projection, parabolic_alpha
 from .jordan import (Octonion, JordanElement, build_f4, build_g2, cone_point,
-                     jordan_mul, octonion_mul)
+                     jordan_mul)
 
 __all__ = [
     "BilinearForm", "LieAlgebra", "Subalgebra", "SphericityReport",
@@ -23,7 +23,7 @@ __all__ = [
     "direct_sum", "embed_division", "get_algebra", "induced_pair", "is_spherical",
     "jordan_mul", "killing_form", "levi_projection", "load_algebra", "local_dim",
     "minimal_parabolic", "noncompact_ideal", "nonreductive_orbit_count",
-    "normalize_nonreductive", "numeric_rank", "octonion_mul", "orbit_dim_at",
+    "normalize_nonreductive", "numeric_rank", "orbit_dim_at",
     "parabolic_alpha", "restricted_roots", "save_algebra", "subalgebra",
     "subalgebra_closure", "symmetric_coincidence",
 ]

@@ -18,13 +18,20 @@ import numpy as np
 
 from .core import InputError, LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
-from .realforms import (ParabolicData, build_classical, embed_division, get_algebra,
-                        matrix_involution, minimal_parabolic, realify_complex,
-                        realify_quaternion, restricted_roots)
+from .realforms import (ParabolicData, _complex_to_quaternion_real, build_classical,
+                        embed_division, get_algebra, matrix_involution, minimal_parabolic,
+                        realify_complex, realify_quaternion, restricted_roots)
 
 EXPECT_SPHERICAL = "spherical"
 EXPECT_NOT_SPHERICAL = "not-spherical"
 EXPECT_OBSTRUCTED = "dimension-obstructed"
+
+# expected column -> the report verdicts that satisfy it
+VERDICT_MATCHES = {
+    EXPECT_SPHERICAL: {"spherical"},
+    EXPECT_NOT_SPHERICAL: {"not-spherical-at-confidence", "dimension-obstructed"},
+    EXPECT_OBSTRUCTED: {"dimension-obstructed"},
+}
 
 
 @dataclass(frozen=True)
@@ -60,15 +67,6 @@ def _so_block_matrices(n_amb: int, p: int, q: int, offset: int) -> list[np.ndarr
         return []
     small = build_classical("so", p, q)
     return [_pad(M, n_amb, offset) for M in small.matrices]
-
-
-def _complex_to_quat(Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=complex)
-    n = Z.shape[0]
-    Q = np.zeros((n, n, 4))
-    Q[:, :, 0] = Z.real
-    Q[:, :, 1] = Z.imag
-    return Q
 
 
 # -- subalgebra recipes -------------------------------------------------------
@@ -150,16 +148,8 @@ def _h_u_in_sp(g: LieAlgebra, n: int) -> Subalgebra:
 
 def _h_so_sp1(g: LieAlgebra, n: int) -> Subalgebra:
     """so(1,n) (real matrices) + sp(1) (imaginary scalars) inside sp(1,n)."""
-    N = n + 1
-    small = build_classical("so", 1, n)
-    quats = [_complex_to_quat(M.astype(complex)) for M in small.matrices]
-    units = np.eye(4)
-    for u in range(1, 4):
-        Q = np.zeros((N, N, 4))
-        for i in range(N):
-            Q[i, i] = units[u]
-        quats.append(Q)
-    mats = [realify_quaternion(Q) for Q in quats]
+    mats = [_complex_to_quaternion_real(M) for M in build_classical("so", 1, n).matrices]
+    mats += [realify_quaternion(_unit_quat_diag(n + 1, u)) for u in range(1, 4)]
     rows = np.array([g.coefficients_of(M) for M in mats])
     return subalgebra(g, rows, name=f"so(1,{n})+sp(1)")
 

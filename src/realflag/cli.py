@@ -16,19 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConstructionError, LieError, load_algebra, subalgebra
-from .catalog import (EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED, EXPECT_SPHERICAL,
-                      build_pair, catalog_entries, get_entry)
+from .catalog import VERDICT_MATCHES, build_pair, catalog_entries, get_entry
 from .orbits import (nonreductive_orbit_count, normalize_nonreductive,
                      symmetric_coincidence)
 from .realforms import minimal_parabolic
 from .reduction import induced_pair, parabolic_alpha
 from .spherical import is_spherical
-
-_VERDICT_MATCHES = {
-    EXPECT_SPHERICAL: {"spherical"},
-    EXPECT_NOT_SPHERICAL: {"not-spherical-at-confidence", "dimension-obstructed"},
-    EXPECT_OBSTRUCTED: {"dimension-obstructed"},
-}
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -79,7 +72,7 @@ def cmd_check(args) -> int:
     _emit(report.to_dict(), args.json)
     if expected is None:
         return 0
-    return 0 if report.verdict in _VERDICT_MATCHES[expected] else 1
+    return 0 if report.verdict in VERDICT_MATCHES[expected] else 1
 
 
 def cmd_catalog(args) -> int:

@@ -13,9 +13,15 @@ so(9), realized here by matrices acting on the 26-dimensional trace-free
 part V.  The projectivized null cone {x in V : x o x = 0} is the flag
 manifold of that algebra.
 
-The f4 build is cached to disk (JSON, content-hashed against the
-multiplication tables) since the derivation solve is the most expensive
-step in the package.
+g2 and f4 come from one solver, ``derivation_algebra``, applied to the
+octonion table and to the Jordan tensor.  The f4 build is cached to disk
+since the derivation solve is the most expensive step in the package.  The
+cache (``CACHE_SCHEMA`` 2) holds only what the solve and the embedding
+search produce: the derivation basis, the subalgebra bases, the involutions,
+the symmetric-subalgebra status and the provenance.  The realization on V,
+theta and the bracket are recomputed from the derivations on load.  A file
+is used only if its schema and its hash of the multiplication tables
+match; a stale or malformed file is rebuilt and overwritten.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import scipy.linalg
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    subalgebra)
 from .linalg import numeric_rank, orth_rows, signature_of
+from .realforms import _QT
 
 SOLVER_TOL = 1e-9
 
@@ -45,23 +52,9 @@ class EmbeddingError(ConstructionError):
 
 # -- octonions ---------------------------------------------------------------
 
-def _quaternion_table() -> np.ndarray:
-    t = np.zeros((4, 4, 4))
-    t[0] = np.eye(4)
-    for a in range(1, 4):
-        t[a, 0, a] = 1.0
-        t[a, a, 0] = -1.0
-    for a, b, c in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-        t[a, b, c] = 1.0
-        t[b, a, c] = -1.0
-    return t
-
-
 def _octonion_table() -> np.ndarray:
-    qt = _quaternion_table()
-
     def qmul(x, y):
-        return np.einsum("i,j,ijk->k", x, y, qt)
+        return np.einsum("i,j,ijk->k", x, y, _QT)
 
     def qconj(x):
         return np.array([x[0], -x[1], -x[2], -x[3]])
@@ -123,10 +116,6 @@ class Octonion:
         c = np.zeros(8)
         c[i] = 1.0
         return Octonion(c)
-
-
-def octonion_mul(a: Octonion, b: Octonion) -> Octonion:
-    return a * b
 
 
 # -- the twisted Jordan algebra ----------------------------------------------
@@ -233,7 +222,6 @@ class ConePoint:
     """A trace-free null element x (x o x = 0, x != 0), up to real scale."""
 
     x: JordanElement
-    projective_class: bool = True
 
     @property
     def w(self) -> np.ndarray:
@@ -279,27 +267,39 @@ def sample_cone_points(count: int, seed: int = 0) -> list[ConePoint]:
     return out
 
 
-# -- g2 = derivations of the octonions ----------------------------------------
+# -- derivation algebras -------------------------------------------------------
+
+def derivation_algebra(table: np.ndarray, expected_dim: int) -> np.ndarray:
+    """Orthonormal basis, as (dim, n, n), of the derivations of a bilinear product.
+
+    ``table[a, b, :]`` is e_a e_b.  A derivation D satisfies
+    D(e_a e_b) = D(e_a) e_b + e_a D(e_b), a linear system in the n^2
+    entries of D whose null space comes from a thin SVD.
+    """
+    n = table.shape[0]
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            blk = np.zeros((n, n, n))
+            for e in range(n):
+                blk[e, e, :] += table[a, b]
+                blk[e, :, a] -= table[:, b, e]
+                blk[e, :, b] -= table[a, :, e]
+            rows.append(blk.reshape(n, n * n))
+    A = np.vstack(rows)
+    u, s, vh = scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesdd")
+    rank = int((s > SOLVER_TOL * s[0]).sum())
+    basis = vh[rank:]
+    if basis.shape[0] != expected_dim:
+        raise ConstructionError(f"derivation solve yielded dim {basis.shape[0]}, "
+                                f"expected {expected_dim}")
+    return basis.reshape(-1, n, n)
+
 
 @lru_cache(maxsize=1)
 def build_g2() -> LieAlgebra:
     """Der(O): 14-dimensional, compact, acting on the 8 octonion coordinates."""
-    rows = []
-    for a in range(8):
-        for b in range(a, 8):
-            blk = np.zeros((8, 8, 8))
-            for e in range(8):
-                blk[e, e, :] += OCT_TABLE[a, b, :]
-                blk[e, :, a] -= OCT_TABLE[:, b, e]
-                blk[e, :, b] -= OCT_TABLE[a, :, e]
-            rows.append(blk.reshape(8, 64))
-    A = np.vstack(rows)
-    u, s, vh = np.linalg.svd(A)
-    rank = int((s > SOLVER_TOL * s[0]).sum())
-    basis = vh[rank:]
-    if basis.shape[0] != 14:
-        raise ConstructionError(f"octonion derivation solve yielded dim {basis.shape[0]}, expected 14")
-    mats = basis.reshape(-1, 8, 8)
+    mats = derivation_algebra(OCT_TABLE, 14)
     L = LieAlgebra(labels=tuple(f"G{i}" for i in range(14)), matrices=mats,
                    theta=np.eye(14), name="g2")
     sig = signature_of(L.killing)
@@ -355,52 +355,13 @@ class F4Bundle:
     symmetric_status: dict[str, bool]
     provenance: dict
 
-    def coefficients_of_derivation(self, D: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-        flat = self.derivations.reshape(52, -1)
-        co = D.ravel() @ flat.T
-        resid = np.linalg.norm(co @ flat - D.ravel())
-        if resid > tol * max(1.0, np.linalg.norm(D)):
-            raise EmbeddingError(f"matrix is not a derivation of W (residual {resid:.2e})")
-        return co
-
     def derivation_of(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("i,ijk->jk", np.asarray(coeffs, dtype=float), self.derivations)
 
 
 def _solve_der_w() -> np.ndarray:
     """Orthonormal basis of Der(W) as (52, 27, 27)."""
-    P = jordan_tensor()
-    n = W_DIM
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            blk = np.zeros((n, n, n))
-            for e in range(n):
-                blk[e, e, :] += P[a, b]
-                blk[e, :, a] -= P[:, b, e]
-                blk[e, :, b] -= P[a, :, e]
-            rows.append(blk.reshape(n, n * n))
-    A = np.vstack(rows)
-    u, s, vh = scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesdd")
-    rank = int((s > SOLVER_TOL * s[0]).sum())
-    basis = vh[rank:]
-    if basis.shape[0] != 52:
-        raise ConstructionError(f"Jordan derivation solve yielded dim {basis.shape[0]}, expected 52")
-    return basis.reshape(-1, n, n)
-
-
-def _structure_from_derivations(derivs: np.ndarray) -> np.ndarray:
-    flat = derivs.reshape(52, -1)
-    c = np.zeros((52, 52, 52))
-    for i in range(52):
-        com = derivs[i] @ derivs - derivs @ derivs[i]
-        co = com.reshape(52, -1) @ flat.T
-        resid = np.linalg.norm(co @ flat - com.reshape(52, -1))
-        if resid > 1e-7 * max(1.0, np.linalg.norm(com)):
-            raise ConstructionError("derivations do not close under commutators")
-        c[i] = co
-    c = (c - np.einsum("ijk->jik", c)) / 2.0
-    return c
+    return derivation_algebra(jordan_tensor(), 52)
 
 
 def _conjugation_matrix(derivs: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -476,6 +437,12 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
+CACHE_SCHEMA = 2
+# subalgebra keys every bundle carries; the symmetric ones exist where they validated
+_EMBEDDINGS = ("g2", "su3", "su21", "so12", "su21+su3", "so12+g2")
+_SYMMETRIC = ("so(1,8)", "sp(1,2)+sp(1)")
+
+
 def cache_path() -> Path:
     env = os.environ.get("REALFLAG_CACHE_DIR")
     if env:
@@ -483,15 +450,22 @@ def cache_path() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))) / "realflag" / "f4.json"
 
 
-def _build_bundle() -> F4Bundle:
-    t0 = time.time()
-    derivs = _solve_der_w()
-    c = _structure_from_derivations(derivs)
+def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
+    """f4 restricted to V, with theta from conjugation by diag(1, 1, -1).
+
+    The bracket is derived from the matrices on first use.
+    """
     theta = _conjugation_matrix(derivs, _THETA_VEC)
     Q = _v_embedding()
     mats = np.einsum("va,iab,wb->ivw", Q, derivs, Q)
-    L = LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
-                   theta=theta, name="f4", structure=c)
+    return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
+                      theta=theta, name="f4")
+
+
+def _build_bundle() -> F4Bundle:
+    t0 = time.time()
+    derivs = _solve_der_w()
+    L = _f4_algebra(derivs)
 
     sig = signature_of(L.killing)
     if sig != (16, 36):
@@ -558,7 +532,7 @@ def _build_bundle() -> F4Bundle:
             ok = signature_of(restricted) == expected_sig
         if ok:
             # must commute with theta so the fixed algebra is theta-stable
-            ok = bool(np.linalg.norm(sigma @ theta - theta @ sigma) < 1e-8 * 52)
+            ok = bool(np.linalg.norm(sigma @ L.theta - L.theta @ sigma) < 1e-8 * 52)
         symmetric_status[name] = ok
         if ok:
             subalgebras[name] = fixed
@@ -568,24 +542,14 @@ def _build_bundle() -> F4Bundle:
         "solver_tol": SOLVER_TOL,
         "build_seconds": round(time.time() - t0, 3),
     }
-    return F4Bundle(algebra=L, derivations=derivs, v_embed=Q, subalgebras=subalgebras,
-                    involutions=involutions, symmetric_status=symmetric_status,
-                    provenance=provenance)
+    return F4Bundle(algebra=L, derivations=derivs, v_embed=_v_embedding(),
+                    subalgebras=subalgebras, involutions=involutions,
+                    symmetric_status=symmetric_status, provenance=provenance)
 
 
 def _save_bundle(bundle: F4Bundle, path: Path) -> None:
-    L = bundle.algebra
-    c = L.bracket_tensor
-    nz = np.argwhere(c != 0.0)
-    entries = [[int(i), int(j), int(k), float(c[i, j, k])] for i, j, k in nz if i < j]
     doc = {
-        "schema": 1,
-        "dim": L.dim,
-        "labels": list(L.labels),
-        "bracket": entries,
-        "theta": L.theta.tolist(),
-        "matrices": L.matrices.tolist(),
-        "name": "f4",
+        "schema": CACHE_SCHEMA,
         "provenance": bundle.provenance,
         "derivations": bundle.derivations.reshape(52, -1).tolist(),
         "subalgebras": {k: v.tolist() for k, v in bundle.subalgebras.items()},
@@ -598,29 +562,33 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
     tmp.replace(path)
 
 
+def _matrix(data, rows: Optional[int], cols: int) -> np.ndarray:
+    """A float matrix with ``cols`` columns and, unless None, ``rows`` rows."""
+    arr = np.array(data, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != cols or rows not in (None, arr.shape[0]):
+        raise ValueError(f"cached array has shape {arr.shape}")
+    return arr
+
+
 def _load_bundle(path: Path) -> Optional[F4Bundle]:
+    """The cached bundle, or None if the file is missing, stale or malformed."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
+            return None
+        derivs = _matrix(doc["derivations"], 52, W_DIM * W_DIM).reshape(52, W_DIM, W_DIM)
+        subalgebras = {k: _matrix(v, None, 52) for k, v in doc["subalgebras"].items()}
+        involutions = {k: _matrix(doc["involutions"][k], 52, 52) for k in _SYMMETRIC}
+        status = {k: doc["symmetric_status"][k] for k in _SYMMETRIC}
+        needed = _EMBEDDINGS + tuple(k for k, ok in status.items() if ok)
+        if (not all(isinstance(ok, bool) for ok in status.values())
+                or not set(needed) <= subalgebras.keys()):
+            return None
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    if doc.get("provenance", {}).get("table_hash") != _table_hash():
-        return None
-    dim = doc["dim"]
-    c = np.zeros((dim, dim, dim))
-    for i, j, k, val in doc["bracket"]:
-        c[i, j, k] = val
-        c[j, i, k] = -val
-    L = LieAlgebra(labels=tuple(doc["labels"]),
-                   matrices=np.array(doc["matrices"]),
-                   theta=np.array(doc["theta"]),
-                   name="f4", structure=c)
-    return F4Bundle(algebra=L,
-                    derivations=np.array(doc["derivations"]).reshape(52, W_DIM, W_DIM),
-                    v_embed=_v_embedding(),
-                    subalgebras={k: np.array(v) for k, v in doc["subalgebras"].items()},
-                    involutions={k: np.array(v) for k, v in doc["involutions"].items()},
-                    symmetric_status=dict(doc["symmetric_status"]),
-                    provenance=doc["provenance"])
+    return F4Bundle(algebra=_f4_algebra(derivs), derivations=derivs, v_embed=_v_embedding(),
+                    subalgebras=subalgebras, involutions=involutions,
+                    symmetric_status=status, provenance=doc["provenance"])
 
 
 _BUNDLE: Optional[F4Bundle] = None

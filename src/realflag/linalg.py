@@ -69,10 +69,6 @@ def null_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = Non
     return vh[r:]
 
 
-def span_dim(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return numeric_rank(M, tol)
-
-
 def stack_span(*bases: np.ndarray) -> np.ndarray:
     """Row-stack several bases, skipping empty ones."""
     mats = [np.atleast_2d(b) for b in bases if np.asarray(b).size]

@@ -9,6 +9,14 @@ from realflag.catalog import build_pair, _parabolic_for
 from realflag.realforms import get_algebra
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _f4_cache_dir(tmp_path_factory):
+    """Keep the f4 disk cache inside the session, away from the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REALFLAG_CACHE_DIR", str(tmp_path_factory.mktemp("f4-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return get_algebra("sl2")

@@ -44,6 +44,26 @@ class TestCheck:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    def test_cache_without_subalgebras_is_rebuilt(self, capsys, tmp_path, monkeypatch,
+                                                  f4bundle):
+        import realflag.catalog as catalog_mod
+        import realflag.jordan as jordan_mod
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+        path = tmp_path / "f4.json"
+        jordan_mod._save_bundle(f4bundle, path)
+        doc = json.loads(path.read_text())
+        del doc["subalgebras"]
+        path.write_text(json.dumps(doc))
+        catalog_mod._entry_map.cache_clear()
+        try:
+            code, out = run(capsys, "check", "--pair", "sl2:a", "--samples", "8")
+        finally:
+            catalog_mod._entry_map.cache_clear()
+        assert code == 0
+        assert "spherical" in out
+        assert "subalgebras" in json.loads(path.read_text())
+
     def test_pair_file(self, capsys, tmp_path):
         L = get_algebra("so(1,2)")
         path = tmp_path / "pair.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,12 +182,60 @@ class TestF4:
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
-        assert (tmp_path / "f4.json").exists()
+        doc = json.loads((tmp_path / "f4.json").read_text())
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 2
+        assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
+                            "involutions", "symmetric_status"}
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         loaded = jordan_mod.f4_bundle()
         assert np.allclose(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor)
+        assert np.array_equal(loaded.derivations, fresh.derivations)
+        assert np.array_equal(loaded.algebra.matrices, fresh.algebra.matrices)
+        assert np.array_equal(loaded.algebra.theta, fresh.algebra.theta)
         assert loaded.provenance["table_hash"] == fresh.provenance["table_hash"]
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: "{not json",
+        lambda doc: "[]",
+        lambda doc: json.dumps({"provenance": 1}),
+        lambda doc: json.dumps({**doc, "schema": 1}),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "subalgebras"}),
+        lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
+                                                       if k != "su21+su3"}}),
+        lambda doc: json.dumps({**doc, "derivations": doc["derivations"][:51]}),
+        lambda doc: json.dumps({**doc, "involutions": {k: v[:3] for k, v
+                                                       in doc["involutions"].items()}}),
+        lambda doc: json.dumps({**doc, "symmetric_status": {k: "yes" for k
+                                                            in doc["symmetric_status"]}}),
+    ], ids=["unreadable", "non-object", "provenance-int", "schema-1", "no-subalgebras",
+            "missing-embedding", "derivations-shape", "involution-shape", "status-not-bool"])
+    def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
+        import realflag.jordan as jordan_mod
+        path = tmp_path / "f4.json"
+        jordan_mod._save_bundle(f4bundle, path)
+        assert jordan_mod._load_bundle(path) is not None
+        path.write_text(corrupt(json.loads(path.read_text())))
+        assert jordan_mod._load_bundle(path) is None
+
+    def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
+        import realflag.jordan as jordan_mod
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
+        doc = json.loads((tmp_path / "f4.json").read_text())
+        (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": 1}))
+        builds = []
+
+        def build():
+            builds.append(1)
+            return f4bundle
+
+        monkeypatch.setattr(jordan_mod, "_build_bundle", build)
+        for _ in range(2):
+            monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+            jordan_mod.f4_bundle()
+        assert len(builds) == 1
+        assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 2
 
 
 class TestEmbeddings:
