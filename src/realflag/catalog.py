@@ -5,22 +5,29 @@ systematic suites (``berger:`` symmetric pairs, ``max:`` maximal
 non-symmetric pairs, ``ml:`` sphere-transitive compact-factor pairs) and
 short ``ambient:recipe`` names for the rank-one workhorse examples.  Short
 aliases like ``so15:so11+su2`` resolve to their systematic rows.
+
+Each row carries its recipe ``(g, P) -> (h, sigma)``: the subalgebra inside
+the registry algebra ``g`` with its standard parabolic ``P``, and for a
+symmetric pair the involution fixing it.  Only the f4 rows touch the f4
+bundle; the status of a symmetric f4 row is read from it when that row is
+materialised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import InputError, LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
-from .realforms import (ParabolicData, _complex_to_quaternion_real, build_classical,
-                        embed_division, get_algebra, matrix_involution, minimal_parabolic,
-                        realify_complex, realify_quaternion, restricted_roots)
+from .realforms import (ParabolicData, _complex_basis_u, _complex_to_quaternion_real,
+                        build_classical, embed_division, from_matrices, get_algebra,
+                        matrix_involution, minimal_parabolic, realify_complex,
+                        realify_quaternion, restricted_roots)
 
 EXPECT_SPHERICAL = "spherical"
 EXPECT_NOT_SPHERICAL = "not-spherical"
@@ -54,8 +61,25 @@ class PairData:
     sigma: Optional[np.ndarray] = None  # involution fixing h (symmetric pairs)
 
 
+_Recipe = Callable[[LieAlgebra, ParabolicData], tuple[Subalgebra, Optional[np.ndarray]]]
+
+
+@dataclass(frozen=True)
+class _Row:
+    entry: CatalogEntry
+    recipe: _Recipe
+    f4_status: Optional[str] = None     # symmetric_status key that decides entry.status
+
+    def materialise(self) -> CatalogEntry:
+        if self.f4_status is None:
+            return self.entry
+        from .jordan import f4_bundle
+        ok = f4_bundle().symmetric_status.get(self.f4_status, False)
+        return replace(self.entry, status="full" if ok else "dimension-only")
+
+
 def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
-    out = np.zeros((N, N))
+    out = np.zeros((N, N), dtype=M.dtype)
     k = M.shape[0]
     out[offset:offset + k, offset:offset + k] = M
     return out
@@ -69,64 +93,73 @@ def _so_block_matrices(n_amb: int, p: int, q: int, offset: int) -> list[np.ndarr
     return [_pad(M, n_amb, offset) for M in small.matrices]
 
 
-# -- subalgebra recipes -------------------------------------------------------
+def _block_signs(g: LieAlgebra, n: int, m: int, width: int) -> np.ndarray:
+    """Conjugation by diag(I_{m+1}, -I_{n-m}), each sign repeated ``width`` times."""
+    signs = np.repeat(np.array([1.0] * (m + 1) + [-1.0] * (n - m)), width)
+    return matrix_involution(g, np.diag(signs))
 
-def _h_so_blocks(g: LieAlgebra, n: int, m: int) -> Subalgebra:
+
+def _unit_quat_diag(N: int, unit: int) -> np.ndarray:
+    Q = np.zeros((N, N, 4))
+    for i in range(N):
+        Q[i, i, unit] = 1.0
+    return Q
+
+
+# -- recipes: (g, P, *params) -> (h, sigma) -----------------------------------
+
+def _maximal_compact(g: LieAlgebra, P: ParabolicData, name: str):
+    k, _ = cartan_decomposition(g)
+    return subalgebra(g, k.basis, name=name), None
+
+
+def _diagonal(g: LieAlgebra, P: ParabolicData):
+    d = g.dim // 3
+    return subalgebra(g, np.hstack([np.eye(d)] * 3), name="diag"), None
+
+
+def _partial_diagonal(g: LieAlgebra, P: ParabolicData):
+    d = g.dim // 3
+    eye = np.eye(d)
+    zero = np.zeros((d, d))
+    rows = np.vstack([np.hstack([eye, eye, zero]), np.hstack([zero, zero, eye])])
+    return subalgebra(g, rows, name="sl2^2:(x,x,y)"), None
+
+
+def _so_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
     """so(1,m) + so(n-m) in block position inside so(1,n)."""
     N = n + 1
     mats = _so_block_matrices(N, 1, m, 0) + _so_block_matrices(N, 0, n - m, m + 1)
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"so(1,{m})+so({n - m})")
+    return from_matrices(g, mats, name=f"so(1,{m})+so({n - m})"), _block_signs(g, n, m, 1)
 
 
-def _h_su_blocks(g: LieAlgebra, n: int, m: int) -> Subalgebra:
+def _su_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
     """s(u(1,m) x u(n-m)) realified inside su(1,n)."""
     N = n + 1
-    blocks: list[np.ndarray] = []
     # traceless su parts of each block
-    for (p, q, off) in [(1, m, 0), (0, n - m, m + 1)]:
-        size = p + q
-        if size >= 2:
-            J = np.diag([1.0] * p + [-1.0] * q).astype(complex)
-            for i in range(size):
-                for j in range(i + 1, size):
-                    E = np.zeros((size, size), dtype=complex)
-                    E[i, j], E[j, i] = 1.0, -1.0
-                    blocks.append(_pad_c(J @ E, N, off))
-                    E = np.zeros((size, size), dtype=complex)
-                    E[i, j] = E[j, i] = 1j
-                    blocks.append(_pad_c(J @ E, N, off))
-            for k in range(size - 1):
-                D = np.zeros((size, size), dtype=complex)
-                D[k, k], D[k + 1, k + 1] = 1j, -1j
-                blocks.append(_pad_c(D, N, off))
+    blocks = [_pad(Z, N, off) for p, q, off in [(1, m, 0), (0, n - m, m + 1)]
+              for Z in _complex_basis_u(p, q, traceless=True)]
     # the trace-balancing diagonal i diag(a I_{m+1}, b I_{n-m}), (m+1)a + (n-m)b = 0
     D = np.zeros((N, N), dtype=complex)
     a, b = float(n - m), -float(m + 1)
     for k in range(N):
         D[k, k] = 1j * (a if k <= m else b)
     blocks.append(D)
-    mats = [realify_complex(Z) for Z in blocks]
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"s(u(1,{m})+u({n - m}))")
+    h = from_matrices(g, [realify_complex(Z) for Z in blocks], name=f"s(u(1,{m})+u({n - m}))")
+    return h, _block_signs(g, n, m, 2)
 
 
-def _pad_c(M: np.ndarray, N: int, offset: int) -> np.ndarray:
-    out = np.zeros((N, N), dtype=complex)
-    k = M.shape[0]
-    out[offset:offset + k, offset:offset + k] = M
-    return out
-
-
-def _h_so_in_su(g: LieAlgebra, n: int) -> Subalgebra:
+def _so_in_su(g: LieAlgebra, P: ParabolicData, n: int):
+    """so(1,n) inside su(1,n), fixed by complex conjugation."""
     # the realified embedding lives in an identically-constructed ambient,
     # so its coefficient rows port verbatim to the registry instance
     sub = embed_division("real", (1, n), "su")
     assert np.allclose(sub.ambient.matrices, g.matrices)
-    return subalgebra(g, sub.basis, name=sub.name)
+    sigma = matrix_involution(g, np.diag(np.array([1.0, -1.0] * (n + 1))))
+    return subalgebra(g, sub.basis, name=sub.name), sigma
 
 
-def _h_sp_blocks(g: LieAlgebra, n: int, m: int) -> Subalgebra:
+def _sp_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
     """sp(1,m) + sp(n-m) in block position inside sp(1,n).
 
     Quaternionic realification is entrywise, so padding the realified
@@ -135,38 +168,34 @@ def _h_sp_blocks(g: LieAlgebra, n: int, m: int) -> Subalgebra:
     N4 = 4 * (n + 1)
     mats = [_pad(M, N4, 0) for M in build_classical("sp", 1, m).matrices]
     mats += [_pad(M, N4, 4 * (m + 1)) for M in build_classical("sp", 0, n - m).matrices]
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"sp(1,{m})+sp({n - m})")
+    return from_matrices(g, mats, name=f"sp(1,{m})+sp({n - m})"), _block_signs(g, n, m, 4)
 
 
-def _h_u_in_sp(g: LieAlgebra, n: int) -> Subalgebra:
+def _u_in_sp(g: LieAlgebra, P: ParabolicData, n: int):
     """u(1,n) (complex scalars inside the quaternions) inside sp(1,n)."""
     sub = embed_division("complex", (1, n), "sp")
     assert np.allclose(sub.ambient.matrices, g.matrices)
-    return subalgebra(g, sub.basis, name=sub.name)
+    sigma = matrix_involution(g, realify_quaternion(_unit_quat_diag(n + 1, 1)))
+    return subalgebra(g, sub.basis, name=sub.name), sigma
 
 
-def _h_so_sp1(g: LieAlgebra, n: int) -> Subalgebra:
+def _so_sp1(g: LieAlgebra, P: ParabolicData, n: int):
     """so(1,n) (real matrices) + sp(1) (imaginary scalars) inside sp(1,n)."""
     mats = [_complex_to_quaternion_real(M) for M in build_classical("so", 1, n).matrices]
     mats += [realify_quaternion(_unit_quat_diag(n + 1, u)) for u in range(1, 4)]
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"so(1,{n})+sp(1)")
+    return from_matrices(g, mats, name=f"so(1,{n})+sp(1)"), None
 
 
-def _h_su2_block_so15(g: LieAlgebra, n: int, k: int) -> Subalgebra:
+def _su_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
     """so(1, n-2k) + su(k) (in the rotation block) inside so(1,n)."""
     N = n + 1
     p = n - 2 * k
     mats = _so_block_matrices(N, 1, p, 0)
-    su = build_classical("su", 0, k)
-    for M in su.matrices:
-        mats.append(_pad(M, N, p + 1))
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"so(1,{p})+su({k})")
+    mats += [_pad(M, N, p + 1) for M in build_classical("su", 0, k).matrices]
+    return from_matrices(g, mats, name=f"so(1,{p})+su({k})"), None
 
 
-def _h_sp1_block_so15(g: LieAlgebra, n: int, k: int) -> Subalgebra:
+def _sp_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
     """so(1, n-4k) + sp(k) (in the rotation block) inside so(1,n)."""
     N = n + 1
     p = n - 4 * k
@@ -175,12 +204,15 @@ def _h_sp1_block_so15(g: LieAlgebra, n: int, k: int) -> Subalgebra:
     for co in sp.basis:
         M = np.einsum("i,ijk->jk", co, sp.ambient.matrices)
         mats.append(_pad(M, N, p + 1))
-    rows = np.array([g.coefficients_of(M) for M in mats])
-    return subalgebra(g, rows, name=f"so(1,{p})+sp({k})")
+    return from_matrices(g, mats, name=f"so(1,{p})+sp({k})"), None
 
 
-def _conj_diag_sign(g: LieAlgebra, signs: np.ndarray) -> np.ndarray:
-    return matrix_involution(g, np.diag(signs))
+def _f4_pair(g: LieAlgebra, P: ParabolicData, key: str):
+    """The f4 bundle's subalgebra ``key`` and, for a symmetric pair, its involution."""
+    from .jordan import f4_bundle
+    bundle = f4_bundle()
+    h = subalgebra(g, bundle.subalgebras[key], name=key, validate=False)
+    return h, bundle.involutions.get(key)
 
 
 # -- catalog assembly ---------------------------------------------------------
@@ -192,93 +224,113 @@ _ALIASES = {
 }
 
 
-def catalog_entries(n_max: int = 4) -> list[CatalogEntry]:
-    """Deterministically ordered catalog; the berger sweeps cover 2 <= n <= n_max."""
-    entries: list[CatalogEntry] = []
-
-    entries += [
-        CatalogEntry("sl2:k", "sl2", "maximal compact so(2)", EXPECT_SPHERICAL,
-                     "one-dimensional subalgebra, symmetric"),
-        CatalogEntry("sl2:a", "sl2", "split torus a", EXPECT_SPHERICAL,
-                     "one-dimensional subalgebra, symmetric", orbit_count=4),
-        CatalogEntry("sl2:n", "sl2", "nilpotent line n", EXPECT_SPHERICAL,
-                     "one-dimensional subalgebra, nilpotent", orbit_count=2),
-        CatalogEntry("so13:ma", "so(1,3)", "m + a inside p", EXPECT_SPHERICAL,
-                     "parabolic Levi factor", orbit_count=3),
-        CatalogEntry("sl2^3:diag", "sl2^3", "diagonal copy of sl2", EXPECT_SPHERICAL,
-                     "diagonal in a triple product"),
-        CatalogEntry("sl2^3:sl2^2", "sl2^3", "(x,y) -> (x,x,y)", EXPECT_SPHERICAL,
-                     "partial diagonal, symmetric in the product"),
-        CatalogEntry("sl3:so3", "sl3", "maximal compact so(3)", EXPECT_SPHERICAL,
-                     "maximal compact subalgebra"),
-    ]
-
-    for n in range(2, n_max + 1):
-        for m in range(1, n):
-            entries.append(CatalogEntry(
-                f"berger:so(1,{n}):so(1,{m})+so({n - m})", f"so(1,{n})",
-                f"so(1,{m})+so({n - m}) block pair", EXPECT_SPHERICAL, "symmetric pair"))
-    for n in range(2, n_max + 1):
-        for m in range(1, n):
-            entries.append(CatalogEntry(
-                f"berger:su(1,{n}):s(u(1,{m})+u({n - m}))", f"su(1,{n})",
-                f"s(u(1,{m})+u({n - m})) block pair", EXPECT_SPHERICAL, "symmetric pair"))
-        entries.append(CatalogEntry(
-            f"berger:su(1,{n}):so(1,{n})", f"su(1,{n})",
-            f"real form so(1,{n})", EXPECT_SPHERICAL, "symmetric pair"))
-    for n in range(2, n_max + 1):
-        for m in range(1, n):
-            entries.append(CatalogEntry(
-                f"berger:sp(1,{n}):sp(1,{m})+sp({n - m})", f"sp(1,{n})",
-                f"sp(1,{m})+sp({n - m}) block pair", EXPECT_SPHERICAL, "symmetric pair"))
-        entries.append(CatalogEntry(
-            f"berger:sp(1,{n}):u(1,{n})", f"sp(1,{n})",
-            f"complex restriction u(1,{n})", EXPECT_SPHERICAL, "symmetric pair"))
-
-    from .jordan import f4_bundle
-    status = f4_bundle().symmetric_status
-    for sub in ("so(1,8)", "sp(1,2)+sp(1)"):
-        entries.append(CatalogEntry(
-            f"berger:f4:{sub}", "f4", f"fixed algebra {sub}", EXPECT_SPHERICAL,
-            "symmetric pair (exceptional)",
-            status="full" if status.get(sub, False) else "dimension-only"))
-
-    entries += [
-        CatalogEntry("ml:so(1,5):so(1,1)+su(2)", "so(1,5)", "so(1,1)+su(2) block pair",
-                     EXPECT_SPHERICAL, "compact factor transitive on spheres"),
-        CatalogEntry("ml:so(1,5):so(1,1)+sp(1)", "so(1,5)", "so(1,1)+sp(1) block pair",
-                     EXPECT_SPHERICAL, "compact factor transitive on spheres"),
-        CatalogEntry("berger:so(1,5):so(1,1)+so(4)", "so(1,5)", "so(1,1)+so(4) block pair",
-                     EXPECT_SPHERICAL, "symmetric pair"),
-        CatalogEntry("max:sp(1,2):so(1,2)+sp(1)", "sp(1,2)", "so(1,2)+sp(1)",
-                     EXPECT_OBSTRUCTED, "maximal reductive, non-symmetric"),
-        CatalogEntry("max:sp(1,3):so(1,3)+sp(1)", "sp(1,3)", "so(1,3)+sp(1)",
-                     EXPECT_OBSTRUCTED, "maximal reductive, non-symmetric"),
-        CatalogEntry("max:f4:su(2,1)+su(3)", "f4", "su(2,1)+su(3)",
-                     EXPECT_NOT_SPHERICAL, "maximal reductive, non-symmetric"),
-        CatalogEntry("max:f4:so(1,2)+g2", "f4", "so(1,2)+g2",
-                     EXPECT_NOT_SPHERICAL, "maximal reductive, non-symmetric"),
-    ]
-    return entries
+def _berger_so(n: int, m: int) -> _Row:
+    return _Row(CatalogEntry(f"berger:so(1,{n}):so(1,{m})+so({n - m})", f"so(1,{n})",
+                             f"so(1,{m})+so({n - m}) block pair", EXPECT_SPHERICAL,
+                             "symmetric pair"),
+                partial(_so_blocks, n=n, m=m))
 
 
 @lru_cache(maxsize=None)
-def _entry_map(n_max: int = 4) -> dict[str, CatalogEntry]:
-    return {e.name: e for e in catalog_entries(n_max)}
+def _rows(n_max: int) -> tuple[_Row, ...]:
+    """Deterministically ordered rows; the berger sweeps cover 2 <= n <= n_max."""
+    rows = [
+        _Row(CatalogEntry("sl2:k", "sl2", "maximal compact so(2)", EXPECT_SPHERICAL,
+                          "one-dimensional subalgebra, symmetric"),
+             partial(_maximal_compact, name="k")),
+        _Row(CatalogEntry("sl2:a", "sl2", "split torus a", EXPECT_SPHERICAL,
+                          "one-dimensional subalgebra, symmetric", orbit_count=4),
+             lambda g, P: (subalgebra(g, P.roots.a, name="a"), None)),
+        _Row(CatalogEntry("sl2:n", "sl2", "nilpotent line n", EXPECT_SPHERICAL,
+                          "one-dimensional subalgebra, nilpotent", orbit_count=2),
+             lambda g, P: (subalgebra(g, P.n.basis, name="n"), None)),
+        _Row(CatalogEntry("so13:ma", "so(1,3)", "m + a inside p", EXPECT_SPHERICAL,
+                          "parabolic Levi factor", orbit_count=3),
+             lambda g, P: (subalgebra(g, stack_span(P.m.basis, P.roots.a), name="m+a"), None)),
+        _Row(CatalogEntry("sl2^3:diag", "sl2^3", "diagonal copy of sl2", EXPECT_SPHERICAL,
+                          "diagonal in a triple product"),
+             _diagonal),
+        _Row(CatalogEntry("sl2^3:sl2^2", "sl2^3", "(x,y) -> (x,x,y)", EXPECT_SPHERICAL,
+                          "partial diagonal, symmetric in the product"),
+             _partial_diagonal),
+        _Row(CatalogEntry("sl3:so3", "sl3", "maximal compact so(3)", EXPECT_SPHERICAL,
+                          "maximal compact subalgebra"),
+             partial(_maximal_compact, name="so(3)")),
+    ]
+
+    for n in range(2, n_max + 1):
+        rows += [_berger_so(n, m) for m in range(1, n)]
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            rows.append(_Row(CatalogEntry(
+                f"berger:su(1,{n}):s(u(1,{m})+u({n - m}))", f"su(1,{n})",
+                f"s(u(1,{m})+u({n - m})) block pair", EXPECT_SPHERICAL, "symmetric pair"),
+                partial(_su_blocks, n=n, m=m)))
+        rows.append(_Row(CatalogEntry(
+            f"berger:su(1,{n}):so(1,{n})", f"su(1,{n})",
+            f"real form so(1,{n})", EXPECT_SPHERICAL, "symmetric pair"),
+            partial(_so_in_su, n=n)))
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            rows.append(_Row(CatalogEntry(
+                f"berger:sp(1,{n}):sp(1,{m})+sp({n - m})", f"sp(1,{n})",
+                f"sp(1,{m})+sp({n - m}) block pair", EXPECT_SPHERICAL, "symmetric pair"),
+                partial(_sp_blocks, n=n, m=m)))
+        rows.append(_Row(CatalogEntry(
+            f"berger:sp(1,{n}):u(1,{n})", f"sp(1,{n})",
+            f"complex restriction u(1,{n})", EXPECT_SPHERICAL, "symmetric pair"),
+            partial(_u_in_sp, n=n)))
+
+    for sub in ("so(1,8)", "sp(1,2)+sp(1)"):
+        rows.append(_Row(CatalogEntry(
+            f"berger:f4:{sub}", "f4", f"fixed algebra {sub}", EXPECT_SPHERICAL,
+            "symmetric pair (exceptional)"),
+            partial(_f4_pair, key=sub), f4_status=sub))
+
+    rows += [
+        _Row(CatalogEntry("ml:so(1,5):so(1,1)+su(2)", "so(1,5)", "so(1,1)+su(2) block pair",
+                          EXPECT_SPHERICAL, "compact factor transitive on spheres"),
+             partial(_su_in_so_rotations, n=5, k=2)),
+        _Row(CatalogEntry("ml:so(1,5):so(1,1)+sp(1)", "so(1,5)", "so(1,1)+sp(1) block pair",
+                          EXPECT_SPHERICAL, "compact factor transitive on spheres"),
+             partial(_sp_in_so_rotations, n=5, k=1)),
+        _berger_so(5, 1),
+        _Row(CatalogEntry("max:sp(1,2):so(1,2)+sp(1)", "sp(1,2)", "so(1,2)+sp(1)",
+                          EXPECT_OBSTRUCTED, "maximal reductive, non-symmetric"),
+             partial(_so_sp1, n=2)),
+        _Row(CatalogEntry("max:sp(1,3):so(1,3)+sp(1)", "sp(1,3)", "so(1,3)+sp(1)",
+                          EXPECT_OBSTRUCTED, "maximal reductive, non-symmetric"),
+             partial(_so_sp1, n=3)),
+        _Row(CatalogEntry("max:f4:su(2,1)+su(3)", "f4", "su(2,1)+su(3)",
+                          EXPECT_NOT_SPHERICAL, "maximal reductive, non-symmetric"),
+             partial(_f4_pair, key="su21+su3")),
+        _Row(CatalogEntry("max:f4:so(1,2)+g2", "f4", "so(1,2)+g2",
+                          EXPECT_NOT_SPHERICAL, "maximal reductive, non-symmetric"),
+             partial(_f4_pair, key="so12+g2")),
+    ]
+    return tuple(rows)
+
+
+def catalog_entries(n_max: int = 4) -> list[CatalogEntry]:
+    """Deterministically ordered catalog; the berger sweeps cover 2 <= n <= n_max."""
+    return [row.materialise() for row in _rows(n_max)]
+
+
+def _row(name: str, n_max: int) -> _Row:
+    name = _ALIASES.get(name, name)
+    for row in _rows(max(n_max, 4)):
+        if row.entry.name == name:
+            return row
+    raise KeyError(name)
 
 
 def get_entry(name: str, n_max: int = 4) -> CatalogEntry:
-    name = _ALIASES.get(name, name)
-    table = _entry_map(max(n_max, 4))
-    if name not in table:
-        raise KeyError(name)
-    return table[name]
+    return _row(name, n_max).materialise()
 
 
 @lru_cache(maxsize=None)
-def _parabolic_for(ambient: str) -> ParabolicData:
+def _parabolic(g: LieAlgebra, ambient: str) -> ParabolicData:
     """Standard parabolic; for product ambients the same factor parabolic is replicated."""
-    g = get_algebra(ambient)
     m = re.match(r"^(sl\d+)\^(\d+)$", ambient)
     if m:
         factor = get_algebra(m.group(1))
@@ -293,94 +345,18 @@ def _parabolic_for(ambient: str) -> ParabolicData:
     return minimal_parabolic(g)
 
 
-_BERGER_RE_SO = re.compile(r"^berger:so\(1,(\d+)\):so\(1,(\d+)\)\+so\((\d+)\)$")
-_BERGER_RE_SU = re.compile(r"^berger:su\(1,(\d+)\):s\(u\(1,(\d+)\)\+u\((\d+)\)\)$")
-_BERGER_RE_SU_SO = re.compile(r"^berger:su\(1,(\d+)\):so\(1,(\d+)\)$")
-_BERGER_RE_SP = re.compile(r"^berger:sp\(1,(\d+)\):sp\(1,(\d+)\)\+sp\((\d+)\)$")
-_BERGER_RE_SP_U = re.compile(r"^berger:sp\(1,(\d+)\):u\(1,(\d+)\)$")
+def _parabolic_for(ambient: str) -> ParabolicData:
+    """Standard parabolic of the registry algebra ``ambient`` (f4 follows the current bundle)."""
+    return _parabolic(get_algebra(ambient), ambient)
 
 
 def build_pair(name: str, n_max: int = 4) -> PairData:
     """Construct (g, P, h, sigma) for a catalog entry name or alias."""
-    entry = get_entry(name, n_max)
+    row = _row(name, n_max)
+    entry = row.materialise()
+    if entry.status == "dimension-only":
+        raise InputError(f"{entry.name}: embedding unavailable (dimension-only entry)")
     g = get_algebra(entry.ambient)
     P = _parabolic_for(entry.ambient)
-    nm = entry.name
-    h: Subalgebra
-    sigma: Optional[np.ndarray] = None
-
-    if nm == "sl2:k":
-        k, _ = cartan_decomposition(g)
-        h = subalgebra(g, k.basis, name="k")
-    elif nm == "sl2:a":
-        h = subalgebra(g, P.roots.a, name="a")
-    elif nm == "sl2:n":
-        h = subalgebra(g, P.n.basis, name="n")
-    elif nm == "so13:ma":
-        h = subalgebra(g, stack_span(P.m.basis, P.roots.a), name="m+a")
-    elif nm == "sl2^3:diag":
-        d = g.dim // 3
-        h = subalgebra(g, np.hstack([np.eye(d)] * 3), name="diag")
-    elif nm == "sl2^3:sl2^2":
-        d = g.dim // 3
-        eye = np.eye(d)
-        zero = np.zeros((d, d))
-        rows = np.vstack([np.hstack([eye, eye, zero]), np.hstack([zero, zero, eye])])
-        h = subalgebra(g, rows, name="sl2^2:(x,x,y)")
-    elif nm == "sl3:so3":
-        k, _ = cartan_decomposition(g)
-        h = subalgebra(g, k.basis, name="so(3)")
-    elif _BERGER_RE_SO.match(nm):
-        n, m, _ = map(int, _BERGER_RE_SO.match(nm).groups())
-        h = _h_so_blocks(g, n, m)
-        sigma = _conj_diag_sign(g, np.array([1.0] * (m + 1) + [-1.0] * (n - m)))
-    elif _BERGER_RE_SU.match(nm):
-        n, m, _ = map(int, _BERGER_RE_SU.match(nm).groups())
-        h = _h_su_blocks(g, n, m)
-        signs = np.repeat(np.array([1.0] * (m + 1) + [-1.0] * (n - m)), 2)
-        sigma = _conj_diag_sign(g, signs)
-    elif _BERGER_RE_SU_SO.match(nm):
-        n = int(_BERGER_RE_SU_SO.match(nm).group(1))
-        h = _h_so_in_su(g, n)
-        sigma = _conj_diag_sign(g, np.array([1.0, -1.0] * (n + 1)))
-    elif _BERGER_RE_SP.match(nm):
-        n, m, _ = map(int, _BERGER_RE_SP.match(nm).groups())
-        h = _h_sp_blocks(g, n, m)
-        signs = np.repeat(np.array([1.0] * (m + 1) + [-1.0] * (n - m)), 4)
-        sigma = _conj_diag_sign(g, signs)
-    elif _BERGER_RE_SP_U.match(nm):
-        n = int(_BERGER_RE_SP_U.match(nm).group(1))
-        h = _h_u_in_sp(g, n)
-        iq = realify_quaternion(_unit_quat_diag(n + 1, 1))
-        sigma = matrix_involution(g, iq)
-    elif nm == "ml:so(1,5):so(1,1)+su(2)":
-        h = _h_su2_block_so15(g, 5, 2)
-    elif nm == "ml:so(1,5):so(1,1)+sp(1)":
-        h = _h_sp1_block_so15(g, 5, 1)
-    elif nm == "max:sp(1,2):so(1,2)+sp(1)":
-        h = _h_so_sp1(g, 2)
-    elif nm == "max:sp(1,3):so(1,3)+sp(1)":
-        h = _h_so_sp1(g, 3)
-    elif nm in ("berger:f4:so(1,8)", "berger:f4:sp(1,2)+sp(1)",
-                "max:f4:su(2,1)+su(3)", "max:f4:so(1,2)+g2"):
-        from .jordan import f4_bundle
-        bundle = f4_bundle()
-        key = {"berger:f4:so(1,8)": "so(1,8)",
-               "berger:f4:sp(1,2)+sp(1)": "sp(1,2)+sp(1)",
-               "max:f4:su(2,1)+su(3)": "su21+su3",
-               "max:f4:so(1,2)+g2": "so12+g2"}[nm]
-        if key not in bundle.subalgebras:
-            raise InputError(f"{nm}: embedding unavailable (dimension-only entry)")
-        h = subalgebra(bundle.algebra, bundle.subalgebras[key], name=key, validate=False)
-        if key in bundle.involutions:
-            sigma = bundle.involutions[key]
-    else:
-        raise KeyError(nm)
+    h, sigma = row.recipe(g, P)
     return PairData(entry=entry, g=g, P=P, h=h, sigma=sigma)
-
-
-def _unit_quat_diag(N: int, unit: int) -> np.ndarray:
-    Q = np.zeros((N, N, 4))
-    for i in range(N):
-        Q[i, i, unit] = 1.0
-    return Q

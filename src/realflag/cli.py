@@ -2,8 +2,8 @@
 reports, the f4 invariant battery, and single reduction steps.
 
 Exit codes: 0 = verdict matches the catalog expectation (or nothing was
-expected), 1 = mismatch or failed battery, 2 = unknown pair name,
-3 = construction failure.
+expected), 1 = mismatch or failed battery, 2 = unknown pair name or a bad
+argument, 3 = construction failure or malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConstructionError, LieError, load_algebra, subalgebra
+from .core import (ConstructionError, InputError, LieError, load_algebra, read_json,
+                   subalgebra)
 from .catalog import VERDICT_MATCHES, build_pair, catalog_entries, get_entry
 from .orbits import (nonreductive_orbit_count, normalize_nonreductive,
                      symmetric_coincidence)
@@ -35,11 +36,15 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 def _load_pair_file(path: str):
-    doc = json.loads(Path(path).read_text())
-    g = load_algebra(path)
+    doc = read_json(path)
+    g = load_algebra(doc)
     if "subalgebra" not in doc:
         raise ConstructionError("pair file lacks a 'subalgebra' basis block")
-    h = subalgebra(g, np.array(doc["subalgebra"], dtype=float), name="h(file)")
+    try:
+        rows = np.array(doc["subalgebra"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"pair file: 'subalgebra' is not a list of numeric rows ({exc})") from exc
+    h = subalgebra(g, rows, name="h(file)")
     P = minimal_parabolic(g)
     return g, P, h, None
 
@@ -56,14 +61,8 @@ def cmd_check(args) -> int:
             print(f"unknown pair {name!r}", file=sys.stderr)
             return 2
         if entry.status == "dimension-only":
-            pd = None
-            try:
-                pd = build_pair(name, args.n)
-            except LieError:
-                pass
-            if pd is None:
-                print(f"{name}: dimension-only entry (embedding unavailable)")
-                return 0
+            print(f"{name}: dimension-only entry (embedding unavailable)")
+            return 0
         expected = entry.expected
         pd = build_pair(name, args.n)
         g, P, h = pd.g, pd.P, pd.h
@@ -224,11 +223,22 @@ def cmd_f4(args) -> int:
     return 1 if failed else 0
 
 
+def _tolerance(text: str) -> float:
+    """A relative rank cut, strictly between 0 and 1."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
+    return tol
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=int, default=64)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9)
+    common.add_argument("--tol", type=_tolerance, default=1e-9)
     common.add_argument("--json", action="store_true")
     common.add_argument("--n", type=int, default=4, help="catalog family bound")
 

@@ -450,9 +450,23 @@ def save_algebra(L: LieAlgebra, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def load_algebra(path: str | Path, validate: bool = True) -> LieAlgebra:
-    """Load an algebra from the interchange format, validating invariants."""
-    doc = json.loads(Path(path).read_text())
+def read_json(path: str | Path) -> dict:
+    """The JSON object in a file; InputError if the file does not hold one."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InputError(f"{path}: not a JSON document ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: not a JSON object")
+    return doc
+
+
+def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra:
+    """Load an algebra from the interchange format, validating invariants.
+
+    ``source`` is a file or a document already read with ``read_json``.
+    """
+    doc = source if isinstance(source, dict) else read_json(source)
     try:
         dim = int(doc["dim"])
         labels = doc.get("labels") or [f"e{i}" for i in range(dim)]

@@ -41,7 +41,7 @@ import scipy.linalg
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    subalgebra)
 from .linalg import numeric_rank, orth_rows, signature_of
-from .realforms import _QT
+from .realforms import _QT, _complex_basis_u, build_classical
 
 SOLVER_TOL = 1e-9
 
@@ -384,35 +384,6 @@ def _complex_conjugation_derivation(Zr: np.ndarray, Zi: np.ndarray) -> np.ndarra
     return M
 
 
-def _su21_basis() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Real/imaginary parts of a basis of su(2,1) (form diag(1,1,-1))."""
-    J = np.diag([1.0, 1.0, -1.0])
-    out = []
-    for k in range(3):
-        for l in range(k + 1, 3):
-            W = np.zeros((3, 3))
-            W[k, l], W[l, k] = 1.0, -1.0
-            out.append((J @ W, np.zeros((3, 3))))
-            W = np.zeros((3, 3))
-            W[k, l] = W[l, k] = 1.0
-            out.append((np.zeros((3, 3)), J @ W))
-    for m in range(2):
-        D = np.zeros((3, 3))
-        D[m, m], D[m + 1, m + 1] = 1.0, -1.0
-        out.append((np.zeros((3, 3)), D))
-    return out
-
-
-def _so21_basis() -> list[np.ndarray]:
-    J = np.diag([1.0, 1.0, -1.0])
-    out = []
-    for k, l in [(0, 1), (0, 2), (1, 2)]:
-        W = np.zeros((3, 3))
-        W[k, l], W[l, k] = 1.0, -1.0
-        out.append(J @ W)
-    return out
-
-
 def _lift_octonion_derivation(D8: np.ndarray) -> np.ndarray:
     """Entrywise action of an octonion derivation on W (kills the diagonal)."""
     M = np.zeros((W_DIM, W_DIM))
@@ -498,10 +469,11 @@ def _build_bundle() -> F4Bundle:
     if su3_lift.shape[0] != 8:
         raise EmbeddingError(f"su(3) commutant has dim {su3_lift.shape[0]}, expected 8")
 
-    su21 = coeffs_of([_complex_conjugation_derivation(Zr, Zi) for Zr, Zi in _su21_basis()],
-                     "su(2,1) conjugation")
-    so12 = coeffs_of([_complex_conjugation_derivation(R, np.zeros((3, 3))) for R in _so21_basis()],
-                     "so(1,2) conjugation")
+    # su(2,1) and so(2,1) for the form diag(1, 1, -1)
+    su21 = coeffs_of([_complex_conjugation_derivation(Z.real, Z.imag)
+                      for Z in _complex_basis_u(2, 1, traceless=True)], "su(2,1) conjugation")
+    so12 = coeffs_of([_complex_conjugation_derivation(R, np.zeros((3, 3)))
+                      for R in build_classical("so", 2, 1).matrices], "so(1,2) conjugation")
 
     subalgebras["g2"] = g2_lift
     subalgebras["su3"] = su3_lift

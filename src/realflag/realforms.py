@@ -94,26 +94,9 @@ def build_classical(family: str, p: int, q: int) -> LieAlgebra:
                 labels.append(f"{kind}{i}{j}")
         real_mats = np.array(mats)
     elif family == "su":
-        cmx: list[np.ndarray] = []
-        for i in range(N):
-            for j in range(i + 1, N):
-                E = np.zeros((N, N), dtype=complex)
-                E[i, j] = 1.0
-                E[j, i] = -1.0
-                cmx.append(J @ E)
-                labels.append(f"A{i}{j}")
-                E = np.zeros((N, N), dtype=complex)
-                E[i, j] = 1j
-                E[j, i] = 1j
-                cmx.append(J @ E)
-                labels.append(f"S{i}{j}")
-        for m in range(N - 1):
-            D = np.zeros((N, N), dtype=complex)
-            D[m, m] = 1j
-            D[m + 1, m + 1] = -1j
-            cmx.append(D)
-            labels.append(f"D{m}")
-        real_mats = np.array([realify_complex(Z) for Z in cmx])
+        labels = [f"{kind}{i}{j}" for i in range(N) for j in range(i + 1, N) for kind in "AS"]
+        labels += [f"D{m}" for m in range(N - 1)]
+        real_mats = np.array([realify_complex(Z) for Z in _complex_basis_u(p, q, traceless=True)])
     else:  # sp
         qmx: list[np.ndarray] = []
         units = np.eye(4)
@@ -602,10 +585,21 @@ _SHORT_RE = re.compile(r"^(so|su|sp)(\d)(\d+)$")
 _SL_RE = re.compile(r"^sl(\d+)(?:\^(\d+))?$")
 
 
-@lru_cache(maxsize=None)
 def get_algebra(name: str) -> LieAlgebra:
-    """Named-algebra registry: so(1,4), su(1,2), sp(1,3), so13, sl2, sl2^3, f4, g2."""
+    """Named-algebra registry: so(1,4), su(1,2), sp(1,3), so13, sl2, sl2^3, f4, g2.
+
+    f4 is the algebra of the current ``jordan.f4_bundle()``, so it follows a
+    rebuild; every other name is built once per process.
+    """
     name = name.strip()
+    if name == "f4":
+        from .jordan import f4_bundle
+        return f4_bundle().algebra
+    return _named_algebra(name)
+
+
+@lru_cache(maxsize=None)
+def _named_algebra(name: str) -> LieAlgebra:
     m = _CLASSICAL_RE.match(name)
     if m:
         return build_classical(m.group(1), int(m.group(2)), int(m.group(3)))
@@ -621,9 +615,6 @@ def get_algebra(name: str) -> LieAlgebra:
         if m.group(2):
             return algebra_power(L, int(m.group(2)))
         return L
-    if name == "f4":
-        from .jordan import f4_bundle
-        return f4_bundle().algebra
     if name == "g2":
         from .jordan import build_g2
         return build_g2()

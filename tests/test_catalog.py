@@ -1,8 +1,14 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from realflag.catalog import (EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED, EXPECT_SPHERICAL,
-                              build_pair, catalog_entries, get_entry)
+from realflag import jordan
+from realflag.catalog import (_ALIASES, EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED,
+                              EXPECT_SPHERICAL, CatalogEntry, build_pair, catalog_entries,
+                              get_entry)
+from realflag.cli import main
 
 
 class TestEntries:
@@ -28,6 +34,28 @@ class TestEntries:
     def test_aliases(self):
         assert get_entry("so15:so11+su2").name == "ml:so(1,5):so(1,1)+su(2)"
         assert get_entry("so15:so11+so4").name == "berger:so(1,5):so(1,1)+so(4)"
+        for alias, name in _ALIASES.items():
+            assert get_entry(alias).name == name, alias
+
+    @pytest.mark.parametrize("n_max", [4, 5])
+    def test_get_entry_matches_listing(self, n_max):
+        for e in catalog_entries(n_max):
+            assert get_entry(e.name, n_max) == e, e.name
+
+    def test_json_rows_hold_only_entry_fields(self, capsys):
+        assert main(["catalog", "--json"]) == 0
+        fields = {f.name for f in dataclasses.fields(CatalogEntry)}
+        assert len(fields) == 7
+        for row in json.loads(capsys.readouterr().out)["entries"]:
+            assert set(row) == fields, row["name"]
+
+    def test_f4_pairs_follow_the_current_bundle(self, monkeypatch):
+        first = jordan.f4_bundle()
+        # a second bundle object, as after f4_bundle(rebuild=True), without the solve
+        monkeypatch.setattr(jordan, "_BUNDLE", jordan._load_bundle(jordan.cache_path()))
+        assert jordan.f4_bundle() is not first
+        pd = build_pair("max:f4:so(1,2)+g2")
+        assert pd.g is pd.h.ambient is pd.P.algebra is jordan.f4_bundle().algebra
 
     def test_unknown_raises(self):
         with pytest.raises(KeyError):

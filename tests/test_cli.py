@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from realflag import jordan
+from realflag.catalog import build_pair
 from realflag.cli import main
-from realflag.core import save_algebra
+from realflag.core import InputError, save_algebra
 from realflag.realforms import get_algebra
 
 
@@ -11,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def write_pair_file(tmp_path, subalgebra):
+    """so(1,2) in the interchange format plus a 'subalgebra' block."""
+    path = tmp_path / "pair.json"
+    save_algebra(get_algebra("so(1,2)"), path)
+    doc = json.loads(path.read_text())
+    doc["subalgebra"] = subalgebra
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestCheck:
@@ -46,35 +58,75 @@ class TestCheck:
 
     def test_cache_without_subalgebras_is_rebuilt(self, capsys, tmp_path, monkeypatch,
                                                   f4bundle):
-        import realflag.catalog as catalog_mod
-        import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+        monkeypatch.setattr(jordan, "_BUNDLE", None)
         path = tmp_path / "f4.json"
-        jordan_mod._save_bundle(f4bundle, path)
+        jordan._save_bundle(f4bundle, path)
         doc = json.loads(path.read_text())
         del doc["subalgebras"]
         path.write_text(json.dumps(doc))
-        catalog_mod._entry_map.cache_clear()
-        try:
-            code, out = run(capsys, "check", "--pair", "sl2:a", "--samples", "8")
-        finally:
-            catalog_mod._entry_map.cache_clear()
+        malformed = path.read_bytes()
+        # a pair outside f4 neither reads nor rebuilds the cache
+        code, out = run(capsys, "check", "--pair", "sl2:a", "--samples", "8")
         assert code == 0
         assert "spherical" in out
+        assert path.read_bytes() == malformed
+        code, _ = run(capsys, "check", "--pair", "berger:f4:so(1,8)", "--samples", "8")
+        assert code == 0
         assert "subalgebras" in json.loads(path.read_text())
+
+    def test_pairs_outside_f4_never_load_f4(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f4_bundle was called")
+
+        monkeypatch.setattr(jordan, "f4_bundle", refuse)
+        for argv in (["check", "--pair", "sl2:a"],
+                     ["orbits", "count", "--pair", "so13:ma"],
+                     ["orbits", "coincide", "--pair", "so15:so11+su2", "--sup", "so15:so11+so4"],
+                     ["reduce", "step", "--pair", "sl3:so3"]):
+            code, _ = run(capsys, *argv, "--samples", "8")
+            assert code == 0, argv
+
+    def test_dimension_only_entry(self, capsys, monkeypatch):
+        monkeypatch.setitem(jordan.f4_bundle().symmetric_status, "so(1,8)", False)
+        code, out = run(capsys, "check", "--pair", "berger:f4:so(1,8)")
+        assert code == 0
+        assert out == "berger:f4:so(1,8): dimension-only entry (embedding unavailable)\n"
+        _, out = run(capsys, "catalog", "--json")
+        status = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
+        assert status["berger:f4:so(1,8)"] == "dimension-only"
+        with pytest.raises(InputError):
+            build_pair("berger:f4:so(1,8)")
 
     def test_pair_file(self, capsys, tmp_path):
         L = get_algebra("so(1,2)")
-        path = tmp_path / "pair.json"
-        save_algebra(L, path)
-        doc = json.loads(path.read_text())
         k_basis = [[1.0 if lab == "R12" else 0.0 for lab in L.labels]]
-        doc["subalgebra"] = k_basis
-        path.write_text(json.dumps(doc))
+        path = write_pair_file(tmp_path, k_basis)
         code, out = run(capsys, "check", "--pair", str(path), "--samples", "8")
         assert code == 0
         assert "spherical" in out
+
+    @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row"])
+    def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
+        row = ["x", 0.0, 0.0] if case == "non-numeric-row" else [0.0, 0.0, 1.0]
+        path = write_pair_file(tmp_path, [row])
+        if case == "invalid-json":
+            path.write_text(path.read_text()[:-1])
+        elif case == "non-object":
+            path.write_text(f"[{path.read_text()}]")
+        assert main(["check", "--pair", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["2", "0", "-0.5", "nan", "tight"])
+    def test_tol_outside_unit_interval_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--pair", "sl2:a", "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--tol" in err.splitlines()[-1]
 
 
 class TestCatalog:
