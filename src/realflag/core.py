@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import (DEFAULT_TOL, complement_in, in_span, null_rows, numeric_rank,
+from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, null_rows, numeric_rank,
                      orth_rows, signature_of, span_residual, stack_span)
 
 
@@ -110,7 +110,7 @@ class LieAlgebra:
         Y = np.asarray(Y, dtype=float)
         if X.shape != (self.dim,) or Y.shape != (self.dim,):
             raise InputError(f"coefficient vectors must have length {self.dim}")
-        return np.einsum("i,j,ijk->k", X, Y, self.bracket_tensor)
+        return brackets(self.bracket_tensor, X[None], Y[None])[0, 0]
 
     def ad(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -125,13 +125,15 @@ class LieAlgebra:
         return np.einsum("i,ijk->jk", np.asarray(X, dtype=float), self.matrices)
 
     def coefficients_of(self, M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        """Express a realization matrix in the basis; raises if it is not in the span."""
-        coeff = M.ravel() @ self._flat_pinv
-        resid = np.linalg.norm(coeff @ self.matrices.reshape(self.dim, -1) - M.ravel())
-        scale = max(np.linalg.norm(M), 1e-30)
-        if resid > tol * scale:
-            raise InputError(f"matrix not in the realization span (residual {resid / scale:.2e})")
-        return coeff
+        """Coefficients of a realization matrix or a stack; raises if one leaves the span."""
+        M = np.asarray(M, dtype=float)
+        flat = M.reshape(-1, self._flat_pinv.shape[0])
+        coeff = flat @ self._flat_pinv
+        resid = np.linalg.norm(coeff @ self.matrices.reshape(self.dim, -1) - flat, axis=1)
+        rel = resid / np.maximum(np.linalg.norm(flat, axis=1), 1e-30)
+        if rel.size and rel.max() > tol:
+            raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
+        return coeff[0] if M.ndim == 2 else coeff
 
     def identity_element(self) -> np.ndarray:
         if self.matrices is None:
@@ -148,7 +150,7 @@ class LieAlgebra:
             raise UnsupportedOperation(f"{self.name or 'algebra'} has no matrix realization")
         x = np.asarray(x, dtype=float)
         xinv = np.linalg.inv(x)
-        conj = np.einsum("ab,ibc,cd->iad", x, self.matrices, xinv)
+        conj = x @ self.matrices @ xinv
         flat = conj.reshape(self.dim, -1)
         coeffs = flat @ self._flat_pinv
         resid = np.linalg.norm(coeffs @ self.matrices.reshape(self.dim, -1) - flat)
@@ -235,7 +237,7 @@ def pairwise_brackets(L: LieAlgebra, basis: np.ndarray) -> np.ndarray:
     k = basis.shape[0]
     if k < 2:
         return np.zeros((0, L.dim))
-    out = np.einsum("ai,bj,ijk->abk", basis, basis, L.bracket_tensor)
+    out = brackets(L.bracket_tensor, basis, basis)
     idx = np.triu_indices(k, 1)
     return out[idx]
 
@@ -278,7 +280,7 @@ def ideal_closure(L: LieAlgebra, seed: np.ndarray, tol: float = DEFAULT_TOL) -> 
         return basis
     full = np.eye(L.dim)
     while True:
-        br = np.einsum("ai,bj,ijk->abk", full, basis, L.bracket_tensor).reshape(-1, L.dim)
+        br = brackets(L.bracket_tensor, full, basis).reshape(-1, L.dim)
         new = orth_rows(stack_span(basis, br), tol)
         if new.shape[0] == basis.shape[0]:
             return new
@@ -303,7 +305,7 @@ def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebr
     comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta, tol=tol)
     # the complement must itself be an ideal
     if comp.shape[0]:
-        br = np.einsum("ai,bj,ijk->abk", np.eye(L.dim), comp, L.bracket_tensor).reshape(-1, L.dim)
+        br = brackets(L.bracket_tensor, np.eye(L.dim), comp).reshape(-1, L.dim)
         floor = 1e-10 * L.dim * (1.0 + float(np.abs(L.bracket_tensor).max()))
         if np.linalg.norm(br) > floor and span_residual(br, comp) > 1e-7:
             raise ConstructionError("complement of the noncompact ideal is not an ideal")
@@ -342,7 +344,7 @@ def as_algebra(sub: Subalgebra, name: str = "", tol: float = 1e-8) -> LieAlgebra
     if numeric_rank(basis) != k:
         raise InputError("subalgebra basis is not linearly independent")
     pinv = np.linalg.pinv(basis)                 # rows of coords: vec @ pinv
-    c_full = np.einsum("ai,bj,ijk->abk", basis, basis, L.bracket_tensor)
+    c_full = brackets(L.bracket_tensor, basis, basis)
     resid = span_residual(c_full.reshape(-1, L.dim), basis)
     floor = 1e-10 * float(np.linalg.norm(basis)) ** 2 \
         * (1.0 + float(np.abs(L.bracket_tensor).max()))
@@ -390,8 +392,8 @@ def jacobi_residual(L: LieAlgebra, triples: int = 1000, seed: int = 0) -> float:
     Z = rng.standard_normal((triples, L.dim))
     c = L.bracket_tensor
 
-    def bb(A, B):
-        return np.einsum("ti,tj,ijk->tk", A, B, c)
+    def bb(A, B):   # row t of the result is [A_t, B_t]
+        return np.matmul(B[:, None], np.tensordot(A, c, axes=(1, 0)))[:, 0]
 
     jac = bb(X, bb(Y, Z)) + bb(Y, bb(Z, X)) + bb(Z, bb(X, Y))
     scale = max(np.linalg.norm(bb(X, bb(Y, Z)), axis=1).max(), 1e-30)
@@ -404,23 +406,25 @@ def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
     if not np.array_equal(c, -np.einsum("ijk->jik", c)):
         raise ConstructionError("bracket tensor is not exactly antisymmetric")
     cmax = max(np.abs(c).max(), 1.0)
-    jac = np.einsum("ijm,mkl->ijkl", c, c)
-    jac = jac + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
+    d = L.dim
+    cc = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d, d, d, d)   # [[e_i, e_j], e_k]
+    jac = cc + cc.transpose(2, 0, 1, 3)
+    jac += cc.transpose(1, 2, 0, 3)
     if np.abs(jac).max() > 1e-9 * cmax * cmax * L.dim:
         raise ConstructionError(f"Jacobi identity fails (residual {np.abs(jac).max():.2e})")
     if L.theta is not None:
         th = L.theta
         if np.linalg.norm(th @ th - np.eye(L.dim)) > 1e-9 * L.dim:
             raise ConstructionError("theta is not an involution")
-        lhs = np.einsum("ijm,km->ijk", c, th)          # theta([e_i, e_j])
-        rhs = np.einsum("ai,bj,abk->ijk", th, th, c)   # [theta e_i, theta e_j]
+        lhs = c @ th.T                                 # theta([e_i, e_j])
+        rhs = brackets(c, th.T, th.T)                  # [theta e_i, theta e_j]
         if np.abs(lhs - rhs).max() > 1e-8 * cmax:
             raise ConstructionError("theta is not an automorphism")
     if L.matrices is not None:
         mats = L.matrices
-        com = np.einsum("iab,jbc->ijac", mats, mats)
-        com = com - np.einsum("ijac->jiac", com)
-        repr_bracket = np.einsum("ijk,kab->ijab", c, mats)
+        com = mats[:, None] @ mats[None]
+        com = com - com.transpose(1, 0, 2, 3)
+        repr_bracket = np.tensordot(c, mats, axes=(2, 0))
         scale = max(np.abs(mats).max() ** 2, 1e-30)
         if np.abs(com - repr_bracket).max() > 1e-8 * scale * max(1.0, cmax):
             raise ConstructionError("matrix realization does not reproduce the bracket")

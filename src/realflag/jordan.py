@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -529,9 +530,14 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
         "symmetric_status": bundle.symmetric_status,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc))
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _matrix(data, rows: Optional[int], cols: int) -> np.ndarray:

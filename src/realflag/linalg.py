@@ -69,6 +69,11 @@ def null_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = Non
     return vh[r:]
 
 
+def brackets(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Brackets of the rows of A with the rows of B: ``out[a,b,k] = A[a,i] B[b,j] c[i,j,k]``."""
+    return np.matmul(B, np.tensordot(A, c, axes=(1, 0)))
+
+
 def stack_span(*bases: np.ndarray) -> np.ndarray:
     """Row-stack several bases, skipping empty ones."""
     mats = [np.atleast_2d(b) for b in bases if np.asarray(b).size]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (InputError, LieAlgebra, NormalizationError, NotSphericalError,
                    Subalgebra, UnsupportedOperation, as_algebra, noncompact_ideal)
-from .linalg import (DEFAULT_TOL, complement_in, in_span, intersect_spans, null_rows,
+from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, intersect_spans, null_rows,
                      numeric_rank, orth_rows, span_residual, stack_span)
 from .realforms import ParabolicData, minimal_parabolic, restricted_roots
 from .spherical import SphericityReport, sample_group_element, sample_rng
@@ -99,7 +99,7 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
     n1 = h_cap_n
     while n1.shape[0]:
         comp = complement_in(n1, np.eye(dim))
-        maps = np.einsum("ai,bj,ijk->bak", h.basis, n1, g.bracket_tensor)  # (dim n1, dim h, dim)
+        maps = brackets(g.bracket_tensor, h.basis, n1).transpose(1, 0, 2)  # (dim n1, dim h, dim)
         out = maps @ comp.T
         coeffs = null_rows(out.reshape(n1.shape[0], -1).T, tol, scale=bracket_scale)
         new = orth_rows(coeffs @ n1, tol) if coeffs.shape[0] else np.zeros((0, dim))
@@ -147,7 +147,7 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
     # normalizer condition: [m1 + R X, n1] ⊂ n1
     l_part = stack_span(m1, X.reshape(1, -1) if X is not None else np.zeros((0, dim)))
     if l_part.size and n1_dim:
-        br = np.einsum("ai,bj,ijk->abk", l_part, n1, g.bracket_tensor).reshape(-1, dim)
+        br = brackets(g.bracket_tensor, l_part, n1).reshape(-1, dim)
         if span_residual(br, n1) > 1e-8:
             raise NormalizationError("m1 + R X does not normalize n1")
 

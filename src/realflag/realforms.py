@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    UnsupportedOperation, cartan_decomposition, subalgebra)
-from .linalg import (DEFAULT_TOL, in_span, intersect_spans, null_rows, numeric_rank,
+from .linalg import (DEFAULT_TOL, brackets, in_span, intersect_spans, null_rows, numeric_rank,
                      orth_rows, stack_span)
 
 # quaternion left-multiplication table on the basis (1, i, j, k)
@@ -212,7 +212,7 @@ def factor_embed(L: LieAlgebra, copies: int, assignment: tuple[int, ...]) -> Sub
 def from_matrices(L: LieAlgebra, mats: np.ndarray, name: str = "",
                   validate: bool = True) -> Subalgebra:
     """Subalgebra spanned by the given realization matrices."""
-    rows = np.array([L.coefficients_of(M) for M in np.asarray(mats, dtype=float)])
+    rows = L.coefficients_of(np.asarray(mats, dtype=float))
     return subalgebra(L, rows, name=name, validate=validate)
 
 
@@ -221,8 +221,7 @@ def matrix_involution(L: LieAlgebra, D: np.ndarray) -> np.ndarray:
     if L.matrices is None:
         raise UnsupportedOperation("needs a matrix realization")
     Dinv = np.linalg.inv(D)
-    conj = np.einsum("ab,ibc,cd->iad", D, L.matrices, Dinv)
-    sigma = np.array([L.coefficients_of(M) for M in conj]).T
+    sigma = L.coefficients_of(D @ L.matrices @ Dinv).T
     if np.linalg.norm(sigma @ sigma - np.eye(L.dim)) > 1e-8 * L.dim:
         raise ConstructionError("conjugation is not an involution on the algebra")
     return sigma
@@ -370,7 +369,7 @@ def _maximal_abelian(L: LieAlgebra, s: np.ndarray, seed: int, tol: float) -> np.
         X /= np.linalg.norm(X)
         ker = null_rows(L.ad(X) @ s.T, tol)
         cand = orth_rows(ker @ s, tol)
-        pair = np.einsum("ai,bj,ijk->abk", cand, cand, L.bracket_tensor)
+        pair = brackets(L.bracket_tensor, cand, cand)
         if np.abs(pair).max() < 1e-8 * max(1.0, np.abs(cand).max()):
             return cand
     raise ConstructionError("failed to find a maximal abelian subspace (non-generic seeds)")
@@ -400,7 +399,7 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
             raise InputError("prescribed a basis is not linearly independent")
         if not in_span(a, s, 1e-8):
             raise InputError("prescribed a is not contained in s")
-        pair = np.einsum("ai,bj,ijk->abk", a, a, L.bracket_tensor)
+        pair = brackets(L.bracket_tensor, a, a)
         if np.abs(pair).max() > 1e-8:
             raise InputError("prescribed a is not abelian")
         # centralizer of a in s must be a itself

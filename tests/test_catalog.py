@@ -9,6 +9,7 @@ from realflag.catalog import (_ALIASES, EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED,
                               EXPECT_SPHERICAL, CatalogEntry, build_pair, catalog_entries,
                               get_entry)
 from realflag.cli import main
+from realflag.realforms import embed_division
 
 
 class TestEntries:
@@ -41,6 +42,26 @@ class TestEntries:
     def test_get_entry_matches_listing(self, n_max):
         for e in catalog_entries(n_max):
             assert get_entry(e.name, n_max) == e, e.name
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+    def test_entry_names_are_unique(self, n_max):
+        names = [e.name for e in catalog_entries(n_max)]
+        assert len(names) == len(set(names))
+
+    def test_n5_lists_the_so15_block_pair_once(self):
+        names = [e.name for e in catalog_entries(5)]
+        assert len(names) == 53
+        assert names.count("berger:so(1,5):so(1,1)+so(4)") == 1
+        assert "berger:so(1,5):so(1,1)+so(4)" in [e.name for e in catalog_entries(4)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_realified_rows_match_embed_division(self, n):
+        pd = build_pair(f"berger:su(1,{n}):so(1,{n})")
+        sub = embed_division("real", (1, n), "su")
+        assert pd.h.name == sub.name and np.array_equal(pd.h.basis, sub.basis)
+        pd = build_pair(f"berger:sp(1,{n}):u(1,{n})")
+        sub = embed_division("complex", (1, n), "sp")
+        assert pd.h.name == sub.name and np.array_equal(pd.h.basis, sub.basis)
 
     def test_json_rows_hold_only_entry_fields(self, capsys):
         assert main(["catalog", "--json"]) == 0

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realflag.core import (ConstructionError, InputError, UnsupportedOperation,
+from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
                            as_algebra, cartan_decomposition, jacobi_residual,
                            killing_form, load_algebra, noncompact_ideal, save_algebra,
                            subalgebra, subalgebra_closure, validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
 from realflag.realforms import direct_sum, get_algebra
+from realflag.spherical import sample_group_element
 
 from oracles import commutator_coefficients
 
@@ -103,6 +104,24 @@ class TestAdjoint:
         for _ in range(10):
             X, Y = rng.standard_normal((2, so14.dim))
             assert np.allclose(so14.ad(X) @ Y, so14.bracket(X, Y), atol=1e-10)
+
+
+class TestAdGroup:
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
+    def test_matches_reference_einsum(self, name):
+        L = get_algebra(name)
+        x = sample_group_element(L, np.random.default_rng(5))
+        conj = np.einsum("ab,ibc,cd->iad", x, L.matrices, np.linalg.inv(x))
+        ref = (conj.reshape(L.dim, -1) @ np.linalg.pinv(L.matrices.reshape(L.dim, -1))).T
+        assert np.abs(L.ad_group(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
+    def test_rejects_a_matrix_outside_the_group(self, name):
+        L = get_algebra(name)
+        N = L.matrices.shape[1]
+        x = np.eye(N) + 0.5 * np.random.default_rng(6).standard_normal((N, N))
+        with pytest.raises(InputError, match="not a group element"):
+            L.ad_group(x)
 
 
 class TestClosure:
@@ -208,6 +227,23 @@ class TestProperties:
     @pytest.mark.parametrize("name", ["sl2", "so(1,4)", "su(1,2)"])
     def test_validate(self, name):
         validate_algebra(get_algebra(name))
+
+
+class TestValidate:
+    def test_rejects_a_perturbed_jacobi_entry(self, so14):
+        c = np.array(so14.bracket_tensor)
+        i, j, k = np.argwhere(c > 0)[0]
+        c[i, j, k] += 1e-3
+        c[j, i, k] -= 1e-3          # still exactly antisymmetric
+        with pytest.raises(ConstructionError, match="Jacobi"):
+            validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0])
+    def test_rejects_a_wrongly_scaled_realization(self, su12, factor):
+        L = LieAlgebra(labels=su12.labels, matrices=factor * su12.matrices,
+                       theta=su12.theta, structure=su12.bracket_tensor)
+        with pytest.raises(ConstructionError, match="realization"):
+            validate_algebra(L)
 
 
 class TestJSON:

@@ -237,6 +237,24 @@ class TestF4:
         assert len(builds) == 1
         assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 2
 
+    @pytest.mark.parametrize("fail", ["json.dumps", "os.replace"])
+    def test_failed_write_keeps_the_old_cache(self, f4bundle, tmp_path, monkeypatch, fail):
+        import realflag.jordan as jordan_mod
+        path = tmp_path / "f4.json"
+        jordan_mod._save_bundle(f4bundle, path)
+        old = path.read_bytes()
+
+        def broken(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        module, name = fail.split(".")
+        with monkeypatch.context() as mp:
+            mp.setattr(getattr(jordan_mod, module), name, broken)
+            with pytest.raises(OSError, match="no space"):
+                jordan_mod._save_bundle(f4bundle, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f4.json"]
+
 
 class TestEmbeddings:
     def test_su21_su3(self, f4bundle):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from realflag.linalg import (complement_in, intersect_spans, null_rows, numeric_rank,
+from realflag.linalg import (brackets, complement_in, intersect_spans, null_rows, numeric_rank,
                              orth_rows, signature_of, span_residual)
 
 
@@ -87,3 +87,22 @@ def test_span_residual_zero_for_members():
     basis = orth_rows(rng.standard_normal((3, 8)))
     vec = rng.standard_normal(3) @ basis
     assert span_residual(vec.reshape(1, -1), basis) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 7), st.integers(0, 2**31))
+@example(0, 3, 4, 0)
+@example(3, 0, 4, 0)
+@example(1, 1, 1, 0)
+@example(1, 4, 6, 1)
+def test_brackets_matches_reference_einsum(na, nb, d, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((d, d, d)) * 10.0 ** rng.uniform(-3, 3)
+    A = rng.standard_normal((na, d))
+    B = rng.standard_normal((nb, d))
+    out = brackets(c, A, B)
+    ref = np.einsum("ai,bj,ijk->abk", A, B, c)
+    assert out.shape == (na, nb, d)
+    # relative to the size of the summands, so cancellation cannot inflate the error
+    scale = np.einsum("ai,bj,ijk->abk", np.abs(A), np.abs(B), np.abs(c)).max(initial=0.0)
+    assert np.abs(out - ref).max(initial=0.0) <= 1e-12 * scale
