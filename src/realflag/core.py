@@ -3,9 +3,10 @@
 A Lie algebra is stored as a rank-3 tensor ``c[i,j,k]`` with
 ``[e_i, e_j] = sum_k c[i,j,k] e_k`` on a fixed basis, optionally together
 with a matrix realization (one square matrix per basis element) and a
-Cartan involution ``theta`` acting on the coefficient space.  Group
-elements are invertible matrices in the realization; their adjoint action
-is computed by conjugation followed by coefficient extraction.
+Cartan involution ``theta`` acting on the coefficient space.  A group
+element is a word: a ``(k, dim)`` array of coefficient vectors standing for
+exp(X_1) ... exp(X_k).  Its adjoint action is computed from the bracket
+alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k).
 """
 
 from __future__ import annotations
@@ -135,28 +136,19 @@ class LieAlgebra:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
-    def identity_element(self) -> np.ndarray:
-        if self.matrices is None:
-            raise UnsupportedOperation("no matrix realization")
-        return np.eye(self.matrices.shape[1])
+    def ad_group(self, word: np.ndarray) -> np.ndarray:
+        """Ad(exp X_1 ... exp X_k) = expm(ad X_1) ... expm(ad X_k) on the coefficient space.
 
-    def exp(self, X: np.ndarray) -> np.ndarray:
-        """Group element exp of a coefficient vector, in the matrix realization."""
-        return expm(self.to_matrix(X))
-
-    def ad_group(self, x: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-        """Adjoint action Ad(x) on the coefficient space, x a realization matrix."""
-        if self.matrices is None:
-            raise UnsupportedOperation(f"{self.name or 'algebra'} has no matrix realization")
-        x = np.asarray(x, dtype=float)
-        xinv = np.linalg.inv(x)
-        conj = x @ self.matrices @ xinv
-        flat = conj.reshape(self.dim, -1)
-        coeffs = flat @ self._flat_pinv
-        resid = np.linalg.norm(coeffs @ self.matrices.reshape(self.dim, -1) - flat)
-        if resid > tol * max(1.0, np.linalg.norm(flat)):
-            raise InputError("conjugation leaves the algebra span; x is not a group element")
-        return coeffs.T  # columns are images of basis vectors
+        ``word`` is a ``(k, dim)`` array whose rows are X_1, ..., X_k; the
+        empty word is the identity.  Column j of the result is the image of e_j.
+        """
+        word = np.asarray(word, dtype=float)
+        if word.ndim != 2 or word.shape[1] != self.dim:
+            raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
+        out = np.eye(self.dim)
+        for X in word:
+            out = out @ expm(self.ad(X))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +178,8 @@ class Subalgebra:
         if numeric_rank(self.basis) != self.dim:
             raise InputError(f"{self.name or 'subalgebra'}: basis is not linearly independent")
         br = pairwise_brackets(self.ambient, self.basis)
-        # all-zero brackets (abelian) are closed; avoid dividing by a noise-level scale
-        floor = 1e-10 * float(np.linalg.norm(self.basis)) ** 2 \
-            * (1.0 + float(np.abs(self.ambient.bracket_tensor).max()))
-        if np.linalg.norm(br) > floor and span_residual(br, self.basis) > tol:
+        scale = float(np.linalg.norm(self.basis)) ** 2
+        if _closure_residual(self.ambient, br, self.basis, scale) > tol:
             raise InputError(f"{self.name or 'subalgebra'}: not closed under the bracket")
 
     def contains(self, other: "Subalgebra | np.ndarray", tol: float = 1e-8) -> bool:
@@ -306,10 +296,21 @@ def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebr
     # the complement must itself be an ideal
     if comp.shape[0]:
         br = brackets(L.bracket_tensor, np.eye(L.dim), comp).reshape(-1, L.dim)
-        floor = 1e-10 * L.dim * (1.0 + float(np.abs(L.bracket_tensor).max()))
-        if np.linalg.norm(br) > floor and span_residual(br, comp) > 1e-7:
+        if _closure_residual(L, br, comp, L.dim) > 1e-7:
             raise ConstructionError("complement of the noncompact ideal is not an ideal")
     return Subalgebra(L, nc, name="noncompact"), Subalgebra(L, comp, name="compact")
+
+
+def _closure_residual(L: LieAlgebra, br: np.ndarray, basis: np.ndarray, scale: float) -> float:
+    """Relative residual of the brackets ``br`` against span(basis).
+
+    Brackets below the noise floor ``1e-10 * scale * (1 + max |c|)`` count as
+    zero, so an abelian span is closed without dividing by a rounding-level norm.
+    """
+    floor = 1e-10 * scale * (1.0 + float(np.abs(L.bracket_tensor).max()))
+    if np.linalg.norm(br) <= floor:
+        return 0.0
+    return span_residual(br, basis)
 
 
 def _assert_reductive(L: LieAlgebra, tol: float) -> None:
@@ -345,10 +346,9 @@ def as_algebra(sub: Subalgebra, name: str = "", tol: float = 1e-8) -> LieAlgebra
         raise InputError("subalgebra basis is not linearly independent")
     pinv = np.linalg.pinv(basis)                 # rows of coords: vec @ pinv
     c_full = brackets(L.bracket_tensor, basis, basis)
-    resid = span_residual(c_full.reshape(-1, L.dim), basis)
-    floor = 1e-10 * float(np.linalg.norm(basis)) ** 2 \
-        * (1.0 + float(np.abs(L.bracket_tensor).max()))
-    if np.linalg.norm(c_full) > floor and resid > tol:
+    resid = _closure_residual(L, c_full.reshape(-1, L.dim), basis,
+                              float(np.linalg.norm(basis)) ** 2)
+    if resid > tol:
         raise InputError(f"not a subalgebra (closure residual {resid:.2e})")
     c = np.einsum("abk,kc->abc", c_full, pinv)
     c = (c - np.einsum("abc->bac", c)) / 2.0

@@ -128,15 +128,7 @@ def projector_onto(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def in_span(vecs: np.ndarray, basis: np.ndarray, tol: float = 1e-8) -> bool:
     """True if every row of ``vecs`` lies in span(basis), relative residual <= tol."""
-    vecs = np.atleast_2d(np.asarray(vecs, dtype=float))
-    if vecs.size == 0:
-        return True
-    scale = np.linalg.norm(vecs)
-    if scale == 0.0:
-        return True
-    P = projector_onto(basis)
-    resid = vecs - vecs @ P
-    return float(np.linalg.norm(resid)) <= tol * scale
+    return span_residual(vecs, basis) <= tol
 
 
 def span_residual(vecs: np.ndarray, basis: np.ndarray) -> float:

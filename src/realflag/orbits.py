@@ -17,42 +17,40 @@ from typing import Optional
 import numpy as np
 
 from .core import (InputError, LieAlgebra, NormalizationError, NotSphericalError,
-                   Subalgebra, UnsupportedOperation, as_algebra, noncompact_ideal)
+                   Subalgebra, UnsupportedOperation, as_algebra, cartan_decomposition,
+                   noncompact_ideal)
 from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, intersect_spans, null_rows,
                      numeric_rank, orth_rows, span_residual, stack_span)
 from .realforms import ParabolicData, minimal_parabolic, restricted_roots
 from .spherical import SphericityReport, sample_group_element, sample_rng
 
 
-def orbit_dim_at(g: LieAlgebra, h: Subalgebra, P: ParabolicData, x: np.ndarray,
+def orbit_dim_at(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
                  tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the h-orbit through the coset x P: dim h - dim(h ∩ Ad(x) p)."""
-    ad = g.ad_group(x)
+    """Dimension of the h-orbit through the coset x P: dim h - dim(h ∩ Ad(x) p), x a word."""
+    ad = g.ad_group(word)
     inter = intersect_spans(h.basis, P.p.basis @ ad.T, tol)
     return h.dim - inter.shape[0]
 
 
 def sampled_orbit_dims(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
-                       samples: int, seed: int, tol: float = DEFAULT_TOL,
-                       include_base_points: bool = True) -> list[int]:
-    """Orbit dimensions at the identity, the Weyl point, and sampled group elements."""
-    points = []
-    if include_base_points:
-        points = [g.identity_element(), P.weyl]
+                       samples: int, seed: int, tol: float = DEFAULT_TOL) -> list[int]:
+    """Orbit dimensions at the identity (the empty word), the Weyl point, and sampled words."""
+    points = [np.zeros((0, g.dim)), P.weyl]
     points += [sample_group_element(g, sample_rng(seed, i)) for i in range(samples)]
     return [orbit_dim_at(g, h, P, x, tol) for x in points]
 
 
-def bruhat_cell_of(g: LieAlgebra, P: ParabolicData, x: np.ndarray,
+def bruhat_cell_of(g: LieAlgebra, P: ParabolicData, word: np.ndarray,
                    tol: float = DEFAULT_TOL) -> str:
-    """'closed' when x P is the base coset (x in P), 'open' otherwise.
+    """'closed' when x P is the base coset (x in P), 'open' otherwise; x is a word.
 
     Rank one only: the N-orbit through x P is open exactly when x lies
     outside P, so the test is dim(n + Ad(x) p) = dim g.
     """
     if P.roots.rank != 1:
         raise UnsupportedOperation("Bruhat cell classification is implemented for rank one")
-    ad = g.ad_group(x)
+    ad = g.ad_group(word)
     full = numeric_rank(stack_span(P.n.basis, P.p.basis @ ad.T), tol)
     return "open" if full == g.dim else "closed"
 
@@ -264,7 +262,7 @@ def adapted_parabolic(g: LieAlgebra, sigma: np.ndarray, seed: int = 0,
         raise UnsupportedOperation("adapted parabolic requires theta")
     if np.linalg.norm(sigma @ g.theta - g.theta @ sigma) > 1e-8 * g.dim:
         raise InputError("sigma does not commute with theta")
-    s = orth_rows(((np.eye(g.dim) - g.theta) / 2.0).T, tol, scale=1.0)
+    _, s = cartan_decomposition(g, tol)
     q = orth_rows(((np.eye(g.dim) - sigma) / 2.0).T, tol, scale=1.0)
     sq = intersect_spans(s, q, tol)
     if sq.shape[0] == 0:
@@ -289,8 +287,7 @@ def hprime_decomposition_check(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
     spans = numeric_rank(stack_span(h.basis, hp_cap_m), tol) == hprime.dim
     hp_alg = as_algebra(hprime, name="hprime")
     nc, _ = noncompact_ideal(hp_alg, tol)
-    # map the ideal back to ambient coordinates
-    hp_orth = orth_rows(hprime.basis)
-    nc_ambient = nc.basis @ hp_orth if nc.dim else np.zeros((0, g.dim))
+    # as_algebra keeps the given basis: ideal coordinates are against the rows of hprime.basis
+    nc_ambient = nc.basis @ hprime.basis if nc.dim else np.zeros((0, g.dim))
     ideal_inside = in_span(nc_ambient, h.basis, 1e-8)
     return bool(spans and ideal_inside)

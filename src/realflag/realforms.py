@@ -5,7 +5,8 @@ algebras (complex and quaternionic entries are realified blockwise), with
 the Cartan involution X -> -X^T.  ``restricted_roots`` extracts a maximal
 abelian subspace of s, the joint ad-eigenspace decomposition, and the
 simple roots; ``minimal_parabolic`` assembles p = m + a + n together with
-a Weyl representative mapping n onto the opposite nilpotent.
+a Weyl representative, a word of simple reflections whose adjoint action
+maps n onto the opposite nilpotent.
 """
 
 from __future__ import annotations
@@ -493,8 +494,9 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
 class ParabolicData:
     """Minimal parabolic p = m + a + n with a Weyl representative.
 
-    ``weyl`` is a group element (matrix in the realization) with
-    Ad(weyl) a = a and Ad(weyl) n = nbar.
+    ``weyl`` is a word (rows W_1, ..., W_k: the group element
+    exp(W_1) ... exp(W_k)) with Ad(weyl) a = a and Ad(weyl) n = nbar;
+    ``weyl_ad`` is Ad(weyl).
     """
 
     algebra: LieAlgebra
@@ -515,21 +517,19 @@ class ParabolicData:
 
 def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
               tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Weyl representative for one simple root via its sl2 triple: exp(pi/2 (E + theta E))."""
+    """W = pi/2 (E + theta E) for a simple root alpha, E in its root space scaled so
+    that (E, -theta E) spans an sl2 triple; exp(W) represents the reflection in alpha."""
     space = roots.space_of(alpha)
     if space.shape[0] == 0:
         raise InputError("not a root")
     E = space[0]
-    thE = L.theta @ E
-    H0 = L.bracket(E, -thE)
-    # alpha(H0) > 0; rescale so that alpha(H) = 2
-    t = H0 @ np.linalg.pinv(roots.a)         # coordinates of H0 in the a-basis
-    val = float(alpha @ t)
+    H0 = L.bracket(E, -(L.theta @ E))
+    # H0 lies in a, so [H0, E] = alpha(H0) E; alpha(H0) > 0, rescale so that alpha(H) = 2
+    val = float(E @ L.bracket(H0, E)) / float(E @ E)
     if val <= 0:
         raise ConstructionError("sl2 normalization failed (alpha(H0) <= 0)")
     E = E * np.sqrt(2.0 / val)
-    W = E + L.theta @ E
-    return L.exp(np.asarray(W) * (np.pi / 2.0))
+    return (E + L.theta @ E) * (np.pi / 2.0)
 
 
 def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
@@ -541,18 +541,18 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
     nbar = orth_rows(stack_span(*roots.negative_spaces()), tol)
     p_basis = orth_rows(stack_span(roots.m, roots.a, n), tol)
 
-    # Weyl representative: search short products of simple reflections with Ad(w) n = nbar
-    simples = [_sl2_weyl(L, roots, alpha, tol) for alpha in roots.simple_roots]
-    ident = L.identity_element()
-    frontier = [(ident, L.ad_group(ident))]
+    # Weyl representative: search short words of simple reflections with Ad(w) n = nbar
+    simples = [_sl2_weyl(L, roots, alpha, tol)[None] for alpha in roots.simple_roots]
+    simple_ads = [L.ad_group(W) for W in simples]
+    frontier = [(np.zeros((0, L.dim)), np.eye(L.dim))]
     weyl = weyl_ad = None
     max_len = int(roots.positive.sum())
     for _ in range(max_len):
         new_frontier = []
         for x, adx in frontier:
-            for s in simples:
-                y = s @ x
-                ady = L.ad_group(y)
+            for W, ads in zip(simples, simple_ads):
+                y = np.vstack([W, x])
+                ady = ads @ adx
                 if in_span(n @ ady.T, nbar, 1e-7) and in_span(roots.a @ ady.T, roots.a, 1e-7):
                     weyl, weyl_ad = y, ady
                     break

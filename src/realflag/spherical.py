@@ -1,11 +1,13 @@
 """Generic-rank sphericality testing: does h + Ad(x) p fill g for some x?
 
-Group elements are sampled deterministically as two-factor products
-exp(X1) exp(X2) with each X drawn from a seeded operator-norm ball in the
-matrix realization.  Attaining dim g at any single sample is a certificate
-(openness is lower semicontinuous); a negative verdict is either a
-sample-free dimension obstruction or a confidence statement after the
-requested number of samples.
+Group elements are sampled deterministically as two-row words
+exp(X1) exp(X2), each X a coefficient vector drawn from a seeded unit
+operator-norm ball (the norm is measured in the matrix realization).  Only
+the adjoint action of a word is ever computed, through
+``LieAlgebra.ad_group``, and a witness is the word itself.  Attaining dim g
+at any single sample is a certificate (openness is lower semicontinuous); a
+negative verdict is either a sample-free dimension obstruction or a
+confidence statement after the requested number of samples.
 """
 
 from __future__ import annotations
@@ -30,29 +32,21 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(int(index),)))
 
 
-def random_ball_matrix(L: LieAlgebra, rng: np.random.Generator, radius: float = 1.0) -> np.ndarray:
-    """Algebra element with operator norm <= radius, Gaussian direction."""
-    v = rng.standard_normal(L.dim)
-    M = L.to_matrix(v)
-    norm = np.linalg.norm(M, 2)
-    if norm == 0.0:
-        return M
-    return M * (radius * rng.uniform() / norm)
+def sample_group_element(L: LieAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Two-row word exp(X1) exp(X2): each X has a Gaussian direction and an operator
+    norm in the realization drawn uniformly from [0, 1)."""
+    rows = []
+    for _ in range(2):
+        v = rng.standard_normal(L.dim)
+        norm = np.linalg.norm(L.to_matrix(v), 2)
+        rows.append(v * (rng.uniform() / norm) if norm > 0.0 else np.zeros(L.dim))
+    return np.array(rows)
 
 
-def sample_group_element(L: LieAlgebra, rng: np.random.Generator,
-                         radius: float = 1.0, factors: int = 2) -> np.ndarray:
-    from scipy.linalg import expm
-    x = L.identity_element()
-    for _ in range(factors):
-        x = x @ expm(random_ball_matrix(L, rng, radius))
-    return x
-
-
-def local_dim(g: LieAlgebra, h: Subalgebra, P: ParabolicData, x: np.ndarray,
+def local_dim(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
               tol: float = DEFAULT_TOL) -> int:
-    """dim(h + Ad(x) p) at a group element x."""
-    ad = g.ad_group(x)
+    """dim(h + Ad(x) p) at the group element x given by a word."""
+    ad = g.ad_group(word)
     return numeric_rank(stack_span(h.basis, P.p.basis @ ad.T), tol)
 
 
@@ -71,11 +65,11 @@ class SphericityReport:
     per_sample_dims: list[int]
     max_dim: int
     verdict: str
-    witness: Optional[np.ndarray] = None
+    witness: Optional[np.ndarray] = None     # (2, dim g) word of a spherical sample
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "sphericity",
             "pair": self.pair_name,
             "dim_g": self.dim_g,
@@ -94,7 +88,7 @@ class SphericityReport:
 
 def is_spherical(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
                  samples: int = 64, seed: int = 0, tol: float = DEFAULT_TOL,
-                 pair_name: str = "", radius: float = 1.0) -> SphericityReport:
+                 pair_name: str = "") -> SphericityReport:
     """Sampled test of g = h + Ad(x) p.
 
     Evaluation short-circuits once a sample certifies sphericality; the
@@ -113,7 +107,7 @@ def is_spherical(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
     best = -1
     witness = None
     for i in range(samples):
-        x = sample_group_element(g, sample_rng(seed, i), radius)
+        x = sample_group_element(g, sample_rng(seed, i))
         d = local_dim(g, h, P, x, tol)
         dims.append(d)
         if d > best:

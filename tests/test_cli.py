@@ -37,7 +37,7 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "dimension-obstructed"
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
 
     def test_not_spherical_expectation_matches(self, capsys):
         code, out = run(capsys, "check", "--pair", "max:f4:su(2,1)+su(3)",

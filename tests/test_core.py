@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
                            as_algebra, cartan_decomposition, jacobi_residual,
@@ -109,19 +110,34 @@ class TestAdjoint:
 class TestAdGroup:
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
     def test_matches_reference_einsum(self, name):
+        # reference: conjugate the realization by exp(X1) exp(X2), extract coefficients
         L = get_algebra(name)
-        x = sample_group_element(L, np.random.default_rng(5))
+        word = sample_group_element(L, np.random.default_rng(5))
+        x = expm(L.to_matrix(word[0])) @ expm(L.to_matrix(word[1]))
         conj = np.einsum("ab,ibc,cd->iad", x, L.matrices, np.linalg.inv(x))
         ref = (conj.reshape(L.dim, -1) @ np.linalg.pinv(L.matrices.reshape(L.dim, -1))).T
-        assert np.abs(L.ad_group(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
-    def test_rejects_a_matrix_outside_the_group(self, name):
+    def test_is_a_bracket_automorphism(self, name):
         L = get_algebra(name)
-        N = L.matrices.shape[1]
-        x = np.eye(N) + 0.5 * np.random.default_rng(6).standard_normal((N, N))
-        with pytest.raises(InputError, match="not a group element"):
-            L.ad_group(x)
+        ad = L.ad_group(sample_group_element(L, np.random.default_rng(7)))
+        X, Y = np.random.default_rng(8).standard_normal((2, L.dim))
+        lhs = ad @ L.bracket(X, Y)
+        assert np.abs(lhs - L.bracket(ad @ X, ad @ Y)).max() <= 1e-12 * np.abs(lhs).max()
+
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
+    def test_word_times_reversed_negation_is_identity(self, name):
+        L = get_algebra(name)
+        word = sample_group_element(L, np.random.default_rng(9))
+        assert np.abs(L.ad_group(np.vstack([word, -word[::-1]])) - np.eye(L.dim)).max() <= 1e-12
+        assert np.array_equal(L.ad_group(np.zeros((0, L.dim))), np.eye(L.dim))
+
+    @pytest.mark.parametrize("shape", [(52,), (2, 51), (1, 2, 52)],
+                             ids=["vector", "wrong-width", "three-index"])
+    def test_rejects_a_wrongly_shaped_word(self, shape):
+        with pytest.raises(InputError, match="word"):
+            get_algebra("f4").ad_group(np.zeros(shape))
 
 
 class TestClosure:

@@ -1,11 +1,26 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from realflag.core import InputError, subalgebra
 from realflag.realforms import get_algebra, minimal_parabolic, restricted_roots
 from realflag.spherical import (is_spherical, local_dim, sample_group_element,
                                 sample_rng)
+
+# Seed-0 verdicts and per-sample dimensions at 64 samples, recorded with the earlier
+# implementation that conjugated realization matrices; words must reproduce them.
+GOLDEN = {
+    "sl2:a": ("spherical", [3]),
+    "sl3:so3": ("spherical", [8]),
+    "berger:sp(1,3):u(1,3)": ("spherical", [36]),
+    "max:sp(1,2):so(1,2)+sp(1)": ("dimension-obstructed", []),
+    "max:sp(1,3):so(1,3)+sp(1)": ("dimension-obstructed", []),
+    "max:f4:su(2,1)+su(3)": ("not-spherical-at-confidence", [51] * 64),
+    "max:f4:so(1,2)+g2": ("not-spherical-at-confidence", [51] * 64),
+}
+
+# coefficients of the two ball matrices the earlier sampler drew for sl2:a at seed 0
+SL2_SEED0_WORD = [[0.08016956434155785, -0.04975275239251996, 0.04086833491668548],
+                  [0.5321312044436091, 0.10036008679995714, 0.5108884652651373]]
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +37,7 @@ def canonical_sl2():
 class TestLocalDim:
     def test_h_equals_p_at_identity(self, canonical_sl2):
         L, P = canonical_sl2
-        assert local_dim(L, P.p, P, L.identity_element()) == P.p.dim
+        assert local_dim(L, P.p, P, np.zeros((0, L.dim))) == P.p.dim
 
     def test_a_at_weyl_point_is_two(self, canonical_sl2):
         # Ad(s) p is the opposite parabolic, which already contains a
@@ -35,12 +50,11 @@ class TestLocalDim:
         a = subalgebra(L, P.roots.a, name="a")
         E = np.zeros(3); E[L.labels.index("E01")] = 1.0
         F = np.zeros(3); F[L.labels.index("E10")] = 1.0
-        rot = expm(np.pi / 8 * L.to_matrix(E - F))
-        assert local_dim(L, a, P, rot) == 3
+        assert local_dim(L, a, P, np.pi / 8 * (E - F)[None]) == 3
 
     def test_n_at_identity_is_two(self, canonical_sl2):
         L, P = canonical_sl2
-        assert local_dim(L, P.n, P, L.identity_element()) == 2
+        assert local_dim(L, P.n, P, np.zeros((0, L.dim))) == 2
 
 
 class TestIsSpherical:
@@ -100,6 +114,19 @@ class TestIsSpherical:
         pd = pair("sl2:a")
         with pytest.raises(InputError):
             is_spherical(pd.g, pd.h, pd.P, samples=0, seed=0)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_seed0(self, pair, name):
+        pd = pair(name)
+        rep = is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0, pair_name=name)
+        assert (rep.verdict, rep.per_sample_dims) == GOLDEN[name]
+
+    def test_golden_sampled_word(self, pair):
+        pd = pair("sl2:a")
+        rep = is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0)
+        assert rep.witness.shape == (2, 3)
+        assert np.abs(rep.witness - SL2_SEED0_WORD).max() <= 1e-15
+        assert rep.to_dict()["schema"] == 2
 
     def test_report_dict_fields(self, pair):
         pd = pair("sl2:n")
