@@ -12,13 +12,13 @@ alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, null_rows, numeric_rank,
                      orth_rows, signature_of, span_residual, stack_span)
@@ -147,8 +147,34 @@ class LieAlgebra:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
         out = np.eye(self.dim)
         for X in word:
-            out = out @ expm(self.ad(X))
+            out = out @ _expm(self.ad(X))
         return out
+
+
+# (m, theta_m): the degree-m diagonal Pade approximant of exp is exact to double
+# rounding for 1-norms up to theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE_BANDS = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+               (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring: the lowest Pade degree whose band holds
+    the 1-norm of A, else degree 13 on A / 2^s followed by s squarings."""
+    norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    m, theta = next((band for band in _PADE_BANDS if norm <= band[1]), _PADE_BANDS[-1])
+    s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
+    A = A / 2.0 ** s
+    f = math.factorial
+    b = [f(2 * m - k) * f(m) / (f(2 * m) * f(k) * f(m - k)) for k in range(m + 1)]
+    pows = [np.eye(len(A)), A @ A]                   # I, A^2, ..., A^(m-1)
+    while len(pows) <= m // 2:
+        pows.append(pows[-1] @ pows[1])
+    U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(pows))
+    V = sum(b[2 * j] * P for j, P in enumerate(pows))
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +303,13 @@ def ideal_closure(L: LieAlgebra, seed: np.ndarray, tol: float = DEFAULT_TOL) -> 
         basis = new
 
 
-def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebra, Subalgebra]:
+def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL,
+                     metric: Optional[np.ndarray] = None) -> tuple[Subalgebra, Subalgebra]:
     """Maximal noncompact ideal (generated by the -1 eigenspace of theta) and
     its complementary ideal.
 
+    The complement is orthogonal for ``metric`` (default ``L.b_theta``, which
+    vanishes on a center; pass e.g. an ambient's B_theta in L's coordinates).
     Requires a reductive algebra with theta; raises UnsupportedOperation
     otherwise.
     """
@@ -292,7 +321,8 @@ def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebr
         nc = np.zeros((0, L.dim))
     else:
         nc = ideal_closure(L, s, tol)
-    comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta, tol=tol)
+    comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta if metric is None else metric,
+                         tol=tol)
     # the complement must itself be an ideal
     if comp.shape[0]:
         br = brackets(L.bracket_tensor, np.eye(L.dim), comp).reshape(-1, L.dim)

@@ -16,7 +16,7 @@ manifold of that algebra.
 g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor.  The f4 build is cached to disk
 since the derivation solve is the most expensive step in the package.  The
-cache (``CACHE_SCHEMA`` 2) holds only what the solve and the embedding
+cache (``CACHE_SCHEMA`` 3) holds only what the solve and the embedding
 search produce: the derivation basis, the subalgebra bases, the involutions,
 the symmetric-subalgebra status and the provenance.  The realization on V,
 theta and the bracket are recomputed from the derivations on load.  A file
@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    subalgebra)
@@ -275,7 +274,8 @@ def derivation_algebra(table: np.ndarray, expected_dim: int) -> np.ndarray:
 
     ``table[a, b, :]`` is e_a e_b.  A derivation D satisfies
     D(e_a e_b) = D(e_a) e_b + e_a D(e_b), a linear system in the n^2
-    entries of D whose null space comes from a thin SVD.
+    entries of D.  Its null space comes from an SVD of R in A = QR: R has the
+    singular values and right singular vectors of the tall A, and is square.
     """
     n = table.shape[0]
     rows = []
@@ -288,7 +288,7 @@ def derivation_algebra(table: np.ndarray, expected_dim: int) -> np.ndarray:
                 blk[e, :, b] -= table[a, :, e]
             rows.append(blk.reshape(n, n * n))
     A = np.vstack(rows)
-    u, s, vh = scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesdd")
+    _, s, vh = np.linalg.svd(np.linalg.qr(A, mode="r"))
     rank = int((s > SOLVER_TOL * s[0]).sum())
     basis = vh[rank:]
     if basis.shape[0] != expected_dim:
@@ -409,7 +409,7 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 # subalgebra keys every bundle carries; the symmetric ones exist where they validated
 _EMBEDDINGS = ("g2", "su3", "su21", "so12", "su21+su3", "so12+g2")
 _SYMMETRIC = ("so(1,8)", "sp(1,2)+sp(1)")

@@ -11,22 +11,35 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# a singular value within this factor of the cut tol * smax makes a rank decision ambiguous
+RANK_BAND = 10.0
 
 
 def numeric_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values exceeding ``tol * smax``.
+    """Number of singular values exceeding ``tol * smax``; ``tol`` must lie in (0, 1)."""
+    return rank_certificate(M, tol)[0]
 
-    An empty matrix has rank 0.  ``tol`` must lie in (0, 1).
+
+def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, float, float, bool]:
+    """``(rank, s_r / s_1, s_{r+1} / s_1, ambiguous)`` of the cut ``s > tol * s_1``.
+
+    Ambiguous: s_r or s_{r+1} lies within a factor ``RANK_BAND`` of the cut,
+    or the cut is below the smallest normal float (so a zero matrix is).  A
+    missing s_r or s_{r+1} reads 0; an empty matrix is ``(0, 0.0, 0.0, False)``.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
-        return 0
+        return 0, 0.0, 0.0, False
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int((s > tol * s[0]).sum())
+    cut = tol * s[0]
+    r = int((s > cut).sum())
+    rel = np.append(s, 0.0) / s[0] if s[0] > 0.0 else np.zeros(s.size + 1)
+    upper, lower = (float(rel[r - 1]) if r else 0.0), float(rel[r])
+    ambiguous = bool(cut < np.finfo(float).tiny
+                     or any(tol / RANK_BAND <= x <= tol * RANK_BAND for x in (upper, lower)))
+    return r, upper, lower, ambiguous
 
 
 def orth_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:

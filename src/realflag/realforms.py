@@ -51,12 +51,8 @@ def realify_quaternion(Q: np.ndarray) -> np.ndarray:
     """Quaternionic N x N matrix (shape (N,N,4)) -> real 4N x 4N left-multiplication blocks."""
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    out = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        for j in range(n):
-            # block[k, l] = sum_m Q[i,j,m] * QT[m, l, k]
-            out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = np.einsum("m,mlk->kl", Q[i, j], _QT)
-    return out
+    # block (i, j) is [k, l] -> sum_m Q[i,j,m] QT[m, l, k]
+    return np.einsum("ijm,mlk->ikjl", Q, _QT).reshape(4 * n, 4 * n)
 
 
 def _theta_from_matrices(mats: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           as_algebra, cartan_decomposition, jacobi_residual,
+                           _expm, as_algebra, cartan_decomposition, jacobi_residual,
                            killing_form, load_algebra, noncompact_ideal, save_algebra,
                            subalgebra, subalgebra_closure, validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
@@ -132,6 +132,27 @@ class TestAdGroup:
         word = sample_group_element(L, np.random.default_rng(9))
         assert np.abs(L.ad_group(np.vstack([word, -word[::-1]])) - np.eye(L.dim)).max() <= 1e-12
         assert np.array_equal(L.ad_group(np.zeros((0, L.dim))), np.eye(L.dim))
+
+    # 1-norms inside each Pade band (3, 5, 7, 9, 13 unscaled) and beyond it (2 and 6 squarings)
+    @pytest.mark.parametrize("norm", [1e-3, 0.2, 0.9, 2.0, 5.0, 20.0, 300.0])
+    def test_exponential_matches_scipy(self, norm):
+        L = get_algebra("sp(1,3)")
+        A = L.ad(np.random.default_rng(3).standard_normal(L.dim))
+        A *= norm / np.abs(A).sum(axis=0).max()
+        ref = expm(A)
+        assert np.linalg.norm(_expm(A) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 2.5, 50.0])
+    def test_exponential_of_a_nilpotent_is_its_finite_series(self, t):
+        L = get_algebra("sl3")
+        A = L.ad(t * _unit(L, "E02"))
+        series, term, k = np.eye(L.dim), np.eye(L.dim), 0
+        while term.any():
+            k += 1
+            term = term @ A / k
+            series += term
+        assert k == 3
+        assert np.linalg.norm(_expm(A) - series) <= 1e-13 * np.linalg.norm(series)
 
     @pytest.mark.parametrize("shape", [(52,), (2, 51), (1, 2, 52)],
                              ids=["vector", "wrong-width", "three-index"])

@@ -1,28 +1,63 @@
-"""Guard: group elements have one representation, the word.
+"""Guard: one group path and no scipy in the package.
 
 ``LieAlgebra.ad_group`` computes Ad(exp X_1 ... exp X_k) as
-expm(ad X_1) ... expm(ad X_k) in ``core``.  A matrix exponential anywhere
-else in the package would bring back a second, realization-space group path
-(exponentiate a realization matrix, then conjugate and project), so
-``scipy.linalg.expm`` may be imported and used only in ``core.py``.
+exp(ad X_1) ... exp(ad X_k) with the package's own Pade exponential
+``core._expm``.  A matrix exponential anywhere else would bring back a second,
+realization-space group path (exponentiate a realization matrix, then
+conjugate and project), so ``expm`` and ``_expm`` may be defined and used
+only in ``core.py``.  The package depends on numpy alone: no module imports
+scipy, so no process pays for loading it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "realflag"
 ALLOWED_FILE = "core.py"
+EXPM_NAMES = {"expm", "_expm"}
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
 def _expm_sites():
-    """(file, line) of every import of expm and every ``<module>.expm`` attribute."""
+    """(file, line) of every definition, import or use of a name in EXPM_NAMES."""
     sites = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and any(a.name == "expm" for a in node.names):
-                sites.append((path.name, node.lineno))
-            elif isinstance(node, ast.Attribute) and node.attr == "expm":
-                sites.append((path.name, node.lineno))
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = any(a.name.split(".")[-1] in EXPM_NAMES for a in node.names)
+            elif isinstance(node, ast.FunctionDef):
+                found = node.name in EXPM_NAMES
+            elif isinstance(node, ast.Attribute):
+                found = node.attr in EXPM_NAMES
+            elif isinstance(node, ast.Name):
+                found = node.id in EXPM_NAMES
+            else:
+                found = False
+            if found:
+                sites.append((name, node.lineno))
+    return sites
+
+
+def _scipy_imports():
+    """(file, line) of every ``import scipy...`` and ``from scipy... import``."""
+    sites = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                sites.append((name, node.lineno))
     return sites
 
 
@@ -32,12 +67,34 @@ def test_expm_only_in_core():
 
 
 def test_core_still_exponentiates():
-    assert any(f == ALLOWED_FILE for f, _ in _expm_sites())
+    tree = dict(_trees())[ALLOWED_FILE]
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_expm" in defined and "_expm" in called
+
+
+def test_no_scipy_import():
+    offenders = [f"{f}:{line}" for f, line in _scipy_imports()]
+    assert not offenders, "the package depends on numpy alone: " + ", ".join(offenders)
 
 
 def test_guard_sees_both_spellings(tmp_path, monkeypatch):
     (tmp_path / "a.py").write_text("from scipy.linalg import expm\n")
     (tmp_path / "b.py").write_text("import scipy.linalg\n\nx = scipy.linalg.expm\n")
     (tmp_path / "c.py").write_text("import numpy as np\n\nx = np.exp(1.0)\n")
+    (tmp_path / "d.py").write_text("def _expm(A):\n    return A\n\n\ny = _expm(0)\n")
+    (tmp_path / "e.py").write_text("import numpy\nfrom . import scipy_free\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert _expm_sites() == [("a.py", 1), ("b.py", 3)]
+    assert _expm_sites() == [("a.py", 1), ("b.py", 3), ("d.py", 1), ("d.py", 5)]
+    assert _scipy_imports() == [("a.py", 1), ("b.py", 1)]
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import sys, realflag.cli, realflag.jordan\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -183,7 +183,7 @@ class TestF4:
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
         doc = json.loads((tmp_path / "f4.json").read_text())
-        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 2
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 3
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
                             "involutions", "symmetric_status"}
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
@@ -219,11 +219,11 @@ class TestF4:
         assert jordan_mod._load_bundle(path) is None
 
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
+        # schema 2 held the derivation basis of the earlier thin-SVD solve
         import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
         doc = json.loads((tmp_path / "f4.json").read_text())
-        (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": 1}))
         builds = []
 
         def build():
@@ -231,11 +231,14 @@ class TestF4:
             return f4bundle
 
         monkeypatch.setattr(jordan_mod, "_build_bundle", build)
-        for _ in range(2):
-            monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
-            jordan_mod.f4_bundle()
-        assert len(builds) == 1
-        assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 2
+        for old in (1, 2):
+            (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": old}))
+            builds.clear()
+            for _ in range(2):
+                monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+                jordan_mod.f4_bundle()
+            assert len(builds) == 1
+            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 3
 
     @pytest.mark.parametrize("fail", ["json.dumps", "os.replace"])
     def test_failed_write_keeps_the_old_cache(self, f4bundle, tmp_path, monkeypatch, fail):

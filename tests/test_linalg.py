@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from realflag.linalg import (brackets, complement_in, intersect_spans, null_rows, numeric_rank,
-                             orth_rows, signature_of, span_residual)
+from realflag.linalg import (RANK_BAND, brackets, complement_in, intersect_spans, null_rows,
+                             numeric_rank, orth_rows, rank_certificate, signature_of,
+                             span_residual)
 
 
 def test_rank_identity():
@@ -38,13 +39,43 @@ def test_rank_monotone_in_tol():
     assert ranks == sorted(ranks, reverse=True)
 
 
+def _padded_diag(*values):
+    M = np.zeros((5, 7))
+    M[np.arange(len(values)), np.arange(len(values))] = values
+    return M
+
+
+# a rotation moves singular values by rounding, so a rank decided at the cut may
+# flip; such a decision must then be flagged on both sides
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (5, 7), elements=st.floats(-10, 10)), st.integers(0, 2**31))
+@example(_padded_diag(1.0, 1e-9), 0)
+@example(np.full((5, 7), 5e-324), 0)
 def test_rank_orthogonal_invariance(M, seed):
     rng = np.random.default_rng(seed)
     Q1, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     Q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-    assert numeric_rank(Q1 @ M @ Q2) == numeric_rank(M)
+    rotated, plain = rank_certificate(Q1 @ M @ Q2), rank_certificate(M)
+    assert rotated[0] == plain[0] or (rotated[3] and plain[3])
+
+
+@pytest.mark.parametrize("M, expected", [
+    (np.diag([1.0, 1e-3, 1e-15]), (2, 1e-3, 1e-15, False)),
+    (np.eye(3), (3, 1.0, 0.0, False)),
+    (_padded_diag(1.0, 1e-9), (1, 1.0, 1e-9, True)),
+    (_padded_diag(1.0, 1e-9 * RANK_BAND * 1.01), (2, 1e-8 * 1.01, 0.0, False)),
+    (np.full((5, 7), 5e-324), None),
+    (np.zeros((3, 3)), (0, 0.0, 0.0, True)),
+    (np.zeros((0, 4)), (0, 0.0, 0.0, False)),
+], ids=["clear-gap", "full-rank", "at-the-cut", "outside-the-band", "subnormal", "zero", "empty"])
+def test_rank_certificate(M, expected):
+    cert = rank_certificate(M)
+    assert cert[0] == numeric_rank(M)
+    if expected is None:            # subnormal entries: the cut underflows
+        assert cert[3]
+        return
+    assert cert[0] == expected[0] and cert[3] == expected[3]
+    assert cert[1:3] == pytest.approx(expected[1:3], rel=1e-12, abs=1e-300)
 
 
 def test_intersect_spans():

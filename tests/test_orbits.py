@@ -282,14 +282,17 @@ class TestHprimeDecomposition:
         cap = intersect_spans(hp.h.basis, P.p.basis)
         assert in_span(cap, P.m.basis, 1e-7)
 
-    @pytest.mark.parametrize("scale", [np.ones(7), np.linspace(1.0, 3.0, 7)],
-                             ids=["catalog-basis", "rescaled-basis"])
-    def test_so15_instance_any_basis(self, pair, scale):
+    @pytest.mark.parametrize("change", [
+        np.eye(7),
+        np.diag(np.linspace(1.0, 3.0, 7)),
+        np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))[0],
+    ], ids=["catalog-basis", "rescaled-basis", "orthogonal-basis"])
+    def test_so15_instance_any_basis(self, pair, change):
         # the verdict is a property of the span of h', not of the basis that carries it
         h = pair("so15:so11+su2")
         hp = pair("so15:so11+so4")
         P = adapted_parabolic(hp.g, hp.sigma)
-        hprime = subalgebra(hp.g, np.diag(scale) @ hp.h.basis, name="so11+so4")
+        hprime = subalgebra(hp.g, change @ hp.h.basis, name="so11+so4")
         assert hprime_decomposition_check(h.g, h.h, hprime, P)
 
     def test_noncompact_ideal_containment(self, pair):

@@ -4,9 +4,21 @@ import pytest
 from realflag.core import (InputError, UnsupportedOperation, cartan_decomposition,
                            validate_algebra)
 from realflag.linalg import in_span, span_residual, stack_span
-from realflag.realforms import (build_classical, diagonal_embed, direct_sum,
+import realflag.realforms as realforms
+from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
+                                build_classical, diagonal_embed, direct_sum,
                                 embed_division, factor_embed, get_algebra,
                                 matrix_involution, restricted_roots)
+
+
+def _realify_quaternion_loop(Q):
+    """Reference: one 4 x 4 block per quaternion entry."""
+    n = Q.shape[0]
+    out = np.zeros((4 * n, 4 * n))
+    for i in range(n):
+        for j in range(n):
+            out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = np.einsum("m,mlk->kl", Q[i, j], _QT)
+    return out
 
 
 class TestConstructors:
@@ -18,6 +30,23 @@ class TestConstructors:
         L = build_classical(family, p, q)
         assert L.dim == dim
         validate_algebra(L)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_realify_quaternion_matches_the_block_loop(self, n, monkeypatch):
+        # every quaternionic matrix realified while building sp(1, n) and su(1, n) in sp(1, n)
+        seen = []
+        vectorized = realforms.realify_quaternion
+
+        def spy(Q):
+            out = vectorized(Q)
+            seen.append(np.array_equal(out, _realify_quaternion_loop(np.asarray(Q, dtype=float))))
+            return out
+
+        monkeypatch.setattr(realforms, "realify_quaternion", spy)
+        build_classical("sp", 1, n)
+        for Z in _complex_basis_u(1, n, False):
+            _complex_to_quaternion_real(Z)
+        assert len(seen) == (n + 1) * (2 * n + 3) + (n + 1) ** 2 and all(seen)
 
     def test_sp12_flag_dimension(self, parabolic_of):
         assert parabolic_of("sp(1,2)").dim_flag == 7
