@@ -303,26 +303,24 @@ def ideal_closure(L: LieAlgebra, seed: np.ndarray, tol: float = DEFAULT_TOL) -> 
         basis = new
 
 
-def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL,
-                     metric: Optional[np.ndarray] = None) -> tuple[Subalgebra, Subalgebra]:
+def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebra, Subalgebra]:
     """Maximal noncompact ideal (generated by the -1 eigenspace of theta) and
-    its complementary ideal.
-
-    The complement is orthogonal for ``metric`` (default ``L.b_theta``, which
-    vanishes on a center; pass e.g. an ambient's B_theta in L's coordinates).
-    Requires a reductive algebra with theta; raises UnsupportedOperation
-    otherwise.
+    its complementary ideal, orthogonal for B_theta plus the theta-averaged
+    square of the projection onto the center along [L, L] (B_theta vanishes on
+    the center).  Requires a reductive algebra with theta; raises
+    UnsupportedOperation otherwise.
     """
     if L.theta is None:
         raise UnsupportedOperation("noncompact_ideal requires theta")
-    _assert_reductive(L, tol)
+    center, derived = _assert_reductive(L, tol)
+    z = np.linalg.inv(stack_span(center, derived))[:, :center.shape[0]]
+    z = np.hstack([z, L.theta.T @ z])
     _, s = cartan_decomposition(L, tol)
     if s.shape[0] == 0:
         nc = np.zeros((0, L.dim))
     else:
         nc = ideal_closure(L, s, tol)
-    comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta if metric is None else metric,
-                         tol=tol)
+    comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta + z @ z.T, tol=tol)
     # the complement must itself be an ideal
     if comp.shape[0]:
         br = brackets(L.bracket_tensor, np.eye(L.dim), comp).reshape(-1, L.dim)
@@ -343,8 +341,8 @@ def _closure_residual(L: LieAlgebra, br: np.ndarray, basis: np.ndarray, scale: f
     return span_residual(br, basis)
 
 
-def _assert_reductive(L: LieAlgebra, tol: float) -> None:
-    """Reductive = center ⊕ derived algebra spans, with the derived part B-nondegenerate."""
+def _assert_reductive(L: LieAlgebra, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Center and [L, L]; raises unless they span L with B non-degenerate on [L, L] (reductive)."""
     center = center_of(L, tol)
     derived = orth_rows(pairwise_brackets(L, np.eye(L.dim)), tol)
     if numeric_rank(stack_span(center, derived), tol) != L.dim:
@@ -353,6 +351,7 @@ def _assert_reductive(L: LieAlgebra, tol: float) -> None:
         Bd = derived @ L.killing @ derived.T
         if numeric_rank(Bd, tol) != derived.shape[0]:
             raise UnsupportedOperation("algebra is not reductive (degenerate Killing on derived part)")
+    return center, derived
 
 
 def center_of(L: LieAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:

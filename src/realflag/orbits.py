@@ -286,8 +286,7 @@ def hprime_decomposition_check(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
     hp_cap_m = intersect_spans(hprime.basis, P.m.basis, tol)
     spans = numeric_rank(stack_span(h.basis, hp_cap_m), tol) == hprime.dim
     hp_alg = as_algebra(hprime, name="hprime")
-    # B_theta of h' vanishes on its center; g's B_theta is positive definite on h'
-    nc, _ = noncompact_ideal(hp_alg, tol, metric=hprime.basis @ g.b_theta @ hprime.basis.T)
+    nc, _ = noncompact_ideal(hp_alg, tol)
     # as_algebra keeps the given basis: ideal coordinates are against the rows of hprime.basis
     nc_ambient = nc.basis @ hprime.basis if nc.dim else np.zeros((0, g.dim))
     ideal_inside = in_span(nc_ambient, h.basis, 1e-8)

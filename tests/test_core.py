@@ -240,6 +240,19 @@ class TestNoncompactIdeal:
         nc, _ = noncompact_ideal(L)
         assert nc.dim == 9
 
+    def test_center_in_skewed_basis(self):
+        # so(1,1) + so(2) + so(1,2) with center and derived directions mixed by the basis:
+        # B_theta vanishes on the center, yet the complement is still the so(2) ideal
+        L = direct_sum(direct_sum(get_algebra("so(1,1)"), get_algebra("so(2)")),
+                       get_algebra("so(1,2)"))
+        A = np.eye(L.dim)
+        A[0, 1], A[1, 0], A[0, 2], A[1, 3] = 3.0, 0.5, 1.0, 2.0
+        K = as_algebra(subalgebra(L, A), name="skew")
+        nc, comp = noncompact_ideal(K)
+        assert nc.dim == 4 and comp.dim == 1
+        amb = (comp.basis @ A)[0]                # in the block coordinates of L
+        assert np.abs(np.delete(amb, 1)).max() < 1e-9 * abs(amb[1])
+
     def test_nonreductive_rejected(self, sl2):
         from realflag.core import LieAlgebra
         # 2-dim affine algebra [X, Y] = Y is not reductive

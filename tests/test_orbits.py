@@ -300,8 +300,14 @@ class TestHprimeDecomposition:
         from realflag.core import as_algebra, noncompact_ideal
         hp = pair("so15:so11+so4")
         alg = as_algebra(hp.h, name="hp")
-        nc, _ = noncompact_ideal(alg)
+        nc, comp = noncompact_ideal(alg)
         assert nc.dim == 1
         amb = nc.basis @ np.atleast_2d(hp.h.basis)
         h = pair("so15:so11+su2")
         assert in_span(amb, h.h.basis, 1e-8)
+        # the complement is the so(4) ideal: dimension 6, closed under ad(h'), meets nc in 0
+        from realflag.linalg import brackets, numeric_rank
+        assert comp.dim == 6
+        assert numeric_rank(stack_span(nc.basis, comp.basis)) == alg.dim
+        br = brackets(alg.bracket_tensor, np.eye(alg.dim), comp.basis).reshape(-1, alg.dim)
+        assert in_span(br, comp.basis, 1e-8)
