@@ -223,22 +223,26 @@ def cmd_f4(args) -> int:
     return 1 if failed else 0
 
 
-def _tolerance(text: str) -> float:
-    """A relative rank cut, strictly between 0 and 1."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = float("nan")
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
-    return tol
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert(text)`` if that succeeds and satisfies ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
 
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=64)
+    common.add_argument("--samples", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
+                        default=64)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=_tolerance, default=1e-9)
+    common.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0,
+                                                "a number in (0, 1)"), default=1e-9)
     common.add_argument("--json", action="store_true")
     common.add_argument("--n", type=int, default=4, help="catalog family bound")
 

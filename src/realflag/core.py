@@ -4,15 +4,15 @@ A Lie algebra is stored as a rank-3 tensor ``c[i,j,k]`` with
 ``[e_i, e_j] = sum_k c[i,j,k] e_k`` on a fixed basis, optionally together
 with a matrix realization (one square matrix per basis element) and a
 Cartan involution ``theta`` acting on the coefficient space.  A group
-element is a word: a ``(k, dim)`` array of coefficient vectors standing for
-exp(X_1) ... exp(X_k).  Its adjoint action is computed from the bracket
-alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k).
+element is a word: a ``(k, dim)`` array of ad-nilpotent coefficient vectors
+standing for exp(X_1) ... exp(X_k).  Its adjoint action is computed from the
+bracket alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k),
+each factor a terminating series (ad X)^k / k!.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -120,11 +120,6 @@ class LieAlgebra:
         # column j holds [X, e_j]
         return np.einsum("i,ijk->kj", X, self.bracket_tensor)
 
-    def to_matrix(self, X: np.ndarray) -> np.ndarray:
-        if self.matrices is None:
-            raise UnsupportedOperation(f"{self.name or 'algebra'} has no matrix realization")
-        return np.einsum("i,ijk->jk", np.asarray(X, dtype=float), self.matrices)
-
     def coefficients_of(self, M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Coefficients of a realization matrix or a stack; raises if one leaves the span."""
         M = np.asarray(M, dtype=float)
@@ -137,44 +132,43 @@ class LieAlgebra:
         return coeff[0] if M.ndim == 2 else coeff
 
     def ad_group(self, word: np.ndarray) -> np.ndarray:
-        """Ad(exp X_1 ... exp X_k) = expm(ad X_1) ... expm(ad X_k) on the coefficient space.
+        """Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k) on the coefficient space.
 
-        ``word`` is a ``(k, dim)`` array whose rows are X_1, ..., X_k; the
-        empty word is the identity.  Column j of the result is the image of e_j.
+        ``word`` is a ``(k, dim)`` array whose rows X_1, ..., X_k are
+        ad-nilpotent, so each factor is the finite series of ``_exp_nilpotent``;
+        the empty word is the identity.  Column j of the result is the image of e_j.
         """
         word = np.asarray(word, dtype=float)
         if word.ndim != 2 or word.shape[1] != self.dim:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
         out = np.eye(self.dim)
         for X in word:
-            out = out @ _expm(self.ad(X))
+            out = out @ _exp_nilpotent(self.ad(X))
         return out
 
 
-# (m, theta_m): the degree-m diagonal Pade approximant of exp is exact to double
-# rounding for 1-norms up to theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
-_PADE_BANDS = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-               (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+def _exp_nilpotent(A: np.ndarray) -> np.ndarray:
+    """exp(A) = sum of A^k / k! for k < n, exact for a nilpotent n x n matrix A.
 
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring: the lowest Pade degree whose band holds
-    the 1-norm of A, else degree 13 on A / 2^s followed by s squarings."""
+    Every term is summed, since a small term may still matter; only an exactly
+    zero power ends the sum early.  InputError unless A^n vanishes to rounding:
+    for B = A / |A|_1, n - 1 products give |fl(B^n) - B^n| <= gamma_{n(n-1)} |B|^n
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.5), and
+    |B|^n has 1-norm at most 1.
+    """
+    n = len(A)
     norm = np.abs(A).sum(axis=0).max(initial=0.0)
-    m, theta = next((band for band in _PADE_BANDS if norm <= band[1]), _PADE_BANDS[-1])
-    s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
-    A = A / 2.0 ** s
-    f = math.factorial
-    b = [f(2 * m - k) * f(m) / (f(2 * m) * f(k) * f(m - k)) for k in range(m + 1)]
-    pows = [np.eye(len(A)), A @ A]                   # I, A^2, ..., A^(m-1)
-    while len(pows) <= m // 2:
-        pows.append(pows[-1] @ pows[1])
-    U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(pows))
-    V = sum(b[2 * j] * P for j, P in enumerate(pows))
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
+    B = A / norm if norm else A
+    out, power, coeff = np.eye(n), np.eye(n), 1.0          # B^k and |A|_1^k / k!
+    for k in range(1, n):
+        power = power @ B
+        if not power.any():
+            return out
+        coeff *= norm / k
+        out += coeff * power
+    if not np.abs(power @ B).sum(axis=0).max() <= n * n * np.finfo(float).eps:   # NaN fails
+        raise InputError("a word row is not ad-nilpotent")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ def sampled_orbit_dims(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
                        samples: int, seed: int, tol: float = DEFAULT_TOL) -> list[int]:
     """Orbit dimensions at the identity (the empty word), the Weyl point, and sampled words."""
     points = [np.zeros((0, g.dim)), P.weyl]
-    points += [sample_group_element(g, sample_rng(seed, i)) for i in range(samples)]
+    points += [sample_group_element(P, sample_rng(seed, i)) for i in range(samples)]
     return [orbit_dim_at(g, h, P, x, tol) for x in points]
 
 

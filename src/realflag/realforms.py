@@ -6,7 +6,9 @@ the Cartan involution X -> -X^T.  ``restricted_roots`` extracts a maximal
 abelian subspace of s, the joint ad-eigenspace decomposition, and the
 simple roots; ``minimal_parabolic`` assembles p = m + a + n together with
 a Weyl representative, a word of simple reflections whose adjoint action
-maps n onto the opposite nilpotent.
+maps n onto the opposite nilpotent.  Each reflection is the root-vector
+word exp(E) exp(theta E) exp(E), so every row of every word the package
+builds is ad-nilpotent.
 """
 
 from __future__ import annotations
@@ -491,8 +493,8 @@ class ParabolicData:
     """Minimal parabolic p = m + a + n with a Weyl representative.
 
     ``weyl`` is a word (rows W_1, ..., W_k: the group element
-    exp(W_1) ... exp(W_k)) with Ad(weyl) a = a and Ad(weyl) n = nbar;
-    ``weyl_ad`` is Ad(weyl).
+    exp(W_1) ... exp(W_k)) of simple-reflection triples from ``_sl2_weyl``,
+    with Ad(weyl) a = a and Ad(weyl) n = nbar; ``weyl_ad`` is Ad(weyl).
     """
 
     algebra: LieAlgebra
@@ -513,8 +515,9 @@ class ParabolicData:
 
 def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
               tol: float = DEFAULT_TOL) -> np.ndarray:
-    """W = pi/2 (E + theta E) for a simple root alpha, E in its root space scaled so
-    that (E, -theta E) spans an sl2 triple; exp(W) represents the reflection in alpha."""
+    """Three-row word [E, theta E, E] for a simple root alpha, E in its root space
+    scaled so that (E, F = -theta E) spans an sl2 triple.  exp(E) exp(-F) exp(E) =
+    exp(pi/2 (E - F)) in SL2, so the word represents the reflection in alpha."""
     space = roots.space_of(alpha)
     if space.shape[0] == 0:
         raise InputError("not a root")
@@ -525,7 +528,7 @@ def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
     if val <= 0:
         raise ConstructionError("sl2 normalization failed (alpha(H0) <= 0)")
     E = E * np.sqrt(2.0 / val)
-    return (E + L.theta @ E) * (np.pi / 2.0)
+    return np.array([E, L.theta @ E, E])
 
 
 def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
@@ -538,7 +541,7 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
     p_basis = orth_rows(stack_span(roots.m, roots.a, n), tol)
 
     # Weyl representative: search short words of simple reflections with Ad(w) n = nbar
-    simples = [_sl2_weyl(L, roots, alpha, tol)[None] for alpha in roots.simple_roots]
+    simples = [_sl2_weyl(L, roots, alpha, tol) for alpha in roots.simple_roots]
     simple_ads = [L.ad_group(W) for W in simples]
     frontier = [(np.zeros((0, L.dim)), np.eye(L.dim))]
     weyl = weyl_ad = None

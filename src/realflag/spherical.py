@@ -1,13 +1,13 @@
 """Generic-rank sphericality testing: does h + Ad(x) p fill g for some x?
 
-Group elements are sampled deterministically as two-row words
-exp(X1) exp(X2), each X a coefficient vector drawn from a seeded unit
-operator-norm ball (the norm is measured in the matrix realization).  Only
-the adjoint action of a word is ever computed, through
-``LieAlgebra.ad_group``, and a witness is the word itself.  Attaining dim g
-at any single sample is a certificate (openness is lower semicontinuous); a
-negative verdict is either a sample-free dimension obstruction or a
-confidence statement after the requested number of samples.
+The set of x with h + Ad(x) p = g is open and right-P-invariant, and N̄P is
+open and dense in G (the Bruhat big cell), so it suffices to sample x = exp Y
+with Y in n̄.  Samples are deterministic one-row words: Y has seeded
+Gaussian coefficients on the basis of n̄.  Only the adjoint action of a word
+is ever computed, through ``LieAlgebra.ad_group``, and a witness is the word
+itself.  Attaining dim g at any single sample is a certificate (openness is
+lower semicontinuous); a negative verdict is either a sample-free dimension
+obstruction or a confidence statement after the requested number of samples.
 """
 
 from __future__ import annotations
@@ -32,15 +32,9 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(int(index),)))
 
 
-def sample_group_element(L: LieAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Two-row word exp(X1) exp(X2): each X has a Gaussian direction and an operator
-    norm in the realization drawn uniformly from [0, 1)."""
-    rows = []
-    for _ in range(2):
-        v = rng.standard_normal(L.dim)
-        norm = np.linalg.norm(L.to_matrix(v), 2)
-        rows.append(v * (rng.uniform() / norm) if norm > 0.0 else np.zeros(L.dim))
-    return np.array(rows)
+def sample_group_element(P: ParabolicData, rng: np.random.Generator) -> np.ndarray:
+    """One-row word exp(Y), Y in n̄ with standard Gaussian coefficients on its basis."""
+    return (rng.standard_normal(P.nbar.dim) @ P.nbar.basis)[None]
 
 
 def local_dim(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
@@ -65,11 +59,11 @@ class SphericityReport:
     per_sample_dims: list[int]
     max_dim: int
     verdict: str
-    witness: Optional[np.ndarray] = None     # (2, dim g) word of a spherical sample
+    witness: Optional[np.ndarray] = None     # (1, dim g) n̄ word of a spherical sample
 
     def to_dict(self) -> dict:
         return {
-            "schema": 2,
+            "schema": 3,
             "kind": "sphericity",
             "pair": self.pair_name,
             "dim_g": self.dim_g,
@@ -107,7 +101,7 @@ def is_spherical(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
     best = -1
     witness = None
     for i in range(samples):
-        x = sample_group_element(g, sample_rng(seed, i))
+        x = sample_group_element(P, sample_rng(seed, i))
         d = local_dim(g, h, P, x, tol)
         dims.append(d)
         if d > best:

@@ -5,7 +5,7 @@ import pytest
 from realflag import jordan
 from realflag.catalog import build_pair
 from realflag.cli import main
-from realflag.core import InputError, save_algebra
+from realflag.core import InputError, LieAlgebra, save_algebra
 from realflag.realforms import get_algebra
 
 
@@ -37,7 +37,7 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "dimension-obstructed"
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
 
     def test_not_spherical_expectation_matches(self, capsys):
         code, out = run(capsys, "check", "--pair", "max:f4:su(2,1)+su(3)",
@@ -106,6 +106,23 @@ class TestCheck:
         assert code == 0
         assert "spherical" in out
 
+    def test_pair_file_without_a_realization(self, capsys, tmp_path):
+        # structure constants and theta are all a check needs
+        pd = build_pair("sl2:a")
+        g = LieAlgebra(labels=pd.g.labels, theta=pd.g.theta, name="sl2",
+                       structure=pd.g.bracket_tensor)
+        path = tmp_path / "pair.json"
+        save_algebra(g, path)
+        doc = json.loads(path.read_text())
+        assert "matrices" not in doc
+        doc["subalgebra"] = pd.h.basis.tolist()
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "check", "--pair", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "spherical"
+        assert len(report["witness"]) == 1
+
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = ["x", 0.0, 0.0] if case == "non-numeric-row" else [0.0, 0.0, 1.0]
@@ -127,6 +144,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "--tol" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--pair", "sl2:a", "--samples", "0"],
+        ["check", "--pair", "sl2:a", "--samples", "1.5"],
+        ["check", "--pair", "sl2:a", "--samples", "many"],
+        ["orbits", "coincide", "--pair", "so15:so11+su2", "--sup", "so15:so11+so4",
+         "--samples", "-2", "--json"],
+    ], ids=["zero", "fraction", "word", "negative-coincide"])
+    def test_samples_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--samples" in err.splitlines()[-1]
 
 
 class TestCatalog:

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           _expm, as_algebra, cartan_decomposition, jacobi_residual,
+                           as_algebra, cartan_decomposition, jacobi_residual,
                            killing_form, load_algebra, noncompact_ideal, save_algebra,
                            subalgebra, subalgebra_closure, validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
-from realflag.realforms import direct_sum, get_algebra
-from realflag.spherical import sample_group_element
+from realflag.realforms import _sl2_weyl, direct_sum, get_algebra
+from realflag.spherical import sample_group_element, sample_rng
 
 from oracles import commutator_coefficients
 
@@ -109,38 +109,67 @@ class TestAdjoint:
 
 class TestAdGroup:
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
-    def test_matches_reference_einsum(self, name):
-        # reference: conjugate the realization by exp(X1) exp(X2), extract coefficients
+    def test_matches_reference_einsum(self, name, parabolic_of):
+        # reference: conjugate the realization by the group element, extract coefficients
         L = get_algebra(name)
-        word = sample_group_element(L, np.random.default_rng(5))
-        x = expm(L.to_matrix(word[0])) @ expm(L.to_matrix(word[1]))
+        word = sample_group_element(parabolic_of(name), np.random.default_rng(5))
+        x = np.eye(L.matrices.shape[1])
+        for X in word:
+            x = x @ expm(np.tensordot(X, L.matrices, 1))
         conj = np.einsum("ab,ibc,cd->iad", x, L.matrices, np.linalg.inv(x))
         ref = (conj.reshape(L.dim, -1) @ np.linalg.pinv(L.matrices.reshape(L.dim, -1))).T
         assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
-    def test_is_a_bracket_automorphism(self, name):
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)", "su(3,3)"])
+    def test_nbar_samples_match_scipy(self, name, parabolic_of):
         L = get_algebra(name)
-        ad = L.ad_group(sample_group_element(L, np.random.default_rng(7)))
+        for i in range(8):
+            word = sample_group_element(parabolic_of(name), sample_rng(0, i))
+            ref = expm(L.ad(word[0]))
+            assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["sl2", "sl3", "so(1,4)", "su(1,2)", "sp(1,3)", "so(3,4)",
+                                      "su(3,3)", "f4"])
+    def test_weyl_words_match_scipy(self, name, parabolic_of):
+        # exp(E) exp(theta E) exp(E) is the reflection exp(pi/2 (E + theta E))
+        L = get_algebra(name)
+        roots = parabolic_of(name).roots
+        for alpha in roots.simple_roots:
+            word = _sl2_weyl(L, roots, alpha)
+            E = word[0]
+            assert word.shape == (3, L.dim) and np.array_equal(word[2], E)
+            ref = expm(np.pi / 2 * L.ad(E + L.theta @ E))
+            assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("scale", [1.0, np.nan], ids=["H0", "nan"])
+    def test_rejects_a_row_that_is_not_ad_nilpotent(self, sl2, scale):
+        with pytest.raises(InputError, match="ad-nilpotent"):
+            sl2.ad_group(scale * _unit(sl2, "H0")[None])
+
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
+    def test_is_a_bracket_automorphism(self, name, parabolic_of):
+        L = get_algebra(name)
+        ad = L.ad_group(sample_group_element(parabolic_of(name), np.random.default_rng(7)))
         X, Y = np.random.default_rng(8).standard_normal((2, L.dim))
         lhs = ad @ L.bracket(X, Y)
         assert np.abs(lhs - L.bracket(ad @ X, ad @ Y)).max() <= 1e-12 * np.abs(lhs).max()
 
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
-    def test_word_times_reversed_negation_is_identity(self, name):
+    def test_word_times_reversed_negation_is_identity(self, name, parabolic_of):
         L = get_algebra(name)
-        word = sample_group_element(L, np.random.default_rng(9))
+        word = sample_group_element(parabolic_of(name), np.random.default_rng(9))
         assert np.abs(L.ad_group(np.vstack([word, -word[::-1]])) - np.eye(L.dim)).max() <= 1e-12
         assert np.array_equal(L.ad_group(np.zeros((0, L.dim))), np.eye(L.dim))
 
-    # 1-norms inside each Pade band (3, 5, 7, 9, 13 unscaled) and beyond it (2 and 6 squarings)
+    # an exactly ad-nilpotent element of sl3's nbar (integer coordinates on E10, E20, E21)
+    # scaled by a power of two to each 1-norm; 300 is where scipy squares six times
     @pytest.mark.parametrize("norm", [1e-3, 0.2, 0.9, 2.0, 5.0, 20.0, 300.0])
     def test_exponential_matches_scipy(self, norm):
-        L = get_algebra("sp(1,3)")
-        A = L.ad(np.random.default_rng(3).standard_normal(L.dim))
-        A *= norm / np.abs(A).sum(axis=0).max()
-        ref = expm(A)
-        assert np.linalg.norm(_expm(A) - ref) <= 1e-13 * np.linalg.norm(ref)
+        L = get_algebra("sl3")
+        X = _unit(L, "E10") * 3.0 + _unit(L, "E20") * 5.0 - _unit(L, "E21") * 2.0
+        X *= 2.0 ** np.round(np.log2(norm / np.abs(L.ad(X)).sum(axis=0).max()))
+        ref = expm(L.ad(X))
+        assert np.linalg.norm(L.ad_group(X[None]) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 2.5, 50.0])
     def test_exponential_of_a_nilpotent_is_its_finite_series(self, t):
@@ -152,7 +181,8 @@ class TestAdGroup:
             term = term @ A / k
             series += term
         assert k == 3
-        assert np.linalg.norm(_expm(A) - series) <= 1e-13 * np.linalg.norm(series)
+        got = L.ad_group(t * _unit(L, "E02")[None])
+        assert np.linalg.norm(got - series) <= 1e-13 * np.linalg.norm(series)
 
     @pytest.mark.parametrize("shape", [(52,), (2, 51), (1, 2, 52)],
                              ids=["vector", "wrong-width", "three-index"])

@@ -338,7 +338,7 @@ class TestProjectiveOrbits:
                           ("so12+g2", "max:f4:so(1,2)+g2")]:
             pd = pair(name)
             flag_max = max(orbit_dim_at(pd.g, pd.h, pd.P,
-                                        sample_group_element(pd.g, sample_rng(7, i)))
+                                        sample_group_element(pd.P, sample_rng(7, i)))
                            for i in range(32))
             cone_max = max(projective_orbit_dim(f4bundle, f4bundle.subalgebras[key], pt)
                            for pt in pts)

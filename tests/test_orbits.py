@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from realflag.catalog import catalog_entries
 from realflag.core import InputError, NotSphericalError, subalgebra
 from realflag.linalg import in_span, stack_span
 from realflag.orbits import (adapted_parabolic, bruhat_cell_of, hprime_decomposition_check,
@@ -34,7 +36,7 @@ class TestOrbitDim:
         # dim(h + Ad(x)p) = dim p + orbit dimension, at every sampled point
         pd = pair("so13:ma")
         for i in range(12):
-            x = sample_group_element(pd.g, sample_rng(3, i))
+            x = sample_group_element(pd.P, sample_rng(3, i))
             assert (local_dim(pd.g, pd.h, pd.P, x)
                     == pd.P.p.dim + orbit_dim_at(pd.g, pd.h, pd.P, x))
 
@@ -42,6 +44,10 @@ class TestOrbitDim:
         pd = pair("so15:so11+su2")
         dims = sampled_orbit_dims(pd.g, pd.h, pd.P, samples=8, seed=0)
         assert all(d <= min(pd.h.dim, pd.P.dim_flag) for d in dims)
+
+
+RANK_ONE_AMBIENTS = ["sl2", "so(1,2)", "so(1,3)", "so(1,4)", "so(1,5)", "su(1,2)", "su(1,3)",
+                     "su(1,4)", "su(1,5)", "sp(1,2)", "sp(1,3)", "sp(1,4)", "sp(1,5)", "f4"]
 
 
 class TestBruhat:
@@ -57,24 +63,22 @@ class TestBruhat:
         pd = pair("sl2:a")
         assert bruhat_cell_of(pd.g, pd.P, pd.P.nbar.basis[:1]) == "open"
 
-    def test_cell_partition_sampled(self, pair):
-        # products of exp(p) stay closed; generic two-factor products are open
-        pd = pair("sl2:a")
-        g, P = pd.g, pd.P
-        pbasis = P.p.basis
-        closed = open_ = 0
-        trials = 10_000
-        for i in range(trials):
-            rng = sample_rng(42, i)
-            u = rng.standard_normal(pbasis.shape[0]) @ pbasis
-            v = rng.standard_normal(pbasis.shape[0]) @ pbasis
-            if bruhat_cell_of(g, P, np.array([u, v])) == "closed":
-                closed += 1
-            y = sample_group_element(g, rng)
-            if bruhat_cell_of(g, P, y) == "open":
-                open_ += 1
-        assert closed == trials
-        assert open_ == trials
+    def test_rank_one_ambients_are_the_catalogs(self, parabolic_of):
+        ambients = {e.ambient for e in catalog_entries(5) if e.status == "full"}
+        assert set(RANK_ONE_AMBIENTS) == {a for a in ambients if parabolic_of(a).roots.rank == 1}
+
+    @pytest.mark.parametrize("ambient", RANK_ONE_AMBIENTS)
+    def test_cell_partition(self, parabolic_of, ambient):
+        # words in exp(n) lie in P; the Weyl point and n̄ samples lie in the big cell
+        P = parabolic_of(ambient)
+        g = P.algebra
+        assert bruhat_cell_of(g, P, np.zeros((0, g.dim))) == "closed"
+        for i in range(16):
+            word = sample_rng(42, i).standard_normal((2, P.n.dim)) @ P.n.basis
+            assert bruhat_cell_of(g, P, word) == "closed"
+        assert bruhat_cell_of(g, P, P.weyl) == "open"
+        for i in range(64):
+            assert bruhat_cell_of(g, P, sample_group_element(P, sample_rng(0, i))) == "open"
 
     def test_higher_rank_unsupported(self, pair):
         pd = pair("sl2^3:diag")
@@ -216,11 +220,12 @@ class TestOrbitCounts:
 
 class TestDilation:
     def _check(self, g, P, nf):
+        # X lies in m + a and is not ad-nilpotent: flow with a general exponential
         G = g.b_theta
         for j, space in zip((1, 2), nf.n0_graded):
             for x in space:
                 for t in (-1.0, 0.3, 1.0):
-                    y = g.ad_group(np.asarray(nf.X)[None] * t) @ x
+                    y = expm(t * g.ad(nf.X)) @ x
                     lhs = float(np.sqrt(y @ G @ y))
                     rhs = float(np.exp(j * t) * np.sqrt(x @ G @ x))
                     assert abs(lhs - rhs) <= 1e-8 * max(1.0, rhs)
