@@ -7,7 +7,8 @@ Cartan involution ``theta`` acting on the coefficient space.  A group
 element is a word: a ``(k, dim)`` array of ad-nilpotent coefficient vectors
 standing for exp(X_1) ... exp(X_k).  Its adjoint action is computed from the
 bracket alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k),
-each factor a terminating series (ad X)^k / k!.
+each factor a terminating series (ad X)^k / k!, cut at the nilpotency depth
+that the restricted-root grading gives (``RestrictedRootData.depth``).
 """
 
 from __future__ import annotations
@@ -131,43 +132,44 @@ class LieAlgebra:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
-    def ad_group(self, word: np.ndarray) -> np.ndarray:
+    def ad_group(self, word: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
         """Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k) on the coefficient space.
 
         ``word`` is a ``(k, dim)`` array whose rows X_1, ..., X_k are
-        ad-nilpotent, so each factor is the finite series of ``_exp_nilpotent``;
-        the empty word is the identity.  Column j of the result is the image of e_j.
+        ad-nilpotent, so each factor is the finite series of ``_exp_nilpotent``
+        cut at ``depth`` (``dim`` when no grading is known); the empty word is
+        the identity.  Column j of the result is the image of e_j.
         """
         word = np.asarray(word, dtype=float)
         if word.ndim != 2 or word.shape[1] != self.dim:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
         out = np.eye(self.dim)
         for X in word:
-            out = out @ _exp_nilpotent(self.ad(X))
+            out = out @ _exp_nilpotent(self.ad(X), self.dim if depth is None else depth)
         return out
 
 
-def _exp_nilpotent(A: np.ndarray) -> np.ndarray:
-    """exp(A) = sum of A^k / k! for k < n, exact for a nilpotent n x n matrix A.
+def _exp_nilpotent(A: np.ndarray, depth: int) -> np.ndarray:
+    """exp(A) = sum of A^k / k! for k < depth, exact when A^depth = 0.
 
     Every term is summed, since a small term may still matter; only an exactly
-    zero power ends the sum early.  InputError unless A^n vanishes to rounding:
-    for B = A / |A|_1, n - 1 products give |fl(B^n) - B^n| <= gamma_{n(n-1)} |B|^n
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.5), and
-    |B|^n has 1-norm at most 1.
+    zero power ends the sum early.  InputError unless A^depth vanishes to
+    rounding: for B = A / |A|_1, depth - 1 products give |fl(B^depth) - B^depth|
+    <= gamma_{n(depth-1)} |B|^depth (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.5), and |B|^depth has 1-norm at most 1.
     """
     n = len(A)
     norm = np.abs(A).sum(axis=0).max(initial=0.0)
     B = A / norm if norm else A
-    out, power, coeff = np.eye(n), np.eye(n), 1.0          # B^k and |A|_1^k / k!
-    for k in range(1, n):
-        power = power @ B
+    out, power, coeff = np.eye(n), B, 1.0                  # B^k and |A|_1^k / k!
+    for k in range(1, depth):
         if not power.any():
             return out
         coeff *= norm / k
         out += coeff * power
-    if not np.abs(power @ B).sum(axis=0).max() <= n * n * np.finfo(float).eps:   # NaN fails
-        raise InputError("a word row is not ad-nilpotent")
+        power = power @ B
+    if not np.abs(power).sum(axis=0).max() <= n * depth * np.finfo(float).eps:   # NaN fails
+        raise InputError("a word row is not ad-nilpotent to the given depth")
     return out
 
 

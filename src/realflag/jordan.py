@@ -80,7 +80,7 @@ def omul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def oconj(a: np.ndarray) -> np.ndarray:
     out = -np.asarray(a, dtype=float)
-    out[0] = a[0]
+    out[..., 0] = a[..., 0]
     return out
 
 
@@ -128,26 +128,28 @@ W_DIM = 27
 
 
 def _coords_to_matrix(w: np.ndarray) -> np.ndarray:
-    M = np.zeros((3, 3, 8))
-    M[0, 0, 0], M[1, 1, 0], M[2, 2, 0] = w[0], w[1], w[2]
-    c1, c2, c3 = w[3:11], w[11:19], w[19:27]
-    M[1, 2], M[2, 1] = c1, -oconj(c1)
-    M[2, 0], M[0, 2] = c2, -oconj(c2)
-    M[0, 1], M[1, 0] = c3, oconj(c3)
+    """(3, 3, 8) octonion matrix of a 27-vector, or a stack of them for a stack of vectors."""
+    w = np.asarray(w, dtype=float)
+    M = np.zeros(w.shape[:-1] + (3, 3, 8))
+    M[..., 0, 0, 0], M[..., 1, 1, 0], M[..., 2, 2, 0] = w[..., 0], w[..., 1], w[..., 2]
+    c1, c2, c3 = w[..., 3:11], w[..., 11:19], w[..., 19:27]
+    M[..., 1, 2, :], M[..., 2, 1, :] = c1, -oconj(c1)
+    M[..., 2, 0, :], M[..., 0, 2, :] = c2, -oconj(c2)
+    M[..., 0, 1, :], M[..., 1, 0, :] = c3, oconj(c3)
     return M
 
 
 def _matrix_to_coords(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    scale = max(1.0, np.abs(M).max())
-    if (np.linalg.norm(M[1, 0] - oconj(M[0, 1])) > tol * scale
-            or np.linalg.norm(M[2, 1] + oconj(M[1, 2])) > tol * scale
-            or np.linalg.norm(M[0, 2] + oconj(M[2, 0])) > tol * scale
-            or max(abs(M[0, 0, 1:]).max(), abs(M[1, 1, 1:]).max(), abs(M[2, 2, 1:]).max()) > tol * scale):
+    """Inverse of ``_coords_to_matrix``; raises unless every matrix has the pattern."""
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-3, -2, -1)))
+    dev = np.max([np.linalg.norm(M[..., 1, 0, :] - oconj(M[..., 0, 1, :]), axis=-1),
+                  np.linalg.norm(M[..., 2, 1, :] + oconj(M[..., 1, 2, :]), axis=-1),
+                  np.linalg.norm(M[..., 0, 2, :] + oconj(M[..., 2, 0, :]), axis=-1),
+                  np.abs(M[..., [0, 1, 2], [0, 1, 2], 1:]).max(axis=(-2, -1))], axis=0)
+    if (dev > tol * scale).any():
         raise ConstructionError("matrix does not have the twisted Hermitian pattern")
-    w = np.zeros(W_DIM)
-    w[0], w[1], w[2] = M[0, 0, 0], M[1, 1, 0], M[2, 2, 0]
-    w[3:11], w[11:19], w[19:27] = M[1, 2], M[2, 0], M[0, 1]
-    return w
+    return np.concatenate([M[..., [0, 1, 2], [0, 1, 2], 0], M[..., 1, 2, :],
+                           M[..., 2, 0, :], M[..., 0, 1, :]], axis=-1)
 
 
 def _oct_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -163,14 +165,15 @@ def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def jordan_tensor() -> np.ndarray:
-    """Bilinear table P[a, b, :] = e_a o e_b on the 27 coordinates."""
-    P = np.zeros((W_DIM, W_DIM, W_DIM))
-    eye = np.eye(W_DIM)
-    for a in range(W_DIM):
-        for b in range(a, W_DIM):
-            p = jordan_coords(eye[a], eye[b])
-            P[a, b] = p
-            P[b, a] = p
+    """Bilinear table P[a, b, :] = e_a o e_b on the 27 coordinates.
+
+    Built from the stacked basis matrices; every entry is an exact small dyadic
+    sum, so the table equals the one ``jordan_coords`` gives pair by pair.
+    """
+    E = _coords_to_matrix(np.eye(W_DIM))                          # [a, i, j, p]
+    EO = np.tensordot(E, OCT_TABLE, axes=(3, 0))                   # [a, i, j, q, r]
+    prod = np.einsum("aijqr,bjkq->abikr", EO, E)                   # e_a e_b
+    P = _matrix_to_coords((prod + prod.transpose(1, 0, 2, 3, 4)) / 2.0)
     P.setflags(write=False)
     return P
 

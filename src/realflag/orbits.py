@@ -28,7 +28,7 @@ from .spherical import SphericityReport, sample_group_element, sample_rng
 def orbit_dim_at(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
                  tol: float = DEFAULT_TOL) -> int:
     """Dimension of the h-orbit through the coset x P: dim h - dim(h ∩ Ad(x) p), x a word."""
-    ad = g.ad_group(word)
+    ad = g.ad_group(word, depth=P.roots.depth)
     inter = intersect_spans(h.basis, P.p.basis @ ad.T, tol)
     return h.dim - inter.shape[0]
 
@@ -50,7 +50,7 @@ def bruhat_cell_of(g: LieAlgebra, P: ParabolicData, word: np.ndarray,
     """
     if P.roots.rank != 1:
         raise UnsupportedOperation("Bruhat cell classification is implemented for rank one")
-    ad = g.ad_group(word)
+    ad = g.ad_group(word, depth=P.roots.depth)
     full = numeric_rank(stack_span(P.n.basis, P.p.basis @ ad.T), tol)
     return "open" if full == g.dim else "closed"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,9 @@ def realify_quaternion(Q: np.ndarray) -> np.ndarray:
 def _theta_from_matrices(mats: np.ndarray) -> np.ndarray:
     """Coefficient matrix of X -> -X^T; requires the basis to be transpose-stable."""
     flat = mats.reshape(mats.shape[0], -1)
-    pinv = np.linalg.pinv(flat)
     neg_t = -np.einsum("ijk->ikj", mats)
-    theta = (neg_t.reshape(mats.shape[0], -1) @ pinv).T
+    # least squares theta^T flat = neg_t through the (dim x dim) normal equations
+    theta = np.linalg.solve(flat @ flat.T, flat @ neg_t.reshape(mats.shape[0], -1).T)
     resid = np.linalg.norm(theta.T @ flat - neg_t.reshape(mats.shape[0], -1))
     if resid > 1e-9 * max(1.0, np.linalg.norm(flat)):
         raise ConstructionError("basis is not stable under X -> -X^T")
@@ -334,6 +334,17 @@ class RestrictedRootData:
                 m2 = space.shape[0]
         return (m1, m2)
 
+    @cached_property
+    def depth(self) -> int:
+        """2 m + 1, m the largest height of a positive root in simple-root coordinates:
+        heights of g lie in [-m, m] and ad of a row in n or n̄ moves them by at
+        least 1, so (ad X)^depth = 0 for every such row."""
+        pos = self.root_vectors[self.positive]
+        coords = np.linalg.lstsq(self.simple_roots.T, pos.T, rcond=None)[0]
+        if np.abs(coords - np.round(coords)).max() > 1e-6:
+            raise ConstructionError("a positive root is not an integer sum of simple roots")
+        return 2 * int(np.round(coords).sum(axis=0).max()) + 1
+
     def space_of(self, vec: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         """Root space for the functional ``vec`` (empty basis if not a root)."""
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
@@ -542,7 +553,7 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
 
     # Weyl representative: search short words of simple reflections with Ad(w) n = nbar
     simples = [_sl2_weyl(L, roots, alpha, tol) for alpha in roots.simple_roots]
-    simple_ads = [L.ad_group(W) for W in simples]
+    simple_ads = [L.ad_group(W, depth=roots.depth) for W in simples]
     frontier = [(np.zeros((0, L.dim)), np.eye(L.dim))]
     weyl = weyl_ad = None
     max_len = int(roots.positive.sum())

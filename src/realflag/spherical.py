@@ -40,7 +40,7 @@ def sample_group_element(P: ParabolicData, rng: np.random.Generator) -> np.ndarr
 def local_dim(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
               tol: float = DEFAULT_TOL) -> int:
     """dim(h + Ad(x) p) at the group element x given by a word."""
-    ad = g.ad_group(word)
+    ad = g.ad_group(word, depth=P.roots.depth)
     return numeric_rank(stack_span(h.basis, P.p.basis @ ad.T), tol)
 
 

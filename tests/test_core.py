@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,20 @@ from realflag.realforms import _sl2_weyl, direct_sum, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
 from oracles import commutator_coefficients
+from test_orbits import RANK_ONE_AMBIENTS
 
 
 def _unit(L, label):
     v = np.zeros(L.dim)
     v[L.labels.index(label)] = 1.0
     return v
+
+
+# 2 m + 1, m the height of the highest restricted root
+DEPTHS = {"sl2": 3, "so(1,2)": 3, "so(1,3)": 3, "so(1,4)": 3, "so(1,5)": 3, "sl2^3": 3,
+          "sl3": 5, "su(1,2)": 5, "su(1,3)": 5, "su(1,4)": 5, "su(1,5)": 5, "sp(1,2)": 5,
+          "sp(1,3)": 5, "sp(1,4)": 5, "sp(1,5)": 5, "f4": 5,
+          "su(2,2)": 7, "sp(2,3)": 9, "so(3,4)": 11, "su(3,3)": 11}
 
 
 class TestBracket:
@@ -183,6 +193,48 @@ class TestAdGroup:
         assert k == 3
         got = L.ad_group(t * _unit(L, "E02")[None])
         assert np.linalg.norm(got - series) <= 1e-13 * np.linalg.norm(series)
+
+    @pytest.mark.parametrize("name", sorted(DEPTHS))
+    def test_depth_from_the_highest_root(self, name, parabolic_of):
+        P = parabolic_of(name)
+        assert P.roots.depth == DEPTHS[name]
+
+    def test_depth_needs_integer_simple_root_coordinates(self, parabolic_of):
+        roots = parabolic_of("sl3").roots
+        halved = replace(roots, simple_roots=2.0 * roots.simple_roots)
+        with pytest.raises(ConstructionError, match="integer"):
+            halved.depth
+
+    @pytest.mark.parametrize("name", RANK_ONE_AMBIENTS + ["sl3", "sl2^3", "so(3,4)", "su(3,3)"])
+    def test_cut_at_the_depth_matches_the_full_series(self, name, parabolic_of):
+        # rows of n̄ samples and of Weyl triples: (ad X)^depth = 0, so the tail is rounding
+        P = parabolic_of(name)
+        L, depth = P.algebra, P.roots.depth
+        words = [sample_group_element(P, sample_rng(0, i)) for i in range(8)]
+        words += [_sl2_weyl(L, P.roots, alpha) for alpha in P.roots.simple_roots]
+        for word in words:
+            full = L.ad_group(word)
+            cut = L.ad_group(word, depth=depth)
+            assert np.abs(cut - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("name", ["sl2", "so(1,4)", "sl3", "su(1,2)", "sp(1,3)", "f4",
+                                      "su(2,2)", "sp(2,3)", "so(3,4)", "su(3,3)"])
+    def test_cut_below_the_depth_raises(self, name, parabolic_of):
+        # the depth is tight: (ad Y)^(depth - 1) of a generic n̄ row is far above rounding
+        P = parabolic_of(name)
+        word = sample_group_element(P, sample_rng(0, 0))
+        P.algebra.ad_group(word, depth=P.roots.depth)
+        with pytest.raises(InputError, match="ad-nilpotent"):
+            P.algebra.ad_group(word, depth=P.roots.depth - 1)
+
+    @pytest.mark.parametrize("name", ["sl2", "su(1,2)", "f4", "su(3,3)"])
+    def test_cut_raises_on_a_row_outside_the_grading(self, name, parabolic_of):
+        # E + theta E lies in k: ad of it is not nilpotent, so the series may not be cut
+        P = parabolic_of(name)
+        L = P.algebra
+        E = P.roots.space_of(P.roots.simple_roots[0])[0]
+        with pytest.raises(InputError, match="ad-nilpotent"):
+            L.ad_group((E + L.theta @ E)[None], depth=P.roots.depth)
 
     @pytest.mark.parametrize("shape", [(52,), (2, 51), (1, 2, 52)],
                              ids=["vector", "wrong-width", "three-index"])

@@ -1,4 +1,4 @@
-"""Guard: one group path and no scipy in the package.
+"""Guard: one group path, cut at the grading's depth, and no scipy in the package.
 
 Every group element the package builds is a word of ad-nilpotent rows (n̄
 samples and Weyl reflections written as root-vector triples), and
@@ -7,8 +7,10 @@ exp(ad X_1) ... exp(ad X_k), each factor the terminating series
 (ad X)^k / k!.  No module needs a general matrix exponential, and one would
 bring back a second group path (exponentiate a realization matrix, then
 conjugate and project), so no module defines, imports or uses ``expm`` or
-``_expm``.  The package depends on numpy alone: no module imports scipy,
-so no process pays for loading it.
+``_expm``.  Every ``ad_group`` call in the package passes the ``depth`` of
+its parabolic's restricted roots, so no caller falls back to the ``dim``-term
+series.  The package depends on numpy alone: no module imports scipy, so no
+process pays for loading it.
 """
 
 import ast
@@ -62,6 +64,18 @@ def _scipy_imports():
     return sites
 
 
+def _ad_group_calls_without_depth():
+    """(file, line) of every ``ad_group(...)`` call that passes no ``depth``."""
+    sites = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ad_group" and len(node.args) < 2
+                    and not any(k.arg == "depth" for k in node.keywords)):
+                sites.append((name, node.lineno))
+    return sites
+
+
 def test_no_matrix_exponential():
     offenders = [f"{f}:{line}" for f, line in _expm_sites()]
     assert not offenders, "compute group actions with LieAlgebra.ad_group: " + ", ".join(offenders)
@@ -81,6 +95,21 @@ def test_guard_sees_both_spellings(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert _expm_sites() == [("a.py", 1), ("b.py", 3), ("d.py", 1), ("d.py", 5)]
     assert _scipy_imports() == [("a.py", 1), ("b.py", 1)]
+
+
+def test_every_ad_group_call_passes_depth():
+    offenders = [f"{f}:{line}" for f, line in _ad_group_calls_without_depth()]
+    assert not offenders, "pass depth=P.roots.depth to ad_group: " + ", ".join(offenders)
+
+
+def test_depth_guard_sees_a_bare_call(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text("ad = g.ad_group(word)\n")
+    (tmp_path / "b.py").write_text("ad = g.ad_group(word, depth=P.roots.depth)\n"
+                                   "ad = g.ad_group(word, 5)\n")
+    (tmp_path / "c.py").write_text("def ad_group(word, depth=None):\n    return word\n\n\n"
+                                   "ad = L.ad_group(np.zeros((0, 3)))\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _ad_group_calls_without_depth() == [("a.py", 1), ("c.py", 5)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from realflag.core import InputError, killing_form, validate_algebra
-from realflag.jordan import (JordanElement, Octonion, build_g2, cone_point,
+from realflag.core import ConstructionError, InputError, killing_form, validate_algebra
+from realflag.jordan import (JordanElement, Octonion, _coords_to_matrix, _matrix_to_coords,
+                             _table_hash, build_g2, cone_point,
                              embed_so12_g2, embed_su21_su3, jordan_coords,
                              jordan_mul, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
@@ -52,7 +53,31 @@ class TestOctonions:
         assert np.allclose(oconj(omul(a, b)), omul(oconj(b), oconj(a)), atol=1e-12)
 
 
+# sha256 of the octonion table, the Jordan tensor and the solver tolerance; it keys the f4 cache
+TABLE_HASH = "9f9a4d97c18d4cdd81d9a8c25bf49c3e70196f571cd3630ee63d2c0216db77b4"
+
+
 class TestJordanAlgebra:
+    def test_tensor_equals_the_pairwise_products(self):
+        # reference: one jordan_coords call per pair a <= b
+        ref = np.zeros((27, 27, 27))
+        eye = np.eye(27)
+        for a in range(27):
+            for b in range(a, 27):
+                ref[a, b] = ref[b, a] = jordan_coords(eye[a], eye[b])
+        assert np.array_equal(jordan_tensor(), ref)
+
+    def test_table_hash_is_pinned(self):
+        # a different hash makes every saved f4.json a miss that is rebuilt
+        assert _table_hash() == TABLE_HASH
+
+    def test_matrix_to_coords_checks_every_matrix_of_a_stack(self):
+        M = _coords_to_matrix(np.eye(27))
+        assert np.array_equal(_matrix_to_coords(M), np.eye(27))
+        M[5, 1, 0, 2] += 1.0                      # breaks c3~ in the sixth matrix only
+        with pytest.raises(ConstructionError, match="twisted Hermitian"):
+            _matrix_to_coords(M)
+
     def test_identity(self):
         rng = np.random.default_rng(2)
         y = JordanElement(rng.standard_normal(3), rng.standard_normal((3, 8)))
