@@ -28,6 +28,9 @@ def main() -> int:
           f"(solver: {bundle.provenance['build_seconds']}s at build time)")
     print(f"cache: {jordan.cache_path()}")
     print(f"table hash: {bundle.provenance['table_hash'][:16]}...")
+    upper, lower = bundle.provenance["solver_margin"]
+    print(f"solver margin: s_r/s_1 = {upper:.3g}, s_r+1/s_1 = {lower:.3g} "
+          f"(cut {bundle.provenance['solver_tol']:g})")
     print(f"symmetric subalgebras: {bundle.symmetric_status}")
     print()
     return cli_main(["f4", "verify", "--samples", "50"])

@@ -14,11 +14,12 @@ part V.  The projectivized null cone {x in V : x o x = 0} is the flag
 manifold of that algebra.
 
 g2 and f4 come from one solver, ``derivation_algebra``, applied to the
-octonion table and to the Jordan tensor.  The f4 build is cached to disk
-since the derivation solve is the most expensive step in the package.  The
-cache (``CACHE_SCHEMA`` 3) holds only what the solve and the embedding
-search produce: the derivation basis, the subalgebra bases, the involutions,
-the symmetric-subalgebra status and the provenance.  The realization on V,
+octonion table and to the Jordan tensor; it splits the derivation system
+into the blocks that no equation links and solves each.  The f4 build is
+cached to disk.  The cache (``CACHE_SCHEMA`` 4) holds only what the solve
+and the embedding search produce: the derivation basis, the subalgebra
+bases, the involutions, the symmetric-subalgebra status and the provenance,
+which carries the solve's rank margin.  The realization on V,
 theta and the bracket are recomputed from the derivations on load.  A file
 is used only if its schema and its hash of the multiplication tables
 match; a stale or malformed file is rebuilt and overwritten.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    subalgebra)
-from .linalg import numeric_rank, orth_rows, signature_of
+from .linalg import _cut_certificate, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
 SOLVER_TOL = 1e-9
@@ -153,8 +154,8 @@ def _matrix_to_coords(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def _oct_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # (A B)_ik = sum_j A_ij * B_jk with octonion entry products
-    return np.einsum("ijp,jkq,pqr->ikr", A, B, OCT_TABLE)
+    # (A B)_ik = sum_j A_ij * B_jk with octonion entry products; leading axes broadcast
+    return np.einsum("...ijqr,...jkq->...ikr", np.tensordot(A, OCT_TABLE, axes=(-1, 0)), B)
 
 
 def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -171,8 +172,7 @@ def jordan_tensor() -> np.ndarray:
     sum, so the table equals the one ``jordan_coords`` gives pair by pair.
     """
     E = _coords_to_matrix(np.eye(W_DIM))                          # [a, i, j, p]
-    EO = np.tensordot(E, OCT_TABLE, axes=(3, 0))                   # [a, i, j, q, r]
-    prod = np.einsum("aijqr,bjkq->abikr", EO, E)                   # e_a e_b
+    prod = _oct_matmul(E[:, None], E)                              # e_a e_b
     P = _matrix_to_coords((prod + prod.transpose(1, 0, 2, 3, 4)) / 2.0)
     P.setflags(write=False)
     return P
@@ -272,38 +272,62 @@ def sample_cone_points(count: int, seed: int = 0) -> list[ConePoint]:
 
 # -- derivation algebras -------------------------------------------------------
 
-def derivation_algebra(table: np.ndarray, expected_dim: int) -> np.ndarray:
-    """Orthonormal basis, as (dim, n, n), of the derivations of a bilinear product.
+def derivation_algebra(table: np.ndarray,
+                       expected_dim: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """Orthonormal basis, as (dim, n, n), of the derivations of a bilinear product,
+    and the rank margin (s_r / s_1, s_{r+1} / s_1) of the system that defines them.
 
     ``table[a, b, :]`` is e_a e_b.  A derivation D satisfies
-    D(e_a e_b) = D(e_a) e_b + e_a D(e_b), a linear system in the n^2
-    entries of D.  Its null space comes from an SVD of R in A = QR: R has the
-    singular values and right singular vectors of the tall A, and is square.
+    D(e_a e_b) = D(e_a) e_b + e_a D(e_b) for a <= b, a linear system A in the
+    n^2 entries of D.  Two unknowns are linked when a row holds both, so no row
+    spans two connected components: A is block diagonal up to a permutation,
+    with the blocks' singular values and right singular vectors.  Each block's
+    null space comes from an SVD of R in block = QR, refined once; the rank cut
+    is SOLVER_TOL times the largest singular value of any block, s_1 of A.
     """
     n = table.shape[0]
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            blk = np.zeros((n, n, n))
-            for e in range(n):
-                blk[e, e, :] += table[a, b]
-                blk[e, :, a] -= table[:, b, e]
-                blk[e, :, b] -= table[a, :, e]
-            rows.append(blk.reshape(n, n * n))
-    A = np.vstack(rows)
-    _, s, vh = np.linalg.svd(np.linalg.qr(A, mode="r"))
-    rank = int((s > SOLVER_TOL * s[0]).sum())
-    basis = vh[rank:]
+    a, b = np.triu_indices(n)
+    ar = np.arange(n)
+    p, e, i = np.ix_(np.arange(a.size), ar, ar)
+    A = np.zeros((a.size, n, n, n))            # [pair, component e, row i of D, column of D]
+    A[:, ar, ar, :] = table[a, b][:, None, :]
+    A[p, e, i, a[:, None, None]] -= table[:, b, :].transpose(1, 2, 0)
+    A[p, e, i, b[:, None, None]] -= table[a].transpose(0, 2, 1)
+    A = A.reshape(-1, n * n)
+    rows, cols = np.nonzero(A)
+    label, old = np.arange(n * n), None       # smallest unknown linked to each unknown
+    while not np.array_equal(label, old):
+        old, low = label, np.full(len(A), n * n)
+        np.minimum.at(low, rows, label[cols])
+        label = label.copy()
+        np.minimum.at(label, cols, low[rows])
+    blocks = []
+    for k in np.unique(label):
+        R = np.linalg.qr(A[np.ix_(np.unique(rows[label[cols] == k]), label == k)], mode="r")
+        blocks.append((label == k, R, *np.linalg.svd(R)))
+    s_all = np.sort(np.concatenate([s for *_, s, _ in blocks]))[::-1]
+    _, upper, lower, ambiguous = _cut_certificate(s_all, SOLVER_TOL)
+    if ambiguous:
+        raise ConstructionError(f"derivation solve: rank cut is ambiguous (s_r/s_1 = "
+                                f"{upper:.1e}, s_r+1/s_1 = {lower:.1e})")
+    null_blocks = []
+    for unknowns, R, u, s, vh in blocks:
+        r = int((s > SOLVER_TOL * s_all[0]).sum())
+        # one refinement step takes off the SVD's rounding along the row space, R^+ R v
+        null = vh[r:] - vh[r:] @ R.T @ u[:, :r] / s[:r] @ vh[:r]
+        null_blocks.append(np.zeros((len(null), n * n)))
+        null_blocks[-1][:, unknowns] = null
+    basis = np.vstack(null_blocks)
     if basis.shape[0] != expected_dim:
         raise ConstructionError(f"derivation solve yielded dim {basis.shape[0]}, "
                                 f"expected {expected_dim}")
-    return basis.reshape(-1, n, n)
+    return basis.reshape(-1, n, n), (upper, lower)
 
 
 @lru_cache(maxsize=1)
 def build_g2() -> LieAlgebra:
     """Der(O): 14-dimensional, compact, acting on the 8 octonion coordinates."""
-    mats = derivation_algebra(OCT_TABLE, 14)
+    mats, _ = derivation_algebra(OCT_TABLE, 14)
     L = LieAlgebra(labels=tuple(f"G{i}" for i in range(14)), matrices=mats,
                    theta=np.eye(14), name="g2")
     sig = signature_of(L.killing)
@@ -363,8 +387,8 @@ class F4Bundle:
         return np.einsum("i,ijk->jk", np.asarray(coeffs, dtype=float), self.derivations)
 
 
-def _solve_der_w() -> np.ndarray:
-    """Orthonormal basis of Der(W) as (52, 27, 27)."""
+def _solve_der_w() -> tuple[np.ndarray, tuple[float, float]]:
+    """Orthonormal basis of Der(W) as (52, 27, 27), and the solve's rank margin."""
     return derivation_algebra(jordan_tensor(), 52)
 
 
@@ -377,15 +401,10 @@ def _conjugation_matrix(derivs: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _complex_conjugation_derivation(Zr: np.ndarray, Zi: np.ndarray) -> np.ndarray:
     """x -> Zx - xZ on W coordinates, Z = Zr + Zi e1 a complex 3x3 matrix."""
-    M = np.zeros((W_DIM, W_DIM))
-    eye = np.eye(W_DIM)
-    for idx in range(W_DIM):
-        X = _coords_to_matrix(eye[idx])
-        Z = np.zeros((3, 3, 8))
-        Z[:, :, 0] = Zr
-        Z[:, :, 1] = Zi
-        M[:, idx] = _matrix_to_coords(_oct_matmul(Z, X) - _oct_matmul(X, Z))
-    return M
+    X = _coords_to_matrix(np.eye(W_DIM))                          # column a is X[a]
+    Z = np.zeros((3, 3, 8))
+    Z[:, :, 0], Z[:, :, 1] = Zr, Zi
+    return _matrix_to_coords(_oct_matmul(Z, X) - _oct_matmul(X, Z)).T
 
 
 def _lift_octonion_derivation(D8: np.ndarray) -> np.ndarray:
@@ -397,13 +416,6 @@ def _lift_octonion_derivation(D8: np.ndarray) -> np.ndarray:
     return M
 
 
-def _left_mult_e1() -> np.ndarray:
-    L = np.zeros((8, 8))
-    for j in range(8):
-        L[:, j] = OCT_TABLE[1, j, :]
-    return L
-
-
 def _table_hash() -> str:
     h = hashlib.sha256()
     h.update(OCT_TABLE.tobytes())
@@ -412,7 +424,7 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 # subalgebra keys every bundle carries; the symmetric ones exist where they validated
 _EMBEDDINGS = ("g2", "su3", "su21", "so12", "su21+su3", "so12+g2")
 _SYMMETRIC = ("so(1,8)", "sp(1,2)+sp(1)")
@@ -438,8 +450,8 @@ def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
 
 
 def _build_bundle() -> F4Bundle:
-    t0 = time.time()
-    derivs = _solve_der_w()
+    t0 = time.perf_counter()
+    derivs, margin = _solve_der_w()
     L = _f4_algebra(derivs)
 
     sig = signature_of(L.killing)
@@ -463,7 +475,7 @@ def _build_bundle() -> F4Bundle:
     # g2 entrywise and its complex-commutant su(3)
     g2 = build_g2()
     g2_lift = coeffs_of([_lift_octonion_derivation(D) for D in g2.matrices], "g2 lift")
-    L1 = _left_mult_e1()
+    L1 = OCT_TABLE[1].T                          # left multiplication by e1
     commute = np.array([(D @ L1 - L1 @ D).ravel() for D in g2.matrices])
     uu, ss, _ = np.linalg.svd(commute)
     r = int((ss > 1e-9 * ss[0]).sum())
@@ -516,7 +528,8 @@ def _build_bundle() -> F4Bundle:
     provenance = {
         "table_hash": _table_hash(),
         "solver_tol": SOLVER_TOL,
-        "build_seconds": round(time.time() - t0, 3),
+        "solver_margin": list(margin),
+        "build_seconds": round(time.perf_counter() - t0, 3),
     }
     return F4Bundle(algebra=L, derivations=derivs, v_embed=_v_embedding(),
                     subalgebras=subalgebras, involutions=involutions,

@@ -32,7 +32,11 @@ def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, floa
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0, 0.0, 0.0, False
-    s = np.linalg.svd(M, compute_uv=False)
+    return _cut_certificate(np.linalg.svd(M, compute_uv=False), tol)
+
+
+def _cut_certificate(s: np.ndarray, tol: float) -> tuple[int, float, float, bool]:
+    """``rank_certificate`` of a matrix with the singular values ``s`` (descending)."""
     cut = tol * s[0]
     r = int((s > cut).sum())
     rel = np.append(s, 0.0) / s[0] if s[0] > 0.0 else np.zeros(s.size + 1)

@@ -18,9 +18,6 @@ ALLOWED = {
         "quaternion products that build the octonion table fingerprinted by _table_hash",
     ("jordan.py", "omul", "i,j,ijk->k"):
         "octonion product behind Octonion.__mul__ and the cone points, whose bits it fixes",
-    ("jordan.py", "_oct_matmul", "ijp,jkq,pqr->ikr"):
-        "x o y in jordan_coords (the pairwise reference for the Jordan tensor's bits) and "
-        "the commutators of the f4 build's complex conjugation derivations",
     ("jordan.py", "jordan_mul", "a,b,abc->c"):
         "public Jordan product of two 27-vectors through the Jordan tensor; no sampling path",
     ("jordan.py", "trace_form", "a,b,abc->c"):

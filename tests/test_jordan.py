@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from realflag.core import ConstructionError, InputError, killing_form, validate_algebra
-from realflag.jordan import (JordanElement, Octonion, _coords_to_matrix, _matrix_to_coords,
-                             _table_hash, build_g2, cone_point,
+from realflag.jordan import (OCT_TABLE, SOLVER_TOL, JordanElement, Octonion,
+                             _complex_conjugation_derivation, _coords_to_matrix,
+                             _matrix_to_coords, _table_hash, build_g2, cone_point,
+                             derivation_algebra,
                              embed_so12_g2, embed_su21_su3, jordan_coords,
                              jordan_mul, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points, symmetric_subalgebra, trace_form)
-from realflag.linalg import signature_of
+from realflag.linalg import RANK_BAND, signature_of
+from realflag.realforms import _complex_basis_u, build_classical
 
 
 class TestOctonions:
@@ -144,6 +147,65 @@ class TestConePoints:
         assert all(np.allclose(x.w, y.w) for x, y in zip(a, b))
 
 
+def _unsplit_system(table):
+    """The derivation system of ``table`` row by row, as one dense matrix."""
+    n = table.shape[0]
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            blk = np.zeros((n, n, n))
+            for e in range(n):
+                blk[e, e, :] += table[a, b]
+                blk[e, :, a] -= table[:, b, e]
+                blk[e, :, b] -= table[a, :, e]
+            rows.append(blk.reshape(n, n * n))
+    return np.vstack(rows)
+
+
+class TestDerivationAlgebra:
+    @pytest.fixture(scope="class", params=["octonions", "jordan"])
+    def solved(self, request):
+        table, dim = (OCT_TABLE, 14) if request.param == "octonions" else (jordan_tensor(), 52)
+        basis, margin = derivation_algebra(table, dim)
+        return table, dim, basis, margin
+
+    def test_basis_is_orthonormal(self, solved):
+        flat = solved[2].reshape(len(solved[2]), -1)
+        assert np.abs(flat @ flat.T - np.eye(len(flat))).max() <= 1e-14
+
+    def test_every_ordered_pair_obeys_leibniz(self, solved):
+        # the system holds only a <= b; octonions do not commute, so b > a is a consequence
+        table, _, basis, _ = solved
+        lhs = np.einsum("kij,abj->kabi", basis, table)
+        rhs = np.einsum("kia,ibe->kabe", basis, table) + np.einsum("kib,aie->kabe", basis, table)
+        assert np.abs(lhs - rhs).max() <= 1e-14
+
+    def test_spans_the_null_space_of_the_unsplit_system(self, solved):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        table, dim, basis, _ = solved
+        # R of A = QR has A's null space; null_space(A) itself would allocate a square U
+        N = scipy_linalg.null_space(np.linalg.qr(_unsplit_system(table), mode="r"))
+        flat = basis.reshape(len(basis), -1)
+        assert N.shape[1] == len(flat) == dim
+        assert np.linalg.norm(flat.T - N @ (N.T @ flat.T), 2) <= 1e-12
+
+    def test_wrong_dimension_raises(self, solved):
+        table, dim, _, _ = solved
+        with pytest.raises(ConstructionError, match=f"expected {dim + 1}"):
+            derivation_algebra(table, dim + 1)
+
+    def test_margin_clears_the_band(self, solved):
+        upper, lower = solved[3]
+        assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
+
+    def test_cut_inside_the_band_raises(self, monkeypatch):
+        # g2's smallest kept singular value is about 0.46 s_1: a cut at 0.1 s_1 is ambiguous
+        import realflag.jordan as jordan_mod
+        monkeypatch.setattr(jordan_mod, "SOLVER_TOL", 0.1)
+        with pytest.raises(ConstructionError, match="ambiguous"):
+            derivation_algebra(OCT_TABLE, 14)
+
+
 class TestG2:
     def test_dim_and_signature(self):
         g2 = build_g2()
@@ -208,7 +270,9 @@ class TestF4:
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
         doc = json.loads((tmp_path / "f4.json").read_text())
-        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 3
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 4
+        upper, lower = doc["provenance"]["solver_margin"]
+        assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
                             "involutions", "symmetric_status"}
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
@@ -244,7 +308,7 @@ class TestF4:
         assert jordan_mod._load_bundle(path) is None
 
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
-        # schema 2 held the derivation basis of the earlier thin-SVD solve
+        # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve
         import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
@@ -256,14 +320,14 @@ class TestF4:
             return f4bundle
 
         monkeypatch.setattr(jordan_mod, "_build_bundle", build)
-        for old in (1, 2):
+        for old in (1, 2, 3):
             (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": old}))
             builds.clear()
             for _ in range(2):
                 monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
                 jordan_mod.f4_bundle()
             assert len(builds) == 1
-            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 3
+            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 4
 
     @pytest.mark.parametrize("fail", ["json.dumps", "os.replace"])
     def test_failed_write_keeps_the_old_cache(self, f4bundle, tmp_path, monkeypatch, fail):
@@ -285,6 +349,21 @@ class TestF4:
 
 
 class TestEmbeddings:
+    def test_conjugation_derivations_equal_the_column_loop(self):
+        # reference: x -> Zx - xZ one basis matrix at a time, with the three-operand product
+        def mul(A, B):
+            return np.einsum("ijp,jkq,pqr->ikr", A, B, OCT_TABLE)
+
+        zs = ([(Z.real, Z.imag) for Z in _complex_basis_u(2, 1, traceless=True)]
+              + [(R, np.zeros((3, 3))) for R in build_classical("so", 2, 1).matrices])
+        assert len(zs) == 11
+        for Zr, Zi in zs:
+            Z = np.zeros((3, 3, 8))
+            Z[:, :, 0], Z[:, :, 1] = Zr, Zi
+            ref = np.array([_matrix_to_coords(mul(Z, X) - mul(X, Z))
+                            for X in _coords_to_matrix(np.eye(27))]).T
+            assert np.array_equal(_complex_conjugation_derivation(Zr, Zi), ref)
+
     def test_su21_su3(self, f4bundle):
         sub = embed_su21_su3(f4bundle)
         assert sub.dim == 16
