@@ -31,7 +31,8 @@ def main() -> int:
     upper, lower = bundle.provenance["solver_margin"]
     print(f"solver margin: s_r/s_1 = {upper:.3g}, s_r+1/s_1 = {lower:.3g} "
           f"(cut {bundle.provenance['solver_tol']:g})")
-    print(f"symmetric subalgebras: {bundle.symmetric_status}")
+    print("subalgebra dimensions: " + ", ".join(
+        f"{key} {len(basis)}" for key, basis in bundle.subalgebras.items()))
     print()
     return cli_main(["f4", "verify", "--samples", "50"])
 

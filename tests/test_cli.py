@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from realflag import jordan
 from realflag.catalog import build_pair
 from realflag.cli import main
-from realflag.core import InputError, LieAlgebra, save_algebra
+from realflag.jordan import EmbeddingError
+from realflag.core import LieAlgebra, save_algebra
 from realflag.realforms import get_algebra
 
 
@@ -81,22 +83,34 @@ class TestCheck:
 
         monkeypatch.setattr(jordan, "f4_bundle", refuse)
         for argv in (["check", "--pair", "sl2:a"],
+                     ["catalog"],
+                     ["catalog", "--json", "--n", "5"],
                      ["orbits", "count", "--pair", "so13:ma"],
                      ["orbits", "coincide", "--pair", "so15:so11+su2", "--sup", "so15:so11+so4"],
                      ["reduce", "step", "--pair", "sl3:so3"]):
             code, _ = run(capsys, *argv, "--samples", "8")
             assert code == 0, argv
 
-    def test_dimension_only_entry(self, capsys, monkeypatch):
-        monkeypatch.setitem(jordan.f4_bundle().symmetric_status, "so(1,8)", False)
-        code, out = run(capsys, "check", "--pair", "berger:f4:so(1,8)")
-        assert code == 0
-        assert out == "berger:f4:so(1,8): dimension-only entry (embedding unavailable)\n"
-        _, out = run(capsys, "catalog", "--json")
-        status = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
-        assert status["berger:f4:so(1,8)"] == "dimension-only"
-        with pytest.raises(InputError):
-            build_pair("berger:f4:so(1,8)")
+    def test_failed_symmetric_subalgebra_stops_the_build(self, monkeypatch):
+        # theta's own involution: its fixed algebra is the compact so(9), not so(1,8)
+        monkeypatch.setattr(jordan, "_H1_VEC", jordan._THETA_VEC)
+        with pytest.raises(EmbeddingError, match=r"so\(1,8\).*\(0, 36\)"):
+            jordan._build_bundle()
+
+    def test_unclosed_cached_subalgebra_exits_three(self, capsys, tmp_path, monkeypatch,
+                                                    f4bundle):
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(jordan, "_BUNDLE", None)
+        path = tmp_path / "f4.json"
+        jordan._save_bundle(f4bundle, path)
+        doc = json.loads(path.read_text())
+        doc["subalgebras"]["so(1,8)"] = np.random.default_rng(0).standard_normal((36, 52)).tolist()
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--pair", "berger:f4:so(1,8)", "--samples", "8"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: so(1,8): not closed") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_pair_file(self, capsys, tmp_path):
         L = get_algebra("so(1,2)")

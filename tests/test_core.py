@@ -363,12 +363,14 @@ class TestProperties:
 
 class TestValidate:
     def test_rejects_a_perturbed_jacobi_entry(self, so14):
-        c = np.array(so14.bracket_tensor)
-        i, j, k = np.argwhere(c > 0)[0]
-        c[i, j, k] += 1e-3
-        c[j, i, k] -= 1e-3          # still exactly antisymmetric
-        with pytest.raises(ConstructionError, match="Jacobi"):
-            validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
+        # the check runs slice by slice over the first index; perturb the first and the last
+        for i in (0, so14.dim - 1):
+            c = np.array(so14.bracket_tensor)
+            j, k = np.argwhere(c[i] != 0)[0]
+            c[i, j, k] += 1e-3
+            c[j, i, k] -= 1e-3          # still exactly antisymmetric
+            with pytest.raises(ConstructionError, match="Jacobi"):
+                validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
 
     @pytest.mark.parametrize("factor", [2.0, -1.0])
     def test_rejects_a_wrongly_scaled_realization(self, su12, factor):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from realflag.core import ConstructionError, InputError, killing_form, validate_algebra
-from realflag.jordan import (OCT_TABLE, SOLVER_TOL, JordanElement, Octonion,
+from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingError,
+                             F4Bundle, JordanElement, Octonion,
                              _complex_conjugation_derivation, _coords_to_matrix,
                              _matrix_to_coords, _table_hash, build_g2, cone_point,
-                             derivation_algebra,
-                             embed_so12_g2, embed_su21_su3, jordan_coords,
+                             derivation_algebra, f4_subalgebra, jordan_coords,
                              jordan_mul, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
-                             sample_cone_points, symmetric_subalgebra, trace_form)
+                             sample_cone_points, trace_form)
 from realflag.linalg import RANK_BAND, signature_of
 from realflag.realforms import _complex_basis_u, build_classical
 
@@ -237,6 +238,19 @@ class TestF4:
     def test_validates(self, f4bundle):
         validate_algebra(f4bundle.algebra)
 
+    def test_validation_peaks_below_32_mb(self, f4bundle):
+        # the Jacobi and realization checks go one index slice at a time; the whole
+        # 52^4 Jacobi tensor alone is 58 MB
+        L = f4bundle.algebra
+        L.bracket_tensor                   # computed once per algebra, not by the check
+        tracemalloc.start()
+        try:
+            validate_algebra(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_derivations_bracket_closed(self, f4bundle):
         rng = np.random.default_rng(6)
         flat = f4bundle.derivations.reshape(52, -1)
@@ -274,7 +288,8 @@ class TestF4:
         upper, lower = doc["provenance"]["solver_margin"]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
-                            "involutions", "symmetric_status"}
+                            "involutions"}
+        assert set(doc["subalgebras"]) == set(F4_SUBALGEBRAS)
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         loaded = jordan_mod.f4_bundle()
         assert np.allclose(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor)
@@ -295,10 +310,11 @@ class TestF4:
         lambda doc: json.dumps({**doc, "derivations": doc["derivations"][:51]}),
         lambda doc: json.dumps({**doc, "involutions": {k: v[:3] for k, v
                                                        in doc["involutions"].items()}}),
-        lambda doc: json.dumps({**doc, "symmetric_status": {k: "yes" for k
-                                                            in doc["symmetric_status"]}}),
+        lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
+                                                       if k != "so(1,8)"}}),
     ], ids=["unreadable", "non-object", "provenance-int", "schema-1", "no-subalgebras",
-            "missing-embedding", "derivations-shape", "involution-shape", "status-not-bool"])
+            "missing-embedding", "derivations-shape", "involution-shape",
+            "missing-symmetric-subalgebra"])
     def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
         import realflag.jordan as jordan_mod
         path = tmp_path / "f4.json"
@@ -365,7 +381,7 @@ class TestEmbeddings:
             assert np.array_equal(_complex_conjugation_derivation(Zr, Zi), ref)
 
     def test_su21_su3(self, f4bundle):
-        sub = embed_su21_su3(f4bundle)
+        sub = f4_subalgebra(f4bundle, "su21+su3")
         assert sub.dim == 16
         su21 = f4bundle.subalgebras["su21"]
         su3 = f4bundle.subalgebras["su3"]
@@ -378,7 +394,7 @@ class TestEmbeddings:
         assert signature_of(su3 @ B @ su3.T) == (0, 8)
 
     def test_so12_g2(self, f4bundle):
-        sub = embed_so12_g2(f4bundle)
+        sub = f4_subalgebra(f4bundle, "so12+g2")
         assert sub.dim == 17
         so12 = f4bundle.subalgebras["so12"]
         g2l = f4bundle.subalgebras["g2"]
@@ -397,12 +413,28 @@ class TestEmbeddings:
             assert np.abs(D[:3, :]).max() < 1e-9
 
     def test_symmetric_subalgebras(self, f4bundle):
-        h1 = symmetric_subalgebra(f4bundle, "so(1,8)")
-        h2 = symmetric_subalgebra(f4bundle, "sp(1,2)+sp(1)")
+        h1 = f4_subalgebra(f4bundle, "so(1,8)")
+        h2 = f4_subalgebra(f4bundle, "sp(1,2)+sp(1)")
         assert h1.dim == 36 and h2.dim == 24
         B = f4bundle.algebra.killing
         assert signature_of(h1.basis @ B @ h1.basis.T) == (8, 28)
         assert signature_of(h2.basis @ B @ h2.basis.T) == (8, 16)
+
+    @pytest.mark.parametrize("key", list(F4_SUBALGEBRAS))
+    def test_every_subalgebra_validates(self, f4bundle, key):
+        sub = f4_subalgebra(f4bundle, key)
+        assert sub.name == key and sub.dim == F4_SUBALGEBRAS[key]
+        assert sub.ambient is f4bundle.algebra
+
+    @pytest.mark.parametrize("case", ["unclosed", "wrong-dim"])
+    def test_accessor_raises_naming_the_key(self, f4bundle, case):
+        rows = {"unclosed": np.random.default_rng(0).standard_normal((17, 52)),
+                "wrong-dim": f4bundle.subalgebras["g2"]}[case]
+        bad = F4Bundle(algebra=f4bundle.algebra, derivations=f4bundle.derivations,
+                       subalgebras={**f4bundle.subalgebras, "so12+g2": rows},
+                       involutions=f4bundle.involutions, provenance=f4bundle.provenance)
+        with pytest.raises(EmbeddingError, match=r"^so12\+g2"):
+            f4_subalgebra(bad, "so12+g2")
 
     def test_module_splitting_preserved(self, f4bundle):
         # the su(2,1)+su(3) action preserves x = x_C + x_I
