@@ -2,9 +2,8 @@
 by generic rank sampling, flag-manifold orbit decomposition for rank-one
 subalgebras, and the octonionic construction of the noncompact f4."""
 
-from .core import (BilinearForm, LieAlgebra, Subalgebra, adjoint, bracket,
-                   cartan_decomposition, killing_form, load_algebra, noncompact_ideal,
-                   save_algebra, subalgebra, subalgebra_closure)
+from .core import (BilinearForm, LieAlgebra, Subalgebra, cartan_decomposition, killing_form,
+                   load_algebra, noncompact_ideal, save_algebra, subalgebra, subalgebra_closure)
 from .linalg import numeric_rank
 from .realforms import (build_classical, build_sl, diagonal_embed, direct_sum,
                         embed_division, get_algebra, minimal_parabolic, restricted_roots)
@@ -18,7 +17,7 @@ from .jordan import (Octonion, JordanElement, build_f4, build_g2, cone_point,
 __all__ = [
     "BilinearForm", "LieAlgebra", "Subalgebra", "SphericityReport",
     "Octonion", "JordanElement",
-    "adjoint", "bracket", "bruhat_cell_of", "build_classical", "build_f4",
+    "bruhat_cell_of", "build_classical", "build_f4",
     "build_g2", "build_sl", "cartan_decomposition", "cone_point", "diagonal_embed",
     "direct_sum", "embed_division", "get_algebra", "induced_pair", "is_spherical",
     "jordan_mul", "killing_form", "levi_projection", "load_algebra", "local_dim",

@@ -130,8 +130,8 @@ def cmd_reduce(args) -> int:
     if args.translate:
         rep = is_spherical(pd.g, pd.h, pd.P, samples=args.samples, seed=args.seed, tol=args.tol)
         if rep.witness is not None:
-            ad = pd.g.ad_group(rep.witness, depth=pd.P.roots.depth)
-            h = subalgebra(pd.g, pd.h.basis @ ad.T, name=f"{pd.h.name}@witness", validate=False)
+            moved = pd.g.ad_group(rep.witness, pd.h.basis, depth=pd.P.roots.depth)
+            h = subalgebra(pd.g, moved, name=f"{pd.h.name}@witness", validate=False)
     ap = parabolic_alpha(pd.g, pd.P, simples[args.alpha])
     l_alpha, h_alpha, flag = induced_pair(pd.g, h, ap)
     doc = {

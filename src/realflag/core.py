@@ -5,8 +5,9 @@ A Lie algebra is stored as a rank-3 tensor ``c[i,j,k]`` with
 with a matrix realization (one square matrix per basis element) and a
 Cartan involution ``theta`` acting on the coefficient space.  A group
 element is a word: a ``(k, dim)`` array of ad-nilpotent coefficient vectors
-standing for exp(X_1) ... exp(X_k).  Its adjoint action is computed from the
-bracket alone, as Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k),
+standing for exp(X_1) ... exp(X_k).  Its adjoint action on a block of
+coefficient rows is computed from the bracket alone, as
+Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k) applied to the rows,
 each factor a terminating series (ad X)^k / k!, cut at the nilpotency depth
 that the restricted-root grading gives (``RestrictedRootData.depth``).
 """
@@ -132,43 +133,47 @@ class LieAlgebra:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
-    def ad_group(self, word: np.ndarray, depth: Optional[int] = None) -> np.ndarray:
-        """Ad(exp X_1 ... exp X_k) = exp(ad X_1) ... exp(ad X_k) on the coefficient space.
+    def ad_group(self, word: np.ndarray, rows: np.ndarray,
+                 depth: Optional[int] = None) -> np.ndarray:
+        """Ad(exp X_1 ... exp X_k) applied to every row of ``rows``.
 
         ``word`` is a ``(k, dim)`` array whose rows X_1, ..., X_k are
-        ad-nilpotent, so each factor is the finite series of ``_exp_nilpotent``
-        cut at ``depth`` (``dim`` when no grading is known); the empty word is
-        the identity.  Column j of the result is the image of e_j.
+        ad-nilpotent.  Row i of the result is exp(ad X_1) ... exp(ad X_k)
+        rows[i], each factor the finite series of ``_exp_nilpotent`` cut at
+        ``depth`` (``dim`` when no grading is known); the empty word is the
+        identity.  The rows of ``eye(dim)`` give the transpose of Ad.
         """
         word = np.asarray(word, dtype=float)
         if word.ndim != 2 or word.shape[1] != self.dim:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
-        out = np.eye(self.dim)
-        for X in word:
-            out = out @ _exp_nilpotent(self.ad(X), self.dim if depth is None else depth)
+        c, out = self.bracket_tensor.reshape(self.dim, -1), np.array(rows, dtype=float)
+        for X in word[::-1]:            # v @ (X @ c).reshape(dim, dim) = [X, v]
+            out = _exp_nilpotent(out, (X @ c).reshape(self.dim, self.dim),
+                                 self.dim if depth is None else depth)
         return out
 
 
-def _exp_nilpotent(A: np.ndarray, depth: int) -> np.ndarray:
-    """exp(A) = sum of A^k / k! for k < depth, exact when A^depth = 0.
+def _exp_nilpotent(rows: np.ndarray, A: np.ndarray, depth: int) -> np.ndarray:
+    """rows @ exp(A): the sum of rows @ A^k / k! for k < depth, exact when rows @ A^depth = 0.
 
     Every term is summed, since a small term may still matter; only an exactly
-    zero power ends the sum early.  InputError unless A^depth vanishes to
-    rounding: for B = A / |A|_1, depth - 1 products give |fl(B^depth) - B^depth|
-    <= gamma_{n(depth-1)} |B|^depth (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.5), and |B|^depth has 1-norm at most 1.
+    zero term ends the sum early.  InputError unless rows @ A^depth vanishes to
+    rounding, row by row: for B = A / |A|_inf, depth - 1 products give
+    |fl(r B^depth) - r B^depth| <= gamma_{n(depth-1)} |r| |B|^depth (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5), and
+    |r| |B|^depth has 1-norm at most |r|_1.
     """
-    n = len(A)
-    norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    norm = np.abs(A).sum(axis=1).max(initial=0.0)
     B = A / norm if norm else A
-    out, power, coeff = np.eye(n), B, 1.0                  # B^k and |A|_1^k / k!
+    out, power, coeff = rows.copy(), rows @ B, 1.0         # rows B^k and |A|_inf^k / k!
     for k in range(1, depth):
         if not power.any():
             return out
         coeff *= norm / k
         out += coeff * power
         power = power @ B
-    if not np.abs(power).sum(axis=0).max() <= n * depth * np.finfo(float).eps:   # NaN fails
+    bound = len(A) * depth * np.finfo(float).eps * np.abs(rows).sum(axis=-1)
+    if not (np.abs(power).sum(axis=-1) <= bound).all():          # NaN fails
         raise InputError("a word row is not ad-nilpotent to the given depth")
     return out
 
@@ -229,14 +234,6 @@ class BilinearForm:
 
 
 # -- module-level operations ----------------------------------------------
-
-def bracket(L: LieAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return L.bracket(X, Y)
-
-
-def adjoint(L: LieAlgebra, X: np.ndarray) -> np.ndarray:
-    return L.ad(X)
-
 
 def killing_form(L: LieAlgebra) -> BilinearForm:
     B = L.killing
@@ -408,22 +405,6 @@ def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray,
 
 
 # -- validation -------------------------------------------------------------
-
-def jacobi_residual(L: LieAlgebra, triples: int = 1000, seed: int = 0) -> float:
-    """Max relative Jacobi residual over random coefficient triples."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((triples, L.dim))
-    Y = rng.standard_normal((triples, L.dim))
-    Z = rng.standard_normal((triples, L.dim))
-    c = L.bracket_tensor
-
-    def bb(A, B):   # row t of the result is [A_t, B_t]
-        return np.matmul(B[:, None], np.tensordot(A, c, axes=(1, 0)))[:, 0]
-
-    jac = bb(X, bb(Y, Z)) + bb(Y, bb(Z, X)) + bb(Z, bb(X, Y))
-    scale = max(np.linalg.norm(bb(X, bb(Y, Z)), axis=1).max(), 1e-30)
-    return float(np.abs(jac).max() / scale)
-
 
 def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
     """Check the structural invariants; raise ConstructionError on failure."""

@@ -22,7 +22,8 @@ eight subalgebras in ``F4_SUBALGEBRAS``, the two involutions and the
 provenance, which carries the solve's rank margin.  The realization on V,
 theta and the bracket are recomputed from the derivations on load.  A file
 is used only if its schema and its hash of the multiplication tables
-match; a stale or malformed file is rebuilt and overwritten.
+match and its derivations obey the Leibniz rule on fixed probe pairs; a
+stale, malformed or altered file is rebuilt and overwritten.
 
 Every f4 subalgebra is read through ``f4_subalgebra``, which checks closure
 and the dimension in ``F4_SUBALGEBRAS`` and raises ``EmbeddingError``
@@ -558,6 +559,17 @@ def _matrix(data, rows: int, cols: int) -> np.ndarray:
     return arr
 
 
+def _leibniz_residual(derivs: np.ndarray) -> float:
+    """Relative residual of D(x o y) = Dx o y + x o Dy over all D and three fixed pairs
+    (sines of integers: every coordinate nonzero, and no numpy.random import on load)."""
+    X, Y = np.sin(np.arange(1, 6 * W_DIM + 1)).reshape(2, 3, W_DIM)
+    xo, oy = np.tensordot(X, jordan_tensor(), (1, 0)), np.tensordot(Y, jordan_tensor(), (1, 1))
+    lhs = derivs @ np.matmul(Y[:, None], xo)[:, 0].T                   # [D, k, t]
+    rhs = (np.matmul((derivs @ X.T).transpose(2, 0, 1), oy)
+           + np.matmul((derivs @ Y.T).transpose(2, 0, 1), xo)).transpose(1, 2, 0)
+    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
+
+
 def _load_bundle(path: Path) -> Optional[F4Bundle]:
     """The cached bundle, or None if the file is missing, stale or malformed."""
     try:
@@ -569,6 +581,8 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
                        for k, dim in F4_SUBALGEBRAS.items()}
         involutions = {k: _matrix(doc["involutions"][k], 52, 52) for k in _SYMMETRIC}
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return None
+    if not _leibniz_residual(derivs) <= 1e-12:      # about 5e-16 on a sound file; NaN fails
         return None
     return F4Bundle(algebra=_f4_algebra(derivs), derivations=derivs, subalgebras=subalgebras,
                     involutions=involutions, provenance=doc["provenance"])

@@ -15,31 +15,37 @@ DEFAULT_TOL = 1e-9
 RANK_BAND = 10.0
 
 
-def numeric_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values exceeding ``tol * smax``; ``tol`` must lie in (0, 1)."""
-    return rank_certificate(M, tol)[0]
+def numeric_rank(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
+    """Number of singular values above ``tol * max(smax, scale)``; ``tol`` must lie in (0, 1)."""
+    return rank_certificate(M, tol, scale)[0]
 
 
-def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, float, float, bool]:
-    """``(rank, s_r / s_1, s_{r+1} / s_1, ambiguous)`` of the cut ``s > tol * s_1``.
+def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL,
+                     scale: float = 0.0) -> tuple[int, float, float, bool]:
+    """``(rank, s_r / ref, s_{r+1} / ref, ambiguous)`` of the cut ``s > tol * ref``.
 
-    Ambiguous: s_r or s_{r+1} lies within a factor ``RANK_BAND`` of the cut,
-    or the cut is below the smallest normal float (so a zero matrix is).  A
-    missing s_r or s_{r+1} reads 0; an empty matrix is ``(0, 0.0, 0.0, False)``.
+    ``ref = max(s_1, scale)``: ``scale`` is an absolute reference for a matrix
+    that may hold rounding noise only, as in ``orth_rows``.  Ambiguous: s_r or
+    s_{r+1} lies within a factor ``RANK_BAND`` of the cut, or the cut is below
+    the smallest normal float (so a zero matrix is).  A missing s_r or s_{r+1}
+    reads 0; an empty matrix is ``(0, 0.0, 0.0, False)``.
     """
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
+        from .core import InputError        # core imports this module
+        raise InputError(f"tol must be in (0, 1), got {tol}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0, 0.0, 0.0, False
-    return _cut_certificate(np.linalg.svd(M, compute_uv=False), tol)
+    return _cut_certificate(np.linalg.svd(M, compute_uv=False), tol, scale)
 
 
-def _cut_certificate(s: np.ndarray, tol: float) -> tuple[int, float, float, bool]:
+def _cut_certificate(s: np.ndarray, tol: float,
+                     scale: float = 0.0) -> tuple[int, float, float, bool]:
     """``rank_certificate`` of a matrix with the singular values ``s`` (descending)."""
-    cut = tol * s[0]
+    ref = max(float(s[0]), scale)
+    cut = tol * ref
     r = int((s > cut).sum())
-    rel = np.append(s, 0.0) / s[0] if s[0] > 0.0 else np.zeros(s.size + 1)
+    rel = np.append(s, 0.0) / ref if ref > 0.0 else np.zeros(s.size + 1)
     upper, lower = (float(rel[r - 1]) if r else 0.0), float(rel[r])
     ambiguous = bool(cut < np.finfo(float).tiny
                      or any(tol / RANK_BAND <= x <= tol * RANK_BAND for x in (upper, lower)))
@@ -137,12 +143,6 @@ def complement_in(sub: np.ndarray, ambient: np.ndarray, metric: np.ndarray | Non
     return orth_rows(coeffs @ ambient, tol)
 
 
-def projector_onto(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Euclidean orthogonal projector onto span(rows)."""
-    Q = orth_rows(rows, tol)
-    return Q.T @ Q
-
-
 def in_span(vecs: np.ndarray, basis: np.ndarray, tol: float = 1e-8) -> bool:
     """True if every row of ``vecs`` lies in span(basis), relative residual <= tol."""
     return span_residual(vecs, basis) <= tol
@@ -156,8 +156,8 @@ def span_residual(vecs: np.ndarray, basis: np.ndarray) -> float:
     scale = np.linalg.norm(vecs)
     if scale == 0.0:
         return 0.0
-    P = projector_onto(basis)
-    return float(np.linalg.norm(vecs - vecs @ P) / scale)
+    Q = orth_rows(basis)
+    return float(np.linalg.norm(vecs - vecs @ (Q.T @ Q)) / scale)
 
 
 def signature_of(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:

@@ -22,15 +22,14 @@ from .core import (InputError, LieAlgebra, NormalizationError, NotSphericalError
 from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, intersect_spans, null_rows,
                      numeric_rank, orth_rows, span_residual, stack_span)
 from .realforms import ParabolicData, minimal_parabolic, restricted_roots
-from .spherical import SphericityReport, sample_group_element, sample_rng
+from .spherical import SphericityReport, chart_rank, sample_group_element, sample_rng
 
 
 def orbit_dim_at(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
                  tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the h-orbit through the coset x P: dim h - dim(h ∩ Ad(x) p), x a word."""
-    ad = g.ad_group(word, depth=P.roots.depth)
-    inter = intersect_spans(h.basis, P.p.basis @ ad.T, tol)
-    return h.dim - inter.shape[0]
+    """Dimension of the h-orbit through the coset x P, x a word: dim h - dim(h ∩ Ad(x) p),
+    which is rank π(Ad(x)⁻¹ h) (``chart_rank``)."""
+    return chart_rank(g, h.basis, P, word, tol)
 
 
 def sampled_orbit_dims(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
@@ -46,13 +45,11 @@ def bruhat_cell_of(g: LieAlgebra, P: ParabolicData, word: np.ndarray,
     """'closed' when x P is the base coset (x in P), 'open' otherwise; x is a word.
 
     Rank one only: the N-orbit through x P is open exactly when x lies
-    outside P, so the test is dim(n + Ad(x) p) = dim g.
+    outside P, so the test is rank π(Ad(x)⁻¹ n) = dim n (``chart_rank``).
     """
     if P.roots.rank != 1:
         raise UnsupportedOperation("Bruhat cell classification is implemented for rank one")
-    ad = g.ad_group(word, depth=P.roots.depth)
-    full = numeric_rank(stack_span(P.n.basis, P.p.basis @ ad.T), tol)
-    return "open" if full == g.dim else "closed"
+    return "open" if chart_rank(g, P.n.basis, P, word, tol) == P.n.dim else "closed"
 
 
 @dataclass

@@ -482,16 +482,8 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
 
     # simple roots: positive roots that are not sums of two positive roots
     pos_vecs = root_vectors[positive]
-    simple = []
-    for v in pos_vecs:
-        is_sum = False
-        for u in pos_vecs:
-            for w in pos_vecs:
-                if np.linalg.norm(u + w - v) < 1e-6:
-                    is_sum = True
-        if not is_sum:
-            simple.append(v)
-    simple = np.array(simple)
+    sums = (pos_vecs[:, None] + pos_vecs[None]).reshape(-1, pos_vecs.shape[1])
+    simple = np.array([v for v in pos_vecs if np.linalg.norm(sums - v, axis=1).min() >= 1e-6])
 
     return RestrictedRootData(algebra=L, a=a, m=m,
                               root_vectors=root_vectors,
@@ -505,7 +497,7 @@ class ParabolicData:
 
     ``weyl`` is a word (rows W_1, ..., W_k: the group element
     exp(W_1) ... exp(W_k)) of simple-reflection triples from ``_sl2_weyl``,
-    with Ad(weyl) a = a and Ad(weyl) n = nbar; ``weyl_ad`` is Ad(weyl).
+    with Ad(weyl) a = a and Ad(weyl) n = nbar.
     """
 
     algebra: LieAlgebra
@@ -516,12 +508,17 @@ class ParabolicData:
     n: Subalgebra
     nbar: Subalgebra
     weyl: np.ndarray
-    weyl_ad: np.ndarray
 
     @property
     def dim_flag(self) -> int:
         """dim g/p = dim n."""
         return self.n.dim
+
+    @cached_property
+    def chart(self) -> np.ndarray:
+        """Projection onto n̄ along p: ``v @ chart`` are v's n̄-coordinates ([n̄; p] is
+        well conditioned, since n̄ is B_theta-orthogonal to p)."""
+        return np.linalg.inv(np.vstack([self.nbar.basis, self.p.basis]))[:, :self.nbar.dim]
 
 
 def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
@@ -553,9 +550,9 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
 
     # Weyl representative: search short words of simple reflections with Ad(w) n = nbar
     simples = [_sl2_weyl(L, roots, alpha, tol) for alpha in roots.simple_roots]
-    simple_ads = [L.ad_group(W, depth=roots.depth) for W in simples]
+    simple_ads = [L.ad_group(W, np.eye(L.dim), roots.depth).T for W in simples]
     frontier = [(np.zeros((0, L.dim)), np.eye(L.dim))]
-    weyl = weyl_ad = None
+    weyl = None
     max_len = int(roots.positive.sum())
     for _ in range(max_len):
         new_frontier = []
@@ -564,7 +561,7 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
                 y = np.vstack([W, x])
                 ady = ads @ adx
                 if in_span(n @ ady.T, nbar, 1e-7) and in_span(roots.a @ ady.T, roots.a, 1e-7):
-                    weyl, weyl_ad = y, ady
+                    weyl = y
                     break
                 new_frontier.append((y, ady))
             if weyl is not None:
@@ -583,7 +580,7 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
         a=roots.a,
         n=subalgebra(L, n, name=f"n({alg_name})", validate=False),
         nbar=subalgebra(L, nbar, name=f"nbar({alg_name})", validate=False),
-        weyl=weyl, weyl_ad=weyl_ad)
+        weyl=weyl)
 
 
 # -- registry -----------------------------------------------------------------

@@ -5,7 +5,9 @@ open and dense in G (the Bruhat big cell), so it suffices to sample x = exp Y
 with Y in n̄.  Samples are deterministic one-row words: Y has seeded
 Gaussian coefficients on the basis of n̄.  Only the adjoint action of a word
 is ever computed, through ``LieAlgebra.ad_group``, and a witness is the word
-itself.  Attaining dim g at any single sample is a certificate (openness is
+itself.  Since g = n̄ ⊕ p, h + Ad(x) p = g exactly when π(Ad(x)⁻¹ h) spans n̄,
+π the projection onto n̄ along p; ``chart_rank`` ranks that (dim h, dim n̄)
+matrix.  Attaining dim g at any single sample is a certificate (openness is
 lower semicontinuous); a negative verdict is either a sample-free dimension
 obstruction or a confidence statement after the requested number of samples.
 """
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import InputError, LieAlgebra, Subalgebra
-from .linalg import DEFAULT_TOL, numeric_rank, stack_span
+from .linalg import DEFAULT_TOL, numeric_rank
 from .realforms import ParabolicData
 
 VERDICT_SPHERICAL = "spherical"
@@ -37,11 +39,21 @@ def sample_group_element(P: ParabolicData, rng: np.random.Generator) -> np.ndarr
     return (rng.standard_normal(P.nbar.dim) @ P.nbar.basis)[None]
 
 
+def chart_rank(g: LieAlgebra, rows: np.ndarray, P: ParabolicData, word: np.ndarray,
+               tol: float = DEFAULT_TOL) -> int:
+    """rank π(Ad(x)⁻¹ rows) = dim(span(rows) + Ad(x) p) - dim p, x a word.
+
+    Ad(x)⁻¹ (the word reversed, every row negated) acts on the rows alone.  The
+    cut is relative to the moved rows too, so rows inside Ad(x) p read rank 0.
+    """
+    moved = g.ad_group(-np.asarray(word, dtype=float)[::-1], rows, depth=P.roots.depth)
+    return numeric_rank(moved @ P.chart, tol, scale=float(np.linalg.norm(moved)))
+
+
 def local_dim(g: LieAlgebra, h: Subalgebra, P: ParabolicData, word: np.ndarray,
               tol: float = DEFAULT_TOL) -> int:
     """dim(h + Ad(x) p) at the group element x given by a word."""
-    ad = g.ad_group(word, depth=P.roots.depth)
-    return numeric_rank(stack_span(h.basis, P.p.basis @ ad.T), tol)
+    return P.p.dim + chart_rank(g, h.basis, P, word, tol)
 
 
 @dataclass

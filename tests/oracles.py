@@ -1,5 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
+The Jacobi oracle checks random coefficient triples.  The rank oracles are
+the stacked-matrix formulas that ``spherical.chart_rank`` replaced:
+dim(h + Ad(x) p) as the rank of the (dim h + dim p, dim g) stack, and the
+h-orbit dimension as dim h - dim(h ∩ Ad(x) p) through ``intersect_spans``.
 The flow oracle discretizes the compact model of the flag manifold (the
 projective line as a half-circle, the light-cone sphere S^2 as a lat-long
 grid), evaluates the subalgebra's vector fields at every node, and counts
@@ -11,6 +15,39 @@ touches the library's orbit machinery.
 from __future__ import annotations
 
 import numpy as np
+
+from realflag.linalg import intersect_spans, numeric_rank, stack_span
+
+
+def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:
+    """Max relative Jacobi residual over random coefficient triples."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((triples, L.dim))
+    Y = rng.standard_normal((triples, L.dim))
+    Z = rng.standard_normal((triples, L.dim))
+    c = L.bracket_tensor
+
+    def bb(A, B):   # row t of the result is [A_t, B_t]
+        return np.matmul(B[:, None], np.tensordot(A, c, axes=(1, 0)))[:, 0]
+
+    jac = bb(X, bb(Y, Z)) + bb(Y, bb(Z, X)) + bb(Z, bb(X, Y))
+    scale = max(np.linalg.norm(bb(X, bb(Y, Z)), axis=1).max(), 1e-30)
+    return float(np.abs(jac).max() / scale)
+
+
+def _moved_p(g, P, word):
+    """Rows of Ad(x) p, x a word."""
+    return g.ad_group(word, P.p.basis, depth=P.roots.depth)
+
+
+def stacked_local_dim(g, rows, P, word, tol: float = 1e-9) -> int:
+    """dim(span(rows) + Ad(x) p) as the rank of the stacked rows."""
+    return numeric_rank(stack_span(rows, _moved_p(g, P, word)), tol)
+
+
+def intersect_orbit_dim(g, rows, P, word, tol: float = 1e-9) -> int:
+    """dim span(rows) - dim(span(rows) ∩ Ad(x) p); rows independent."""
+    return len(rows) - intersect_spans(rows, _moved_p(g, P, word), tol).shape[0]
 
 
 def circle_orbit_count(fields, nodes: int = 720, tol: float = 1e-9) -> int:

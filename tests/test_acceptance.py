@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from realflag.catalog import build_pair, catalog_entries
-from realflag.core import jacobi_residual, killing_form, subalgebra
+from realflag.core import killing_form, subalgebra
 from realflag.jordan import (build_g2, f4_bundle, jordan_tensor, omul,
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points)
@@ -22,7 +22,7 @@ from realflag.reduction import induced_pair, parabolic_alpha
 from realflag.spherical import is_spherical, sample_group_element, sample_rng
 
 from conftest import _parabolic_for
-from oracles import circle_orbit_count, sphere_orbit_count
+from oracles import circle_orbit_count, jacobi_residual, sphere_orbit_count
 
 
 def _report(num, text):
@@ -190,8 +190,8 @@ def test_criterion_8_reduction_steps():
         h = pd.h
         if numeric_rank(stack_span(h.basis, pd.P.p.basis)) != pd.g.dim:
             rep = is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0)
-            ad = pd.g.ad_group(rep.witness)
-            h = subalgebra(pd.g, pd.h.basis @ ad.T, name="h@w", validate=False)
+            h = subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis), name="h@w",
+                           validate=False)
         for alpha in pd.P.roots.simple_roots:
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             _, _, flag = induced_pair(pd.g, h, ap)

@@ -112,6 +112,24 @@ class TestCheck:
         assert err.startswith("error: so(1,8): not closed") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_tampered_cache_is_rebuilt(self, capsys, tmp_path, monkeypatch, f4bundle):
+        # one derivation entry moved by 1e-7 is a cache miss, not an algebra that later exits 3
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(jordan, "_BUNDLE", None)
+        path = tmp_path / "f4.json"
+        jordan._save_bundle(f4bundle, path)
+        doc = json.loads(path.read_text())
+        doc["derivations"][7][100] += 1e-7
+        path.write_text(json.dumps(doc))
+        builds = []
+        build = jordan._build_bundle
+        monkeypatch.setattr(jordan, "_build_bundle", lambda: builds.append(1) or build())
+        code, out = run(capsys, "check", "--pair", "max:f4:so(1,2)+g2", "--samples", "8")
+        assert code == 0 and "not-spherical" in out
+        assert builds == [1]
+        rewritten = json.loads(path.read_text())["derivations"]
+        assert np.array_equal(rewritten, f4bundle.derivations.reshape(52, -1))
+
     def test_pair_file(self, capsys, tmp_path):
         L = get_algebra("so(1,2)")
         k_basis = [[1.0 if lab == "R12" else 0.0 for lab in L.labels]]

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           as_algebra, cartan_decomposition, jacobi_residual,
-                           killing_form, load_algebra, noncompact_ideal, save_algebra,
-                           subalgebra, subalgebra_closure, validate_algebra)
+                           as_algebra, cartan_decomposition, killing_form, load_algebra,
+                           noncompact_ideal, save_algebra, subalgebra, subalgebra_closure,
+                           validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
 from realflag.realforms import _sl2_weyl, direct_sum, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
-from oracles import commutator_coefficients
+from oracles import commutator_coefficients, jacobi_residual
 from test_orbits import RANK_ONE_AMBIENTS
 
 
@@ -21,6 +21,11 @@ def _unit(L, label):
     v = np.zeros(L.dim)
     v[L.labels.index(label)] = 1.0
     return v
+
+
+def _ad(L, word, depth=None):
+    """The full matrix Ad(x): the row action on the identity, transposed."""
+    return L.ad_group(word, np.eye(L.dim), depth).T
 
 
 # 2 m + 1, m the height of the highest restricted root
@@ -128,7 +133,7 @@ class TestAdGroup:
             x = x @ expm(np.tensordot(X, L.matrices, 1))
         conj = np.einsum("ab,ibc,cd->iad", x, L.matrices, np.linalg.inv(x))
         ref = (conj.reshape(L.dim, -1) @ np.linalg.pinv(L.matrices.reshape(L.dim, -1))).T
-        assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(_ad(L, word) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)", "su(3,3)"])
     def test_nbar_samples_match_scipy(self, name, parabolic_of):
@@ -136,7 +141,7 @@ class TestAdGroup:
         for i in range(8):
             word = sample_group_element(parabolic_of(name), sample_rng(0, i))
             ref = expm(L.ad(word[0]))
-            assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(_ad(L, word) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["sl2", "sl3", "so(1,4)", "su(1,2)", "sp(1,3)", "so(3,4)",
                                       "su(3,3)", "f4"])
@@ -149,17 +154,17 @@ class TestAdGroup:
             E = word[0]
             assert word.shape == (3, L.dim) and np.array_equal(word[2], E)
             ref = expm(np.pi / 2 * L.ad(E + L.theta @ E))
-            assert np.abs(L.ad_group(word) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(_ad(L, word) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("scale", [1.0, np.nan], ids=["H0", "nan"])
     def test_rejects_a_row_that_is_not_ad_nilpotent(self, sl2, scale):
         with pytest.raises(InputError, match="ad-nilpotent"):
-            sl2.ad_group(scale * _unit(sl2, "H0")[None])
+            _ad(sl2, scale * _unit(sl2, "H0")[None])
 
     @pytest.mark.parametrize("name", ["f4", "sp(1,3)"])
     def test_is_a_bracket_automorphism(self, name, parabolic_of):
         L = get_algebra(name)
-        ad = L.ad_group(sample_group_element(parabolic_of(name), np.random.default_rng(7)))
+        ad = _ad(L, sample_group_element(parabolic_of(name), np.random.default_rng(7)))
         X, Y = np.random.default_rng(8).standard_normal((2, L.dim))
         lhs = ad @ L.bracket(X, Y)
         assert np.abs(lhs - L.bracket(ad @ X, ad @ Y)).max() <= 1e-12 * np.abs(lhs).max()
@@ -168,8 +173,8 @@ class TestAdGroup:
     def test_word_times_reversed_negation_is_identity(self, name, parabolic_of):
         L = get_algebra(name)
         word = sample_group_element(parabolic_of(name), np.random.default_rng(9))
-        assert np.abs(L.ad_group(np.vstack([word, -word[::-1]])) - np.eye(L.dim)).max() <= 1e-12
-        assert np.array_equal(L.ad_group(np.zeros((0, L.dim))), np.eye(L.dim))
+        assert np.abs(_ad(L, np.vstack([word, -word[::-1]])) - np.eye(L.dim)).max() <= 1e-12
+        assert np.array_equal(_ad(L, np.zeros((0, L.dim))), np.eye(L.dim))
 
     # an exactly ad-nilpotent element of sl3's nbar (integer coordinates on E10, E20, E21)
     # scaled by a power of two to each 1-norm; 300 is where scipy squares six times
@@ -179,7 +184,7 @@ class TestAdGroup:
         X = _unit(L, "E10") * 3.0 + _unit(L, "E20") * 5.0 - _unit(L, "E21") * 2.0
         X *= 2.0 ** np.round(np.log2(norm / np.abs(L.ad(X)).sum(axis=0).max()))
         ref = expm(L.ad(X))
-        assert np.linalg.norm(L.ad_group(X[None]) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(_ad(L, X[None]) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("t", [1e-3, 0.2, 1.0, 2.5, 50.0])
     def test_exponential_of_a_nilpotent_is_its_finite_series(self, t):
@@ -191,7 +196,7 @@ class TestAdGroup:
             term = term @ A / k
             series += term
         assert k == 3
-        got = L.ad_group(t * _unit(L, "E02")[None])
+        got = _ad(L, t * _unit(L, "E02")[None])
         assert np.linalg.norm(got - series) <= 1e-13 * np.linalg.norm(series)
 
     @pytest.mark.parametrize("name", sorted(DEPTHS))
@@ -213,8 +218,8 @@ class TestAdGroup:
         words = [sample_group_element(P, sample_rng(0, i)) for i in range(8)]
         words += [_sl2_weyl(L, P.roots, alpha) for alpha in P.roots.simple_roots]
         for word in words:
-            full = L.ad_group(word)
-            cut = L.ad_group(word, depth=depth)
+            full = _ad(L, word)
+            cut = _ad(L, word, depth=depth)
             assert np.abs(cut - full).max() <= 1e-13 * np.abs(full).max()
 
     @pytest.mark.parametrize("name", ["sl2", "so(1,4)", "sl3", "su(1,2)", "sp(1,3)", "f4",
@@ -223,9 +228,9 @@ class TestAdGroup:
         # the depth is tight: (ad Y)^(depth - 1) of a generic n̄ row is far above rounding
         P = parabolic_of(name)
         word = sample_group_element(P, sample_rng(0, 0))
-        P.algebra.ad_group(word, depth=P.roots.depth)
+        _ad(P.algebra, word, depth=P.roots.depth)
         with pytest.raises(InputError, match="ad-nilpotent"):
-            P.algebra.ad_group(word, depth=P.roots.depth - 1)
+            _ad(P.algebra, word, depth=P.roots.depth - 1)
 
     @pytest.mark.parametrize("name", ["sl2", "su(1,2)", "f4", "su(3,3)"])
     def test_cut_raises_on_a_row_outside_the_grading(self, name, parabolic_of):
@@ -234,13 +239,39 @@ class TestAdGroup:
         L = P.algebra
         E = P.roots.space_of(P.roots.simple_roots[0])[0]
         with pytest.raises(InputError, match="ad-nilpotent"):
-            L.ad_group((E + L.theta @ E)[None], depth=P.roots.depth)
+            _ad(L, (E + L.theta @ E)[None], depth=P.roots.depth)
+
+    @pytest.mark.parametrize("name", ["f4", "sp(1,3)", "su(3,3)"])
+    def test_row_action_is_the_matrix_on_the_rows(self, name, parabolic_of):
+        P = parabolic_of(name)
+        L = P.algebra
+        rows = np.random.default_rng(3).standard_normal((5, L.dim))
+        words = [sample_group_element(P, sample_rng(0, 0)), P.weyl, np.zeros((0, L.dim))]
+        for word in words:
+            full = np.eye(L.dim)
+            for X in word:
+                full = full @ expm(L.ad(X))
+            ref = rows @ full.T
+            got = L.ad_group(word, rows, P.roots.depth)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_nilpotency_check_is_on_the_rows(self):
+        # (ad E02)^2 kills E21 ([E02, E21] = E01, [E02, E01] = 0) but not all of sl3
+        L = get_algebra("sl3")
+        X = _unit(L, "E02")[None]
+        got = L.ad_group(X, _unit(L, "E21")[None], depth=2)
+        assert np.abs(got[0] - _unit(L, "E21") - _unit(L, "E01")).max() <= 1e-15
+        assert np.array_equal(L.ad_group(X, X, depth=1), X)
+        with pytest.raises(InputError, match="ad-nilpotent"):
+            L.ad_group(X, np.eye(L.dim), depth=2)
+        with pytest.raises(InputError, match="ad-nilpotent"):
+            L.ad_group(X, _unit(L, "E20")[None], depth=2)
 
     @pytest.mark.parametrize("shape", [(52,), (2, 51), (1, 2, 52)],
                              ids=["vector", "wrong-width", "three-index"])
     def test_rejects_a_wrongly_shaped_word(self, shape):
         with pytest.raises(InputError, match="word"):
-            get_algebra("f4").ad_group(np.zeros(shape))
+            _ad(get_algebra("f4"), np.zeros(shape))
 
 
 class TestClosure:
@@ -371,6 +402,26 @@ class TestValidate:
             c[j, i, k] -= 1e-3          # still exactly antisymmetric
             with pytest.raises(ConstructionError, match="Jacobi"):
                 validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
+
+    def test_every_slice_is_checked(self):
+        # the Jacobiator of an exactly antisymmetric tensor is alternating, so a violated
+        # triple shows up in three slices and no perturbation can tell a loop that skips one
+        # slice from the full loop; record the slices the check reads instead
+        reads = set()
+
+        class SliceSpy(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, int):
+                    reads.add(("first", key))
+                elif isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], int):
+                    reads.add(("second", key[1]))
+                return super().__getitem__(key)
+
+        L = get_algebra("sl3")
+        validate_algebra(LieAlgebra(labels=L.labels,
+                                    structure=np.array(L.bracket_tensor).view(SliceSpy)))
+        for kind in ("first", "second"):
+            assert sorted(i for k, i in reads if k == kind) == list(range(L.dim)), kind
 
     @pytest.mark.parametrize("factor", [2.0, -1.0])
     def test_rejects_a_wrongly_scaled_realization(self, su12, factor):

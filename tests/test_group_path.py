@@ -2,15 +2,15 @@
 
 Every group element the package builds is a word of ad-nilpotent rows (n̄
 samples and Weyl reflections written as root-vector triples), and
-``LieAlgebra.ad_group`` computes Ad(exp X_1 ... exp X_k) as
-exp(ad X_1) ... exp(ad X_k), each factor the terminating series
-(ad X)^k / k!.  No module needs a general matrix exponential, and one would
-bring back a second group path (exponentiate a realization matrix, then
+``LieAlgebra.ad_group(word, rows, depth)`` applies Ad(exp X_1 ... exp X_k) =
+exp(ad X_1) ... exp(ad X_k) to a block of rows, each factor the terminating
+series (ad X)^k / k!.  No module needs a general matrix exponential, and one
+would bring back a second group path (exponentiate a realization matrix, then
 conjugate and project), so no module defines, imports or uses ``expm`` or
 ``_expm``.  Every ``ad_group`` call in the package passes the ``depth`` of
-its parabolic's restricted roots, so no caller falls back to the ``dim``-term
-series.  The package depends on numpy alone: no module imports scipy, so no
-process pays for loading it.
+its parabolic's restricted roots, positionally after the rows or by keyword,
+so no caller falls back to the ``dim``-term series.  The package depends on
+numpy alone: no module imports scipy, so no process pays for loading it.
 """
 
 import ast
@@ -65,12 +65,12 @@ def _scipy_imports():
 
 
 def _ad_group_calls_without_depth():
-    """(file, line) of every ``ad_group(...)`` call that passes no ``depth``."""
+    """(file, line) of every ``ad_group(word, rows, depth)`` call that passes no ``depth``."""
     sites = []
     for name, tree in _trees():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "ad_group" and len(node.args) < 2
+                    and node.func.attr == "ad_group" and len(node.args) < 3
                     and not any(k.arg == "depth" for k in node.keywords)):
                 sites.append((name, node.lineno))
     return sites
@@ -104,12 +104,16 @@ def test_every_ad_group_call_passes_depth():
 
 def test_depth_guard_sees_a_bare_call(tmp_path, monkeypatch):
     (tmp_path / "a.py").write_text("ad = g.ad_group(word)\n")
-    (tmp_path / "b.py").write_text("ad = g.ad_group(word, depth=P.roots.depth)\n"
-                                   "ad = g.ad_group(word, 5)\n")
-    (tmp_path / "c.py").write_text("def ad_group(word, depth=None):\n    return word\n\n\n"
-                                   "ad = L.ad_group(np.zeros((0, 3)))\n")
+    (tmp_path / "b.py").write_text("ad = g.ad_group(word, rows, depth=P.roots.depth)\n"
+                                   "ad = g.ad_group(word, rows, 5)\n"
+                                   "ad = g.ad_group(word, depth=5, rows=rows)\n")
+    (tmp_path / "c.py").write_text("def ad_group(word, rows, depth=None):\n    return word\n\n\n"
+                                   "ad = L.ad_group(np.zeros((0, 3)), np.eye(3))\n")
+    (tmp_path / "d.py").write_text("moved = g.ad_group(word, h.basis)\n"
+                                   "moved = g.ad_group(word, rows=h.basis)\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert _ad_group_calls_without_depth() == [("a.py", 1), ("c.py", 5)]
+    assert _ad_group_calls_without_depth() == [("a.py", 1), ("c.py", 5), ("d.py", 1),
+                                               ("d.py", 2)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -223,6 +223,13 @@ class TestG2:
         validate_algebra(build_g2())
 
 
+def _nudged(rows, i, j, by=1e-7):
+    """A copy of nested cache rows with entry (i, j) moved by ``by``."""
+    rows = [list(r) for r in rows]
+    rows[i][j] += by
+    return rows
+
+
 class TestF4:
     def test_dim_signature(self, f4bundle):
         L = f4bundle.algebra
@@ -312,9 +319,11 @@ class TestF4:
                                                        in doc["involutions"].items()}}),
         lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
                                                        if k != "so(1,8)"}}),
+        lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 7, 100)}),
+        lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 51, 728)}),
     ], ids=["unreadable", "non-object", "provenance-int", "schema-1", "no-subalgebras",
             "missing-embedding", "derivations-shape", "involution-shape",
-            "missing-symmetric-subalgebra"])
+            "missing-symmetric-subalgebra", "derivation-entry-1e-7", "last-derivation-entry-1e-7"])
     def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
         import realflag.jordan as jordan_mod
         path = tmp_path / "f4.json"
@@ -322,6 +331,10 @@ class TestF4:
         assert jordan_mod._load_bundle(path) is not None
         path.write_text(corrupt(json.loads(path.read_text())))
         assert jordan_mod._load_bundle(path) is None
+
+    def test_clean_basis_passes_the_leibniz_check(self, f4bundle):
+        from realflag.jordan import _leibniz_residual
+        assert _leibniz_residual(f4bundle.derivations) < 1e-14
 
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
         # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from realflag.core import InputError
 from realflag.linalg import (RANK_BAND, brackets, complement_in, intersect_spans, null_rows,
                              numeric_rank, orth_rows, rank_certificate, signature_of,
                              span_residual)
@@ -31,6 +32,23 @@ def test_rank_empty():
 def test_rank_tol_validation():
     with pytest.raises(ValueError):
         numeric_rank(np.eye(2), tol=2.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-9, np.nan])
+@pytest.mark.parametrize("fn", [numeric_rank, rank_certificate])
+def test_bad_tol_is_an_input_error(fn, tol):
+    # the library's own error type, still a ValueError for older callers
+    with pytest.raises(InputError, match="tol must be in"):
+        fn(np.eye(2), tol=tol)
+
+
+def test_scale_is_an_absolute_reference_for_the_cut():
+    noise = np.diag([3e-16, 2e-16, 1e-16])
+    assert numeric_rank(noise) == 3
+    assert numeric_rank(noise, scale=1.0) == 0
+    assert numeric_rank(np.diag([1.0, 1e-3, 1e-12]), scale=1e-6) == 2
+    rank, upper, lower, ambiguous = rank_certificate(np.diag([0.5, 1e-16]), scale=2.0)
+    assert (rank, upper, lower, ambiguous) == (1, 0.25, 5e-17, False)
 
 
 def test_rank_monotone_in_tol():

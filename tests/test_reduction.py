@@ -12,8 +12,8 @@ def _translated(pd, samples=16):
     """h moved by a sphericality witness so that h + p = g at the identity."""
     rep = is_spherical(pd.g, pd.h, pd.P, samples=samples, seed=0)
     assert rep.witness is not None
-    ad = pd.g.ad_group(rep.witness)
-    return subalgebra(pd.g, pd.h.basis @ ad.T, name=f"{pd.h.name}@w", validate=False)
+    return subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis), name=f"{pd.h.name}@w",
+                      validate=False)
 
 
 class TestParabolicAlpha:

@@ -156,8 +156,7 @@ class TestIsSpherical:
         base = is_spherical(pd.g, pd.h, pd.P, samples=8, seed=0).verdict
         for trial in range(10):
             y = sample_group_element(pd.P, sample_rng(1234, trial))
-            ad = pd.g.ad_group(y)
-            moved = subalgebra(pd.g, pd.h.basis @ ad.T, name="moved", validate=False)
+            moved = subalgebra(pd.g, pd.g.ad_group(y, pd.h.basis), name="moved", validate=False)
             rep = is_spherical(pd.g, moved, pd.P, samples=8, seed=0)
             assert rep.verdict == base
 
