@@ -407,36 +407,36 @@ def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray,
 # -- validation -------------------------------------------------------------
 
 def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
-    """Check the structural invariants; raise ConstructionError on failure."""
+    """Check the structural invariants, NaN-safe; raise ConstructionError on failure."""
+    if not all(np.isfinite(x).all() for x in (L.structure, L.theta, L.matrices) if x is not None):
+        raise ConstructionError("structure constants, theta or matrices are not finite")
     c = L.bracket_tensor
     if not np.array_equal(c, -np.einsum("ijk->jik", c)):
         raise ConstructionError("bracket tensor is not exactly antisymmetric")
     cmax = max(np.abs(c).max(), 1.0)
-    d = L.dim
-    worst = 0.0
+    d, worst = L.dim, 0.0
     for i in range(d):          # one slice of the d^4 Jacobi tensor at a time, over (j, k)
         ijk = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)        # [[e_i, e_j], e_k]
         jki = (c.reshape(d * d, d) @ c[:, i, :]).reshape(d, d, d)  # [[e_j, e_k], e_i]
         # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j] since c is exactly antisymmetric
-        worst = max(worst, float(np.abs(ijk - ijk.transpose(1, 0, 2) + jki).max()))
-    if worst > 1e-9 * cmax * cmax * d:
+        worst = np.maximum(worst, np.abs(ijk - ijk.transpose(1, 0, 2) + jki).max())
+    if not worst <= 1e-9 * cmax * cmax * d:
         raise ConstructionError(f"Jacobi identity fails (residual {worst:.2e})")
     if L.theta is not None:
         th = L.theta
-        if np.linalg.norm(th @ th - np.eye(L.dim)) > 1e-9 * L.dim:
+        if not np.linalg.norm(th @ th - np.eye(L.dim)) <= 1e-9 * L.dim:
             raise ConstructionError("theta is not an involution")
         lhs = c @ th.T                                 # theta([e_i, e_j])
         rhs = brackets(c, th.T, th.T)                  # [theta e_i, theta e_j]
-        if np.abs(lhs - rhs).max() > 1e-8 * cmax:
+        if not np.abs(lhs - rhs).max() <= 1e-8 * cmax:
             raise ConstructionError("theta is not an automorphism")
     if L.matrices is not None:
-        mats = L.matrices
-        worst = 0.0
+        mats, worst = L.matrices, 0.0
         for i in range(d):      # [M_i, M_j] against sum_k c_ijk M_k, one i at a time
             com = mats[i] @ mats - mats @ mats[i]
-            worst = max(worst, float(np.abs(com - np.tensordot(c[i], mats, axes=(1, 0))).max()))
+            worst = np.maximum(worst, np.abs(com - np.tensordot(c[i], mats, axes=(1, 0))).max())
         scale = max(np.abs(mats).max() ** 2, 1e-30)
-        if worst > 1e-8 * scale * max(1.0, cmax):
+        if not worst <= 1e-8 * scale * max(1.0, cmax):
             raise ConstructionError("matrix realization does not reproduce the bracket")
 
 

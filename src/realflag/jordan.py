@@ -278,39 +278,55 @@ def sample_cone_points(count: int, seed: int = 0) -> list[ConePoint]:
 
 # -- derivation algebras -------------------------------------------------------
 
+def _derivation_system(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Nonzeros (rows, cols, vals) and row count of the derivation system of ``table``.
+
+    Row p n + e is component e of the Leibniz rule for the p-th pair a <= b, column i n + j
+    is D[i, j]; a shared entry sums the three terms in order, and exact zeros are dropped.
+    """
+    n = table.shape[0]
+    a, b = np.triu_indices(n)
+    e = np.arange(n)[:, None]
+    p, c = np.nonzero(table[a, b])                 # D[e, c] (e_a e_b)_c
+    i2, p2, e2 = np.nonzero(table[:, b, :])        # D[i, a] (e_i e_b)_e
+    p3, i3, e3 = np.nonzero(table[a])              # D[i, b] (e_a e_i)_e
+    keys = np.concatenate([((p * n + e) * n + e) * n + c, (p2 * n + e2) * n * n + i2 * n + a[p2],
+                           (p3 * n + e3) * n * n + i3 * n + b[p3]], axis=None)
+    vals = np.concatenate([np.broadcast_to(table[a[p], b[p], c], (n, len(p))),
+                           -table[i2, b[p2], e2], -table[a[p3], i3, e3]], axis=None)
+    keys, where = np.unique(keys, return_inverse=True)
+    total = np.bincount(where, weights=vals)       # adds in input order, from 0.0
+    return *np.divmod(keys[total != 0], n * n), total[total != 0], a.size * n
+
+
 def derivation_algebra(table: np.ndarray,
                        expected_dim: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Orthonormal basis, as (dim, n, n), of the derivations of a bilinear product,
     and the rank margin (s_r / s_1, s_{r+1} / s_1) of the system that defines them.
 
     ``table[a, b, :]`` is e_a e_b.  A derivation D satisfies
-    D(e_a e_b) = D(e_a) e_b + e_a D(e_b) for a <= b, a linear system A in the
-    n^2 entries of D.  Two unknowns are linked when a row holds both, so no row
-    spans two connected components: A is block diagonal up to a permutation,
-    with the blocks' singular values and right singular vectors.  Each block's
-    null space comes from an SVD of R in block = QR, refined once; the rank cut
-    is SOLVER_TOL times the largest singular value of any block, s_1 of A.
+    D(e_a e_b) = D(e_a) e_b + e_a D(e_b) for a <= b, a sparse linear system A in
+    the n^2 entries of D.  Two unknowns are linked when a row holds both, so A is
+    block diagonal up to a permutation.  Each block is scattered from A's nonzeros
+    into a dense array, rows and unknowns ascending; its null space comes from an
+    SVD of R in block = QR, refined once.  The rank cut is SOLVER_TOL times s_1 of A.
     """
     n = table.shape[0]
-    a, b = np.triu_indices(n)
-    ar = np.arange(n)
-    p, e, i = np.ix_(np.arange(a.size), ar, ar)
-    A = np.zeros((a.size, n, n, n))            # [pair, component e, row i of D, column of D]
-    A[:, ar, ar, :] = table[a, b][:, None, :]
-    A[p, e, i, a[:, None, None]] -= table[:, b, :].transpose(1, 2, 0)
-    A[p, e, i, b[:, None, None]] -= table[a].transpose(0, 2, 1)
-    A = A.reshape(-1, n * n)
-    rows, cols = np.nonzero(A)
+    rows, cols, vals, n_rows = _derivation_system(table)
     label, old = np.arange(n * n), None       # smallest unknown linked to each unknown
     while not np.array_equal(label, old):
-        old, low = label, np.full(len(A), n * n)
+        old, low = label, np.full(n_rows, n * n)
         np.minimum.at(low, rows, label[cols])
         label = label.copy()
         np.minimum.at(label, cols, low[rows])
     blocks = []
     for k in np.unique(label):
-        R = np.linalg.qr(A[np.ix_(np.unique(rows[label[cols] == k]), label == k)], mode="r")
-        blocks.append((label == k, R, *np.linalg.svd(R)))
+        unknowns, inside = label == k, label[cols] == k
+        at = np.unique(rows[inside], return_inverse=True)[1]
+        block = np.zeros((at.max() + 1, unknowns.sum()))
+        block[at, np.cumsum(unknowns)[cols[inside]] - 1] = vals[inside]
+        R = np.linalg.qr(block, mode="r")
+        blocks.append((unknowns, R, *np.linalg.svd(R)))
     s_all = np.sort(np.concatenate([s for *_, s, _ in blocks]))[::-1]
     _, upper, lower, ambiguous = _cut_certificate(s_all, SOLVER_TOL)
     if ambiguous:
@@ -446,11 +462,15 @@ def cache_path() -> Path:
 def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
     """f4 restricted to V, with theta from conjugation by diag(1, 1, -1).
 
-    The bracket is derived from the matrices on first use.
+    Q D Q^T (Q the trace-free rows) sums each row's at most three nonzeros in einsum's order.
     """
     theta = _conjugation_matrix(derivs, _THETA_VEC)
     Q = _trace_free_rows()
-    mats = np.einsum("va,iab,wb->ivw", Q, derivs, Q)
+    col = np.argsort(Q == 0, axis=1, kind="stable")[:, :3]    # nonzero columns first
+    w = np.take_along_axis(Q, col, axis=1)
+    mats = np.zeros((len(derivs), len(Q), len(Q)))            # C order, unlike the terms
+    for s, t in np.ndindex(3, 3):
+        mats += w[:, s, None] * derivs[:, col[:, s, None], col[None, :, t]] * w[None, :, t]
     return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
                       theta=theta, name="f4")
 

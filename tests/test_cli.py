@@ -168,6 +168,23 @@ class TestCheck:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("case", ["infinite-bracket", "nan-theta"])
+    def test_non_finite_pair_file_exits_three(self, capsys, tmp_path, case):
+        path = write_pair_file(tmp_path, [[0.0, 0.0, 1.0]])
+        text, doc = path.read_text(), json.loads(path.read_text())
+        if case == "infinite-bracket":           # json.loads reads 1e999 as inf
+            i, j, k, _ = doc["bracket"][0]
+            text = text.replace(json.dumps(doc["bracket"][0]), f"[{i}, {j}, {k}, 1e999]", 1)
+            assert "1e999" in text
+        else:
+            doc["theta"][0][0] = float("nan")    # json.dumps writes NaN
+            text = json.dumps(doc)
+        path.write_text(text)
+        assert main(["check", "--pair", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "not finite" in err
+
     @pytest.mark.parametrize("tol", ["2", "0", "-0.5", "nan", "tight"])
     def test_tol_outside_unit_interval_is_a_usage_error(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:

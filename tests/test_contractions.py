@@ -22,8 +22,6 @@ ALLOWED = {
         "public Jordan product of two 27-vectors through the Jordan tensor; no sampling path",
     ("jordan.py", "trace_form", "a,b,abc->c"):
         "one Jordan product per trace-form value in f4 verify; no sampling path",
-    ("jordan.py", "_f4_algebra", "va,iab,wb->ivw"):
-        "builds the f4 matrices on V; the witnesses and derived bracket depend on their bits",
     ("cli.py", "cmd_f4", "a,b,abc->c"):
         "f4 verify's cone-invariance residual, one Jordan product per sampled point",
 }

@@ -423,6 +423,22 @@ class TestValidate:
         for kind in ("first", "second"):
             assert sorted(i for k, i in reads if k == kind) == list(range(L.dim)), kind
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_residual_that_overflows_to_nan_fails(self, so14):
+        # finite constants whose Jacobi products overflow: inf - inf is NaN, bound is inf
+        c = 1e200 * np.array(so14.bracket_tensor)
+        with pytest.raises(ConstructionError, match="Jacobi"):
+            validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
+
+    @pytest.mark.parametrize("what", ["structure", "theta", "matrices"])
+    def test_rejects_non_finite_input(self, su12, what):
+        parts = {"structure": np.array(su12.bracket_tensor), "theta": np.array(su12.theta),
+                 "matrices": np.array(su12.matrices)}
+        parts[what].flat[1] = np.inf
+        with pytest.raises(ConstructionError, match="not finite"):
+            validate_algebra(LieAlgebra(labels=su12.labels, **parts))
+
     @pytest.mark.parametrize("factor", [2.0, -1.0])
     def test_rejects_a_wrongly_scaled_realization(self, su12, factor):
         L = LieAlgebra(labels=su12.labels, matrices=factor * su12.matrices,

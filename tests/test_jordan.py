@@ -10,7 +10,8 @@ from realflag.core import ConstructionError, InputError, killing_form, validate_
 from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingError,
                              F4Bundle, JordanElement, Octonion,
                              _complex_conjugation_derivation, _coords_to_matrix,
-                             _matrix_to_coords, _table_hash, build_g2, cone_point,
+                             _derivation_system, _f4_algebra, _matrix_to_coords,
+                             _table_hash, _trace_free_rows, build_g2, cone_point,
                              derivation_algebra, f4_subalgebra, jordan_coords,
                              jordan_mul, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
@@ -190,6 +191,18 @@ class TestDerivationAlgebra:
         assert N.shape[1] == len(flat) == dim
         assert np.linalg.norm(flat.T - N @ (N.T @ flat.T), 2) <= 1e-12
 
+    @pytest.mark.parametrize("which", ["octonions", "jordan", "generic"])
+    def test_sparse_system_equals_the_unsplit_system(self, which):
+        # the exact tables pin the dropping of entries that cancel; a generic table, whose
+        # sums round, pins the order in which shared entries are summed
+        table = {"octonions": lambda: OCT_TABLE, "jordan": jordan_tensor,
+                 "generic": lambda: np.random.default_rng(0).standard_normal((6, 6, 6))}[which]()
+        rows, cols, vals, n_rows = _derivation_system(table)
+        A = np.zeros((n_rows, table.shape[0] ** 2))
+        A[rows, cols] = vals
+        assert np.array_equal(A, _unsplit_system(table))
+        assert (vals != 0).all() and np.array_equal(np.nonzero(A), (rows, cols))
+
     def test_wrong_dimension_raises(self, solved):
         table, dim, _, _ = solved
         with pytest.raises(ConstructionError, match=f"expected {dim + 1}"):
@@ -257,6 +270,26 @@ class TestF4:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_solve_peaks_below_8_mb(self):
+        # the system is built from its nonzeros; the dense 10206 x 729 system alone is 59 MB
+        table = jordan_tensor()
+        tracemalloc.start()
+        try:
+            derivation_algebra(table, 52)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_realization_rounds_as_the_einsum(self, f4bundle):
+        # the witnesses and the derived bracket depend on these bits; Q D Q^T is off by an ulp.
+        # Generic matrices, whose products round, pin the order of the factors too
+        Q = _trace_free_rows()
+        for derivs in (f4bundle.derivations, np.random.default_rng(0).standard_normal((52, 27, 27))):
+            mats = _f4_algebra(derivs).matrices
+            assert np.array_equal(mats, np.einsum("va,iab,wb->ivw", Q, derivs, Q))
+            assert mats.flags.c_contiguous      # the bracket's products run on these
 
     def test_derivations_bracket_closed(self, f4bundle):
         rng = np.random.default_rng(6)
