@@ -178,7 +178,6 @@ def cmd_f4(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     pts = jordan.sample_cone_points(args.samples, seed=args.seed)
-    P27 = jordan.jordan_tensor()
     worst_inv = 0.0
     worst_skew = 0.0
     xc_min = np.inf
@@ -186,8 +185,8 @@ def cmd_f4(args) -> int:
         w = pt.w
         co = rng.standard_normal(52)
         D = bundle.derivation_of(co)
-        worst_inv = max(worst_inv, float(np.linalg.norm(
-            np.einsum("a,b,abc->c", w, D @ w, P27))) / max(1.0, float(w @ w)))
+        worst_inv = max(worst_inv, float(np.linalg.norm(jordan.jordan_product(w, D @ w)))
+                        / max(1.0, float(w @ w)))
         x = rng.standard_normal(27)
         y = rng.standard_normal(27)
         skew = jordan.trace_form(D @ x, y) + jordan.trace_form(x, D @ y)

@@ -414,12 +414,14 @@ def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
     if not np.array_equal(c, -np.einsum("ijk->jik", c)):
         raise ConstructionError("bracket tensor is not exactly antisymmetric")
     cmax = max(np.abs(c).max(), 1.0)
+    # c is exactly antisymmetric, so the Jacobiator J(i, j, k) is alternating: it changes
+    # sign exactly under any swap and is exactly 0 when an index repeats; i < j < k suffice
     d, worst = L.dim, 0.0
-    for i in range(d):          # one slice of the d^4 Jacobi tensor at a time, over (j, k)
-        ijk = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)        # [[e_i, e_j], e_k]
-        jki = (c.reshape(d * d, d) @ c[:, i, :]).reshape(d, d, d)  # [[e_j, e_k], e_i]
-        # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j] since c is exactly antisymmetric
-        worst = np.maximum(worst, np.abs(ijk - ijk.transpose(1, 0, 2) + jki).max())
+    for i in range(d - 2):      # one slice at a time, over j, k > i
+        s = slice(i + 1, None)
+        r = c[i, s] @ c[s]      # r[k, j] = [e_k, [e_i, e_j]] = -[[e_i, e_j], e_k]
+        # [[e_k, e_i], e_j] = r[j, k] and [[e_j, e_k], e_i] = -(c[j, k] @ c[i])
+        worst = np.maximum(worst, np.abs(r - r.transpose(1, 0, 2) - c[s, s] @ c[i]).max())
     if not worst <= 1e-9 * cmax * cmax * d:
         raise ConstructionError(f"Jacobi identity fails (residual {worst:.2e})")
     if L.theta is not None:
@@ -432,9 +434,12 @@ def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
             raise ConstructionError("theta is not an automorphism")
     if L.matrices is not None:
         mats, worst = L.matrices, 0.0
-        for i in range(d):      # [M_i, M_j] against sum_k c_ijk M_k, one i at a time
-            com = mats[i] @ mats - mats @ mats[i]
-            worst = np.maximum(worst, np.abs(com - np.tensordot(c[i], mats, axes=(1, 0))).max())
+        # [M_i, M_j] against sum_k c_ijk M_k, one i at a time and for j > i only: both sides
+        # negate exactly under i <-> j and vanish when i = j
+        for i in range(d - 1):
+            s = slice(i + 1, None)
+            com = mats[i] @ mats[s] - mats[s] @ mats[i]
+            worst = np.maximum(worst, np.abs(com - np.tensordot(c[i, s], mats, axes=(1, 0))).max())
         scale = max(np.abs(mats).max() ** 2, 1e-30)
         if not worst <= 1e-8 * scale * max(1.0, cmax):
             raise ConstructionError("matrix realization does not reproduce the bracket")
@@ -486,9 +491,11 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
         labels = doc.get("labels") or [f"e{i}" for i in range(dim)]
         c = np.zeros((dim, dim, dim))
         for i, j, k, val in doc["bracket"]:
+            if not all(0 <= x < dim for x in (i, j, k)):   # numpy would count -1 from the end
+                raise IndexError(f"bracket index outside [0, {dim}): {[i, j, k]}")
             c[i, j, k] = val
             c[j, i, k] = -val
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
     if len(labels) != dim:
         raise InputError("labels length disagrees with dim")

@@ -164,18 +164,12 @@ def _oct_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("...ijqr,...jkq->...ikr", np.tensordot(A, OCT_TABLE, axes=(-1, 0)), B)
 
 
-def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """x o y = (xy + yx)/2 on 27-coordinates."""
-    A, B = _coords_to_matrix(wx), _coords_to_matrix(wy)
-    return _matrix_to_coords((_oct_matmul(A, B) + _oct_matmul(B, A)) / 2.0)
-
-
 @lru_cache(maxsize=1)
 def jordan_tensor() -> np.ndarray:
     """Bilinear table P[a, b, :] = e_a o e_b on the 27 coordinates.
 
     Built from the stacked basis matrices; every entry is an exact small dyadic
-    sum, so the table equals the one ``jordan_coords`` gives pair by pair.
+    sum, so the table equals the one pairwise matrix products give.
     """
     E = _coords_to_matrix(np.eye(W_DIM))                          # [a, i, j, p]
     prod = _oct_matmul(E[:, None], E)                              # e_a e_b
@@ -212,16 +206,18 @@ class JordanElement:
         return JordanElement(np.ones(3), np.zeros((3, 8)))
 
 
+def jordan_product(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """x o y on 27-coordinates: two matrix-vector products with the Jordan tensor."""
+    return wy @ (wx @ jordan_tensor().reshape(W_DIM, -1)).reshape(W_DIM, W_DIM)
+
+
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
-    P = jordan_tensor()
-    return JordanElement.from_coords(np.einsum("a,b,abc->c", x.coords, y.coords, P))
+    return JordanElement.from_coords(jordan_product(x.coords, y.coords))
 
 
 def trace_form(wx: np.ndarray, wy: np.ndarray) -> float:
     """tr(x o y) on coordinates."""
-    P = jordan_tensor()
-    prod = np.einsum("a,b,abc->c", wx, wy, P)
-    return float(prod[:3].sum())
+    return float(jordan_product(wx, wy)[:3].sum())
 
 
 # -- cone points --------------------------------------------------------------
@@ -258,7 +254,7 @@ def cone_point(c1: Octonion | np.ndarray, c2: Octonion | np.ndarray,
     c3 = -oconj(omul(c1, c2))
     w = np.concatenate([[n2, n1, -1.0], c1, c2, c3])
     elem = JordanElement.from_coords(w)
-    sq = jordan_coords(w, w)
+    sq = jordan_product(w, w)
     if np.linalg.norm(sq) > 1e-9 * max(1.0, float(w @ w)):
         raise ConstructionError("cone point does not square to zero")
     return ConePoint(x=elem)
@@ -404,7 +400,7 @@ class F4Bundle:
     provenance: dict
 
     def derivation_of(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->jk", np.asarray(coeffs, dtype=float), self.derivations)
+        return np.tensordot(np.asarray(coeffs, dtype=float), self.derivations, axes=1)
 
 
 def _solve_der_w() -> tuple[np.ndarray, tuple[float, float]]:
@@ -652,8 +648,7 @@ def f4_subalgebra(bundle: F4Bundle, key: str) -> Subalgebra:
 
 def derivation_images(bundle: F4Bundle, h_basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows D_a(x) for a basis of a subalgebra (coefficients against f4) at x = w."""
-    acts = np.einsum("ai,ijk->ajk", np.atleast_2d(h_basis), bundle.derivations)
-    return acts @ w
+    return np.atleast_2d(h_basis) @ (bundle.derivations @ w)
 
 
 def projective_orbit_dim(bundle: F4Bundle, h_basis: np.ndarray, point: ConePoint,

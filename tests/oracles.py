@@ -9,7 +9,8 @@ projective line as a half-circle, the light-cone sphere S^2 as a lat-long
 grid), evaluates the subalgebra's vector fields at every node, and counts
 connected components of the equal-orbit-dimension strata.  For the
 rank-one pairs it is applied to this equals the orbit count.  It never
-touches the library's orbit machinery.
+touches the library's orbit machinery.  The Jordan oracle multiplies two
+elements as twisted Hermitian octonion matrices, one pair at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from realflag.linalg import intersect_spans, numeric_rank, stack_span
+from realflag.jordan import _coords_to_matrix, _matrix_to_coords, _oct_matmul
+
+
+def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """x o y = (xy + yx)/2 on 27-coordinates, through the 3x3 octonion matrices."""
+    A, B = _coords_to_matrix(wx), _coords_to_matrix(wy)
+    return _matrix_to_coords((_oct_matmul(A, B) + _oct_matmul(B, A)) / 2.0)
 
 
 def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +159,8 @@ class TestCheck:
         assert report["verdict"] == "spherical"
         assert len(report["witness"]) == 1
 
-    @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row"])
+    @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
+                                      "negative-bracket-index"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = ["x", 0.0, 0.0] if case == "non-numeric-row" else [0.0, 0.0, 1.0]
         path = write_pair_file(tmp_path, [row])
@@ -163,6 +168,11 @@ class TestCheck:
             path.write_text(path.read_text()[:-1])
         elif case == "non-object":
             path.write_text(f"[{path.read_text()}]")
+        elif case == "negative-bracket-index":   # the same bracket, with index 2 written -1
+            doc = json.loads(path.read_text())
+            entry = next(e for e in doc["bracket"] if e[1] == 2)
+            entry[1] = -1
+            path.write_text(json.dumps(doc))
         assert main(["check", "--pair", str(path)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -184,6 +194,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "not finite" in err
+
+    def test_only_the_witness_depends_on_the_blas_thread_count(self, f4bundle):
+        # BLAS may split a product differently per thread count, which moves the witness's
+        # last bits; the verdict, the dimensions and every other key must not move
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        docs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-m", "realflag.cli", "check", "--pair",
+                                  "berger:f4:so(1,8)", "--json"], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            docs.append(json.loads(out.stdout))
+        witnesses = [doc.pop("witness") for doc in docs]
+        assert all(witnesses) and docs[0] == docs[1]
 
     @pytest.mark.parametrize("tol", ["2", "0", "-0.5", "nan", "tight"])
     def test_tol_outside_unit_interval_is_a_usage_error(self, capsys, tol):

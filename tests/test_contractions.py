@@ -18,12 +18,6 @@ ALLOWED = {
         "quaternion products that build the octonion table fingerprinted by _table_hash",
     ("jordan.py", "omul", "i,j,ijk->k"):
         "octonion product behind Octonion.__mul__ and the cone points, whose bits it fixes",
-    ("jordan.py", "jordan_mul", "a,b,abc->c"):
-        "public Jordan product of two 27-vectors through the Jordan tensor; no sampling path",
-    ("jordan.py", "trace_form", "a,b,abc->c"):
-        "one Jordan product per trace-form value in f4 verify; no sampling path",
-    ("cli.py", "cmd_f4", "a,b,abc->c"):
-        "f4 verify's cone-invariance residual, one Jordan product per sampled point",
 }
 
 

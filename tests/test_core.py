@@ -392,6 +392,23 @@ class TestProperties:
         validate_algebra(get_algebra(name))
 
 
+def _so3_and_centre(centre, defect=0.0):
+    """so(3) plus a 2-dimensional centre placed before or after it, with a realization on R^5.
+
+    so(3) acts on R^3 by (M_a)_jk = -eps_ajk and the centre by E_33, E_44.  ``defect`` adds
+    [e_0, e_2] += defect e_0 inside so(3), which keeps the bracket exactly antisymmetric and
+    breaks Jacobi in the so(3) triple only: (0, 1, 2) after the centre, (d-3, d-2, d-1) before.
+    """
+    c, mats = np.zeros((5, 5, 5)), np.zeros((5, 5, 5))
+    for a, b, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[a, b, k], c[b, a, k] = 1.0, -1.0
+        mats[a, b, k], mats[a, k, b] = -1.0, 1.0
+    c[0, 2, 0], c[2, 0, 0] = defect, -defect
+    mats[3, 3, 3] = mats[4, 4, 4] = 1.0
+    order = [0, 1, 2, 3, 4] if centre == "after" else [3, 4, 0, 1, 2]
+    return c[np.ix_(order, order, order)], mats[order]
+
+
 class TestValidate:
     def test_rejects_a_perturbed_jacobi_entry(self, so14):
         # the check runs slice by slice over the first index; perturb the first and the last
@@ -403,25 +420,27 @@ class TestValidate:
             with pytest.raises(ConstructionError, match="Jacobi"):
                 validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
 
-    def test_every_slice_is_checked(self):
-        # the Jacobiator of an exactly antisymmetric tensor is alternating, so a violated
-        # triple shows up in three slices and no perturbation can tell a loop that skips one
-        # slice from the full loop; record the slices the check reads instead
-        reads = set()
+    # the check reads each Jacobi triple i < j < k and each realization pair i < j once; these
+    # place the only defect in the first or the last of them, so a loop that skips it passes
+    @pytest.mark.parametrize("centre", ["after", "before"])
+    def test_jacobi_sees_the_first_and_the_last_triple(self, centre):
+        c, _ = _so3_and_centre(centre, defect=0.5)
+        L = LieAlgebra(labels=tuple("abcde"), structure=c)
+        with pytest.raises(ConstructionError, match="Jacobi"):
+            validate_algebra(L)
+        c, _ = _so3_and_centre(centre)
+        validate_algebra(LieAlgebra(labels=tuple("abcde"), structure=c))
 
-        class SliceSpy(np.ndarray):
-            def __getitem__(self, key):
-                if isinstance(key, int):
-                    reads.add(("first", key))
-                elif isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], int):
-                    reads.add(("second", key[1]))
-                return super().__getitem__(key)
-
-        L = get_algebra("sl3")
-        validate_algebra(LieAlgebra(labels=L.labels,
-                                    structure=np.array(L.bracket_tensor).view(SliceSpy)))
-        for kind in ("first", "second"):
-            assert sorted(i for k, i in reads if k == kind) == list(range(L.dim)), kind
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_realization_sees_the_first_and_the_last_pair(self, which):
+        # the centre comes first when mats[0] is perturbed and last when mats[-1] is; t E_34
+        # added to one central matrix fails to commute with the other central matrix only, so
+        # the defect is in pair (0, 1) or (d - 2, d - 1) alone
+        c, mats = _so3_and_centre("before" if which == 0 else "after")
+        validate_algebra(LieAlgebra(labels=tuple("abcde"), structure=c, matrices=mats.copy()))
+        mats[which, 3, 4] = 1e-3
+        with pytest.raises(ConstructionError, match="realization"):
+            validate_algebra(LieAlgebra(labels=tuple("abcde"), structure=c, matrices=mats))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -469,6 +488,22 @@ class TestJSON:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConstructionError):
             load_algebra(path)
+
+    @pytest.mark.parametrize("entry", [[-1, 0, 1, 1.0], [2, -3, 1, 1.0], [2, 0, 3, 1.0]])
+    def test_loader_rejects_an_index_outside_the_dimension(self, entry):
+        # so(3) with its entry [e_2, e_0] = e_1 written with one index outside [0, 3); numpy
+        # alone would read -1 as 2 and -3 as 0 and load so(3)
+        with pytest.raises(InputError, match="outside"):
+            load_algebra({"dim": 3, "bracket": [[0, 1, 2, 1.0], [1, 2, 0, 1.0], entry]})
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": -1, "bracket": []},
+        {"dim": "three", "bracket": []},
+        {"dim": 3, "bracket": [[0, 1, 2]]},
+    ], ids=["negative-dim", "word-dim", "short-row"])
+    def test_loader_rejects_a_malformed_document(self, doc):
+        with pytest.raises(InputError, match="malformed"):
+            load_algebra(doc)
 
     def test_loader_rejects_malformed(self, tmp_path):
         path = tmp_path / "junk.json"

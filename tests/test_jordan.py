@@ -12,12 +12,14 @@ from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingErr
                              _complex_conjugation_derivation, _coords_to_matrix,
                              _derivation_system, _f4_algebra, _matrix_to_coords,
                              _table_hash, _trace_free_rows, build_g2, cone_point,
-                             derivation_algebra, f4_subalgebra, jordan_coords,
-                             jordan_mul, jordan_tensor, omul, oconj,
+                             derivation_algebra, derivation_images, f4_subalgebra,
+                             jordan_mul, jordan_product, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points, trace_form)
 from realflag.linalg import RANK_BAND, signature_of
 from realflag.realforms import _complex_basis_u, build_classical
+
+from oracles import jordan_coords
 
 
 class TestOctonions:
@@ -99,6 +101,13 @@ class TestJordanAlgebra:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal((2, 27))
         assert abs(trace_form(x, y) - trace_form(y, x)) < 1e-12
+
+    def test_product_and_trace_form_match_the_matrix_product(self):
+        rng = np.random.default_rng(5)
+        for x, y in rng.standard_normal((10, 2, 27)):
+            ref = jordan_coords(x, y)
+            assert np.allclose(jordan_product(x, y), ref, rtol=0, atol=1e-12)
+            assert np.isclose(trace_form(x, y), ref[:3].sum(), rtol=1e-13)
 
     def test_trace_form_signature(self):
         P = jordan_tensor()
@@ -503,6 +512,15 @@ class TestProjectiveOrbits:
         pts = sample_cone_points(100, seed=4)
         dims = [projective_orbit_dim(f4bundle, f4bundle.subalgebras["g2"], pt) for pt in pts]
         assert max(dims) <= 11
+
+    def test_images_are_the_combined_maps_at_the_point(self, f4bundle):
+        # oracle: build each map sum_i h_ai D_i on W, then apply it to x
+        w = sample_cone_points(1, seed=6)[0].w
+        for key in ("g2", "su21+su3"):
+            h = f4bundle.subalgebras[key]
+            ref = np.einsum("ai,ijk->ajk", h, f4bundle.derivations) @ w
+            assert np.allclose(derivation_images(f4bundle, h, w), ref, rtol=0, atol=1e-12)
+            assert np.allclose(f4bundle.derivation_of(h[-1]) @ w, ref[-1], rtol=0, atol=1e-12)
 
     def test_full_algebra_orbit_is_open(self, f4bundle):
         # f4 itself acts with open orbit on the 15-dimensional flag variety
