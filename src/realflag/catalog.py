@@ -26,9 +26,8 @@ import numpy as np
 from .core import LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
 from .realforms import (ParabolicData, _complex_basis_u, _complex_to_quaternion_real,
-                        build_classical, embed_division, from_matrices, get_algebra,
-                        matrix_involution, minimal_parabolic, realify_complex,
-                        realify_quaternion, restricted_roots)
+                        build_classical, from_matrices, get_algebra, matrix_involution,
+                        minimal_parabolic, realify_complex, realify_quaternion, restricted_roots)
 
 EXPECT_SPHERICAL = "spherical"
 EXPECT_NOT_SPHERICAL = "not-spherical"
@@ -189,10 +188,7 @@ def _sp_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
     N = n + 1
     p = n - 4 * k
     mats = _so_block_matrices(N, 1, p, 0)
-    sp = embed_division("quaternion", (0, k), "so")
-    for co in sp.basis:
-        M = np.einsum("i,ijk->jk", co, sp.ambient.matrices)
-        mats.append(_pad(M, N, p + 1))
+    mats += [_pad(M, N, p + 1) for M in build_classical("sp", 0, k).matrices]
     return from_matrices(g, mats, name=f"so(1,{p})+sp({k})"), None
 
 

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ConstructionError, InputError, LieError, load_algebra, read_json,
-                   subalgebra)
+                   subalgebra, validate_algebra)
 from .catalog import VERDICT_MATCHES, build_pair, catalog_entries, get_entry
+from .linalg import signature_of
 from .orbits import (nonreductive_orbit_count, normalize_nonreductive,
                      symmetric_coincidence)
 from .realforms import minimal_parabolic
@@ -151,9 +152,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_f4(args) -> int:
     from . import jordan
-    from .core import validate_algebra
-    from .linalg import signature_of
-    from .realforms import minimal_parabolic as build_parabolic
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -173,7 +171,7 @@ def cmd_f4(args) -> int:
     g2 = jordan.build_g2()
     add("g2", g2.dim == 14 and signature_of(g2.killing) == (0, 14),
         f"dim={g2.dim} sig={signature_of(g2.killing)}")
-    P = build_parabolic(L)
+    P = minimal_parabolic(L)
     add("flag-dimension", P.dim_flag == 15, f"dim g/p={P.dim_flag}")
 
     rng = np.random.default_rng(args.seed)

@@ -491,8 +491,9 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
         labels = doc.get("labels") or [f"e{i}" for i in range(dim)]
         c = np.zeros((dim, dim, dim))
         for i, j, k, val in doc["bracket"]:
-            if not all(0 <= x < dim for x in (i, j, k)):   # numpy would count -1 from the end
-                raise IndexError(f"bracket index outside [0, {dim}): {[i, j, k]}")
+            # numpy would count -1 from the end and read a boolean as a mask
+            if any(isinstance(x, bool) or not 0 <= x < dim for x in (i, j, k)):
+                raise IndexError(f"bracket index outside the integers [0, {dim}): {[i, j, k]}")
             c[i, j, k] = val
             c[j, i, k] = -val
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -316,7 +316,7 @@ def derivation_algebra(table: np.ndarray,
         label = label.copy()
         np.minimum.at(label, cols, low[rows])
     blocks = []
-    for k in np.unique(label):
+    for k in np.flatnonzero(label == np.arange(n * n)):   # one representative per block
         unknowns, inside = label == k, label[cols] == k
         at = np.unique(rows[inside], return_inverse=True)[1]
         block = np.zeros((at.max() + 1, unknowns.sum()))

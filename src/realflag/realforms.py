@@ -5,8 +5,12 @@ algebras (complex and quaternionic entries are realified blockwise), with
 the Cartan involution X -> -X^T.  ``restricted_roots`` extracts a maximal
 abelian subspace of s, the joint ad-eigenspace decomposition, and the
 simple roots; ``minimal_parabolic`` assembles p = m + a + n together with
-a Weyl representative, a word of simple reflections whose adjoint action
-maps n onto the opposite nilpotent.  Each reflection is the root-vector
+a Weyl representative of the longest element w0, a word of simple reflections
+whose adjoint action maps n onto the opposite nilpotent.  The word comes
+from the descent rule on the Cartan matrix (Humphreys, Reflection Groups
+and Coxeter Groups, 1.6-1.8): starting from w = 1, while some simple root
+has w(alpha_i) > 0, replace w by w s_i; each step raises the length by one,
+so the word is reduced and stops at w0.  Each reflection is the root-vector
 word exp(E) exp(theta E) exp(E), so every row of every word the package
 builds is ad-nilpotent.
 """
@@ -497,7 +501,8 @@ class ParabolicData:
 
     ``weyl`` is a word (rows W_1, ..., W_k: the group element
     exp(W_1) ... exp(W_k)) of simple-reflection triples from ``_sl2_weyl``,
-    with Ad(weyl) a = a and Ad(weyl) n = nbar.
+    one per letter of a reduced word for w0, with Ad(weyl) a = a and
+    Ad(weyl) n = nbar.
     """
 
     algebra: LieAlgebra
@@ -548,29 +553,23 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
     nbar = orth_rows(stack_span(*roots.negative_spaces()), tol)
     p_basis = orth_rows(stack_span(roots.m, roots.a, n), tol)
 
-    # Weyl representative: search short words of simple reflections with Ad(w) n = nbar
-    simples = [_sl2_weyl(L, roots, alpha, tol) for alpha in roots.simple_roots]
-    simple_ads = [L.ad_group(W, np.eye(L.dim), roots.depth).T for W in simples]
-    frontier = [(np.zeros((0, L.dim)), np.eye(L.dim))]
-    weyl = None
-    max_len = int(roots.positive.sum())
-    for _ in range(max_len):
-        new_frontier = []
-        for x, adx in frontier:
-            for W, ads in zip(simples, simple_ads):
-                y = np.vstack([W, x])
-                ady = ads @ adx
-                if in_span(n @ ady.T, nbar, 1e-7) and in_span(roots.a @ ady.T, roots.a, 1e-7):
-                    weyl = y
-                    break
-                new_frontier.append((y, ady))
-            if weyl is not None:
-                break
-        if weyl is not None:
-            break
-        frontier = new_frontier
-    if weyl is None:
-        raise ConstructionError("no Weyl word maps n onto nbar")
+    # Weyl representative by descent: column i of w is w(alpha_i) in simple-root coordinates
+    S = roots.simple_roots
+    gram = S @ np.linalg.solve(roots.a @ L.b_theta @ roots.a.T, S.T)
+    cartan = 2.0 * gram / np.diag(gram)            # cartan[j, i] = <alpha_j, alpha_i^vee>
+    if np.abs(cartan - np.round(cartan)).max() > 1e-6:
+        raise ConstructionError("the Cartan matrix of the simple roots is not integral")
+    cartan = np.round(cartan)
+    w, word = np.eye(len(S)), []
+    while (up := np.flatnonzero(w.sum(axis=0) > 0)).size:
+        if len(word) == roots.positive.sum():
+            raise ConstructionError("the descent is longer than the number of positive roots")
+        w -= np.outer(w[:, up[0]], cartan[:, up[0]])     # w <- w s_i
+        word.append(_sl2_weyl(L, roots, S[up[0]], tol))
+    weyl = np.vstack(word)
+    moved = L.ad_group(weyl, np.vstack([n, roots.a]), roots.depth)
+    if not (in_span(moved[:len(n)], nbar, 1e-7) and in_span(moved[len(n):], roots.a, 1e-7)):
+        raise ConstructionError("the Weyl word does not map n onto nbar")
 
     alg_name = L.name or "g"
     return ParabolicData(

@@ -160,7 +160,7 @@ class TestCheck:
         assert len(report["witness"]) == 1
 
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
-                                      "negative-bracket-index"])
+                                      "negative-bracket-index", "boolean-bracket-index"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = ["x", 0.0, 0.0] if case == "non-numeric-row" else [0.0, 0.0, 1.0]
         path = write_pair_file(tmp_path, [row])
@@ -172,6 +172,10 @@ class TestCheck:
             doc = json.loads(path.read_text())
             entry = next(e for e in doc["bracket"] if e[1] == 2)
             entry[1] = -1
+            path.write_text(json.dumps(doc))
+        elif case == "boolean-bracket-index":  # one more entry, indexed [false, true, 2]
+            doc = json.loads(path.read_text())
+            doc["bracket"].append([False, True, 2, 1.0])
             path.write_text(json.dumps(doc))
         assert main(["check", "--pair", str(path)]) == 3
         err = capsys.readouterr().err

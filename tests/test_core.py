@@ -489,10 +489,12 @@ class TestJSON:
         with pytest.raises(ConstructionError):
             load_algebra(path)
 
-    @pytest.mark.parametrize("entry", [[-1, 0, 1, 1.0], [2, -3, 1, 1.0], [2, 0, 3, 1.0]])
+    @pytest.mark.parametrize("entry", [[-1, 0, 1, 1.0], [2, -3, 1, 1.0], [2, 0, 3, 1.0],
+                                       [False, True, 2, 1.0]])
     def test_loader_rejects_an_index_outside_the_dimension(self, entry):
         # so(3) with its entry [e_2, e_0] = e_1 written with one index outside [0, 3); numpy
-        # alone would read -1 as 2 and -3 as 0 and load so(3)
+        # alone would read -1 as 2 and -3 as 0 and load so(3), and would read the booleans
+        # as a mask, leaving c[0, 1, 2] at 0
         with pytest.raises(InputError, match="outside"):
             load_algebra({"dim": 3, "bracket": [[0, 1, 2, 1.0], [1, 2, 0, 1.0], entry]})
 

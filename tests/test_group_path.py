@@ -116,11 +116,22 @@ def test_depth_guard_sees_a_bare_call(tmp_path, monkeypatch):
                                                ("d.py", 2)]
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_stdout(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this tree's package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = ("import sys, realflag.cli, realflag.jordan\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_stdout("import sys, realflag.cli, realflag.jordan\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                         ) == "[]"
+
+
+def test_g2_build_loads_no_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma; the derivation solve avoids it
+    assert _fresh_stdout("import sys\nfrom realflag.jordan import build_g2\nbuild_g2()\n"
+                         "print('numpy.ma' in sys.modules)") == "False"

@@ -1,14 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from realflag.core import (InputError, UnsupportedOperation, cartan_decomposition,
-                           validate_algebra)
+from realflag.core import (ConstructionError, InputError, UnsupportedOperation,
+                           cartan_decomposition, validate_algebra)
 from realflag.linalg import in_span, span_residual, stack_span
 import realflag.realforms as realforms
 from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
                                 build_classical, diagonal_embed, direct_sum,
                                 embed_division, factor_embed, get_algebra,
-                                matrix_involution, restricted_roots)
+                                matrix_involution, minimal_parabolic, restricted_roots)
+
+from test_core import DEPTHS
+
+WEYL_AMBIENTS = sorted(DEPTHS) + ["sl4"]
+# length of the longest Weyl element; every other ambient of WEYL_AMBIENTS has real rank one
+WEYL_LENGTHS = {"sl3": 3, "sl2^3": 3, "su(2,2)": 4, "sp(2,3)": 4, "sl4": 6, "so(3,4)": 9,
+                "su(3,3)": 9}
 
 
 def _weyl_ad(P):
@@ -232,24 +241,53 @@ class TestMinimalParabolic:
         nnn = np.einsum("ai,bj,ijk->abk", P.n.basis, nn, g.bracket_tensor)
         assert np.abs(nnn).max() < 1e-8
 
-    def test_weyl_swaps_root_spaces(self, parabolic_of):
-        P = parabolic_of("su(1,2)")
-        ad = _weyl_ad(P)
-        for j in (1.0, 2.0):
-            sp = P.roots.space_of([j])
-            target = P.roots.space_of([-j])
-            if sp.shape[0]:
-                assert in_span(sp @ ad.T, target, 1e-7)
+    @pytest.mark.parametrize("name", WEYL_AMBIENTS)
+    def test_weyl_swaps_root_spaces(self, name, parabolic_of):
+        # Ad(w) moves t @ a to t @ A @ a, so it maps the root space of beta onto that of
+        # A^-1 beta, a root of the opposite sign: n goes onto nbar
+        P = parabolic_of(name)
+        roots, ad = P.roots, _weyl_ad(P)
+        A = np.linalg.lstsq(roots.a.T, ad @ roots.a.T, rcond=None)[0].T
+        for beta, space, positive in zip(roots.root_vectors, roots.root_spaces, roots.positive):
+            image = np.linalg.solve(A, beta)
+            k = np.linalg.norm(roots.root_vectors - image, axis=1).argmin()
+            assert np.allclose(roots.root_vectors[k], image, atol=1e-6)
+            assert roots.positive[k] != positive
+            assert roots.root_spaces[k].shape[0] == space.shape[0]
+            assert in_span(space @ ad.T, roots.root_spaces[k], 1e-7)
 
-    def test_weyl_isometry_of_killing(self, parabolic_of):
-        P = parabolic_of("so(1,4)")
+    @pytest.mark.parametrize("name", WEYL_AMBIENTS)
+    def test_weyl_isometry_of_killing(self, name, parabolic_of):
+        P = parabolic_of(name)
         B = P.algebra.killing
         ad = _weyl_ad(P)
         assert np.abs(ad.T @ B @ ad - B).max() < 1e-8 * max(1.0, np.abs(B).max())
 
-    def test_weyl_fixes_a(self, parabolic_of):
-        P = parabolic_of("sp(1,2)")
+    @pytest.mark.parametrize("name", WEYL_AMBIENTS)
+    def test_weyl_fixes_a(self, name, parabolic_of):
+        P = parabolic_of(name)
         assert in_span(P.roots.a @ _weyl_ad(P).T, P.roots.a, 1e-7)
+
+    @pytest.mark.parametrize("name", WEYL_AMBIENTS)
+    def test_weyl_word_is_reduced(self, name, parabolic_of):
+        # one sl2 triple per letter of a reduced word for the longest element
+        length = WEYL_LENGTHS.get(name, 1)
+        assert len(parabolic_of(name).weyl) == 3 * length
+
+    def test_weyl_needs_an_integral_cartan_matrix(self, parabolic_of):
+        # <alpha_1, (alpha_2/2)^vee> = -2 is integral, <alpha_2/2, alpha_1^vee> = -1/2 is not
+        roots = parabolic_of("sl3").roots
+        halved = replace(roots, simple_roots=roots.simple_roots * [[1.0], [0.5]])
+        with pytest.raises(ConstructionError, match="Cartan matrix"):
+            minimal_parabolic(roots.algebra, halved)
+
+    def test_weyl_descent_stops_at_the_number_of_positive_roots(self, parabolic_of):
+        # simple roots alpha and -alpha give the affine Cartan matrix [[2, -2], [-2, 2]],
+        # whose Weyl group is infinite: the descent never ends on its own
+        roots = parabolic_of("sl3").roots
+        affine = replace(roots, simple_roots=roots.simple_roots[:1] * [[1.0], [-1.0]])
+        with pytest.raises(ConstructionError, match="descent"):
+            minimal_parabolic(roots.algebra, affine)
 
     def test_dim_p_plus_flag(self, parabolic_of):
         for name in ["so(1,4)", "su(1,2)", "sp(1,2)"]:
