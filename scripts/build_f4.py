@@ -31,6 +31,10 @@ def main() -> int:
     upper, lower = bundle.provenance["solver_margin"]
     print(f"solver margin: s_r/s_1 = {upper:.3g}, s_r+1/s_1 = {lower:.3g} "
           f"(cut {bundle.provenance['solver_tol']:g})")
+    nonzeros = int((bundle.algebra.bracket_tensor != 0).sum()) // 2
+    residual = jordan._realization_residual(bundle.algebra)
+    print(f"cached bracket: {nonzeros} nonzeros c[i, j, k] with i < j, "
+          f"load-check residual {residual:.2g} (cut {jordan.LOAD_TOL:g})")
     print("subalgebra dimensions: " + ", ".join(
         f"{key} {len(basis)}" for key, basis in bundle.subalgebras.items()))
     print()

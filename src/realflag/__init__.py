@@ -11,8 +11,18 @@ from .spherical import SphericityReport, is_spherical, local_dim
 from .orbits import (bruhat_cell_of, nonreductive_orbit_count, normalize_nonreductive,
                      orbit_dim_at, symmetric_coincidence)
 from .reduction import induced_pair, levi_projection, parabolic_alpha
-from .jordan import (Octonion, JordanElement, build_f4, build_g2, cone_point,
-                     jordan_mul)
+
+# served from jordan on first use, so that importing the package loads neither jordan nor
+# the hashlib that keys the f4 cache
+_JORDAN_NAMES = ("Octonion", "JordanElement", "build_f4", "build_g2", "cone_point", "jordan_mul")
+
+
+def __getattr__(name):
+    if name in _JORDAN_NAMES:
+        from . import jordan
+        return getattr(jordan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BilinearForm", "LieAlgebra", "Subalgebra", "SphericityReport",

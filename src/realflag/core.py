@@ -200,13 +200,16 @@ class Subalgebra:
         return self.basis.shape[0]
 
     def validate(self, tol: float = 1e-8) -> None:
+        """InputError unless the basis is finite, independent and closed under the bracket."""
         if self.dim == 0:
             return
+        if not np.isfinite(self.basis).all():
+            raise InputError(f"{self.name or 'subalgebra'}: basis is not finite")
         if numeric_rank(self.basis) != self.dim:
             raise InputError(f"{self.name or 'subalgebra'}: basis is not linearly independent")
         br = pairwise_brackets(self.ambient, self.basis)
         scale = float(np.linalg.norm(self.basis)) ** 2
-        if _closure_residual(self.ambient, br, self.basis, scale) > tol:
+        if not _closure_residual(self.ambient, br, self.basis, scale) <= tol:
             raise InputError(f"{self.name or 'subalgebra'}: not closed under the bracket")
 
     def contains(self, other: "Subalgebra | np.ndarray", tol: float = 1e-8) -> bool:

@@ -16,14 +16,16 @@ manifold of that algebra.
 g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor; it splits the derivation system
 into the blocks that no equation links and solves each.  The f4 build is
-cached to disk.  The cache (``CACHE_SCHEMA`` 4) holds only what the solve
-and the embedding search produce: the derivation basis, the bases of the
-eight subalgebras in ``F4_SUBALGEBRAS``, the two involutions and the
-provenance, which carries the solve's rank margin.  The realization on V,
-theta and the bracket are recomputed from the derivations on load.  A file
-is used only if its schema and its hash of the multiplication tables
-match and its derivations obey the Leibniz rule on fixed probe pairs; a
-stale, malformed or altered file is rebuilt and overwritten.
+cached to disk.  The cache (``CACHE_SCHEMA`` 5) holds what the solve and
+the embedding search produce: the derivation basis, the bases of the eight
+subalgebras in ``F4_SUBALGEBRAS``, the two involutions, the bracket the
+build derived from the realization, and the provenance, which carries the
+solve's rank margin.  The realization on V and theta are recomputed from
+the derivations on load.  A file is used only if its schema and its hash
+of the multiplication tables match, every array is finite, its derivations
+obey the Leibniz rule and its bracket reproduces the commutators of the
+realization on fixed probe pairs; a stale, malformed or altered file is
+rebuilt and overwritten.
 
 Every f4 subalgebra is read through ``f4_subalgebra``, which checks closure
 and the dimension in ``F4_SUBALGEBRAS`` and raises ``EmbeddingError``
@@ -47,10 +49,12 @@ from typing import Optional
 import numpy as np
 
 from .core import ConstructionError, InputError, LieAlgebra, Subalgebra
-from .linalg import _cut_certificate, numeric_rank, orth_rows, signature_of
+from .linalg import _cut_certificate, brackets, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
 SOLVER_TOL = 1e-9
+# a cached f4 file is a miss when its Leibniz or realization residual exceeds this
+LOAD_TOL = 1e-12
 
 
 class EmbeddingError(ConstructionError):
@@ -440,7 +444,7 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 # every subalgebra a bundle carries, by key, with its dimension
 F4_SUBALGEBRAS = {"g2": 14, "su3": 8, "su21": 8, "so12": 3, "su21+su3": 16, "so12+g2": 17,
                   "so(1,8)": 36, "sp(1,2)+sp(1)": 24}
@@ -455,8 +459,9 @@ def cache_path() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))) / "realflag" / "f4.json"
 
 
-def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
-    """f4 restricted to V, with theta from conjugation by diag(1, 1, -1).
+def _f4_algebra(derivs: np.ndarray, structure: Optional[np.ndarray] = None) -> LieAlgebra:
+    """f4 restricted to V, with theta from conjugation by diag(1, 1, -1), and the bracket
+    ``structure`` if given (else derived from the realization on first use).
 
     Q D Q^T (Q the trace-free rows) sums each row's at most three nonzeros in einsum's order.
     """
@@ -468,7 +473,7 @@ def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
     for s, t in np.ndindex(3, 3):
         mats += w[:, s, None] * derivs[:, col[:, s, None], col[None, :, t]] * w[None, :, t]
     return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
-                      theta=theta, name="f4")
+                      theta=theta, name="f4", structure=structure)
 
 
 def _build_bundle() -> F4Bundle:
@@ -549,12 +554,17 @@ def _build_bundle() -> F4Bundle:
 
 
 def _save_bundle(bundle: F4Bundle, path: Path) -> None:
+    """Write the bundle; the bracket goes in as its nonzero c[i, j, k] with i < j, the
+    index triples flattened into one list and the values in another."""
+    c = bundle.algebra.bracket_tensor
+    index = np.argwhere(np.triu(np.ones((52, 52), dtype=bool), 1)[:, :, None] & (c != 0.0))
     doc = {
         "schema": CACHE_SCHEMA,
         "provenance": bundle.provenance,
         "derivations": bundle.derivations.reshape(52, -1).tolist(),
         "subalgebras": {k: v.tolist() for k, v in bundle.subalgebras.items()},
         "involutions": {k: v.tolist() for k, v in bundle.involutions.items()},
+        "bracket": {"index": index.ravel().tolist(), "value": c[tuple(index.T)].tolist()},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -568,11 +578,31 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
 
 
 def _matrix(data, rows: int, cols: int) -> np.ndarray:
-    """A float matrix of shape (rows, cols)."""
+    """A finite float matrix of shape (rows, cols)."""
     arr = np.array(data, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ValueError(f"cached array has shape {arr.shape}")
+    if arr.shape != (rows, cols) or not np.isfinite(arr).all():
+        raise ValueError(f"cached array of shape {arr.shape} is not a finite {rows} x {cols}")
     return arr
+
+
+def _bracket(data) -> np.ndarray:
+    """The antisymmetric (52, 52, 52) bracket from its cached entries c[i, j, k], i < j.
+
+    Raises ValueError unless every index is an integer in range with i < j, no entry
+    repeats and every value is finite and nonzero.
+    """
+    index, value = np.array(data["index"]), np.array(data["value"], dtype=float)
+    if (index.dtype.kind != "i" or value.ndim != 1 or index.shape != (3 * len(value),)
+            or not np.isfinite(value).all()):
+        raise ValueError("cached bracket is not integer triples and finite values")
+    i, j, k = index.reshape(-1, 3).T
+    if not ((0 <= index) & (index < 52)).all() or not (i < j).all():
+        raise ValueError("cached bracket has an index out of range or i >= j")
+    c = np.zeros((52, 52, 52))
+    c[i, j, k], c[j, i, k] = value, -value
+    if np.count_nonzero(c) != 2 * len(value):
+        raise ValueError("cached bracket repeats an entry or holds a zero")
+    return c
 
 
 def _leibniz_residual(derivs: np.ndarray) -> float:
@@ -586,8 +616,18 @@ def _leibniz_residual(derivs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 
+def _realization_residual(L: LieAlgebra) -> float:
+    """Relative residual of [X, Y] = sum_k c(x, y)_k M_k over three fixed pairs (sines of
+    integers, as in ``_leibniz_residual``)."""
+    X, Y = np.sin(np.arange(1, 6 * L.dim + 1)).reshape(2, 3, L.dim)
+    MX, MY = np.tensordot(X, L.matrices, 1), np.tensordot(Y, L.matrices, 1)
+    lhs = MX @ MY - MY @ MX
+    coeffs = brackets(L.bracket_tensor, X, Y)[[0, 1, 2], [0, 1, 2]]    # [x_a, y_a]
+    return float(np.abs(lhs - np.tensordot(coeffs, L.matrices, 1)).max() / np.abs(lhs).max())
+
+
 def _load_bundle(path: Path) -> Optional[F4Bundle]:
-    """The cached bundle, or None if the file is missing, stale or malformed."""
+    """The cached bundle, or None if the file is missing, stale, malformed or not finite."""
     try:
         doc = json.loads(path.read_text())
         if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
@@ -596,11 +636,15 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
         subalgebras = {k: _matrix(doc["subalgebras"][k], dim, 52)
                        for k, dim in F4_SUBALGEBRAS.items()}
         involutions = {k: _matrix(doc["involutions"][k], 52, 52) for k in _SYMMETRIC}
+        c = _bracket(doc["bracket"])
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    if not _leibniz_residual(derivs) <= 1e-12:      # about 5e-16 on a sound file; NaN fails
+    if not _leibniz_residual(derivs) <= LOAD_TOL:      # about 5e-16 on a sound file
         return None
-    return F4Bundle(algebra=_f4_algebra(derivs), derivations=derivs, subalgebras=subalgebras,
+    L = _f4_algebra(derivs, structure=c)
+    if not _realization_residual(L) <= LOAD_TOL:       # about 8e-16 on a sound file
+        return None
+    return F4Bundle(algebra=L, derivations=derivs, subalgebras=subalgebras,
                     involutions=involutions, provenance=doc["provenance"])
 
 

@@ -160,9 +160,11 @@ class TestCheck:
         assert len(report["witness"]) == 1
 
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
-                                      "negative-bracket-index", "boolean-bracket-index"])
+                                      "nan-subalgebra-row", "negative-bracket-index",
+                                      "boolean-bracket-index"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
-        row = ["x", 0.0, 0.0] if case == "non-numeric-row" else [0.0, 0.0, 1.0]
+        row = {"non-numeric-row": ["x", 0.0, 0.0],
+               "nan-subalgebra-row": [float("nan"), 0.0, 1.0]}.get(case, [0.0, 0.0, 1.0])
         path = write_pair_file(tmp_path, [row])
         if case == "invalid-json":
             path.write_text(path.read_text()[:-1])

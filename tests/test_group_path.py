@@ -131,6 +131,14 @@ def test_cli_import_loads_no_scipy():
                          ) == "[]"
 
 
+def test_package_import_loads_no_jordan():
+    # the jordan names are served on first use; hashlib comes in only with jordan
+    assert _fresh_stdout("import sys, realflag.cli\n"
+                         "print('realflag.jordan' in sys.modules, 'hashlib' in sys.modules)\n"
+                         "from realflag import build_f4\n"
+                         "print(build_f4.__module__)") == "False False\nrealflag.jordan"
+
+
 def test_g2_build_loads_no_numpy_ma():
     # np.unique without return_inverse imports numpy.ma; the derivation solve avoids it
     assert _fresh_stdout("import sys\nfrom realflag.jordan import build_g2\nbuild_g2()\n"

@@ -252,6 +252,33 @@ def _nudged(rows, i, j, by=1e-7):
     return rows
 
 
+def _bracket_edit(bracket, n, value=0.0, k=None, swap=False, drop=False, repeat=False):
+    """A copy of the cached bracket with entry ``n`` moved by ``value``, its k replaced by
+    ``k(k)``, its i and j swapped, or the entry dropped or written twice."""
+    index, values = list(bracket["index"]), list(bracket["value"])
+    n %= len(values)
+    values[n] += value
+    if k is not None:
+        index[3 * n + 2] = k(index[3 * n + 2])
+    if swap:
+        index[3 * n], index[3 * n + 1] = index[3 * n + 1], index[3 * n]
+    if drop:
+        del index[3 * n: 3 * n + 3], values[n]
+    if repeat:
+        index, values = index + index[3 * n: 3 * n + 3], values + values[n: n + 1]
+    return {"index": index, "value": values}
+
+
+def _bracket_case(n, **edit):
+    return lambda doc: json.dumps({**doc, "bracket": _bracket_edit(doc["bracket"], n, **edit)})
+
+
+def _nan_case(field):
+    """A NaN written into the so(1,8) array of ``field``."""
+    return lambda doc: json.dumps({**doc, field: {
+        **doc[field], "so(1,8)": _nudged(doc[field]["so(1,8)"], 3, 4, np.nan)}})
+
+
 class TestF4:
     def test_dim_signature(self, f4bundle):
         L = f4bundle.algebra
@@ -333,15 +360,18 @@ class TestF4:
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
         doc = json.loads((tmp_path / "f4.json").read_text())
-        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 4
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 5
         upper, lower = doc["provenance"]["solver_margin"]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
-                            "involutions"}
+                            "involutions", "bracket"}
         assert set(doc["subalgebras"]) == set(F4_SUBALGEBRAS)
+        # the nonzero c[i, j, k] with i < j: half of the bracket's nonzeros
+        assert 2 * len(doc["bracket"]["value"]) == np.count_nonzero(fresh.algebra.bracket_tensor)
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         loaded = jordan_mod.f4_bundle()
-        assert np.allclose(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor)
+        assert loaded.algebra.structure is not None
+        assert np.array_equal(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor)
         assert np.array_equal(loaded.derivations, fresh.derivations)
         assert np.array_equal(loaded.algebra.matrices, fresh.algebra.matrices)
         assert np.array_equal(loaded.algebra.theta, fresh.algebra.theta)
@@ -363,9 +393,25 @@ class TestF4:
                                                        if k != "so(1,8)"}}),
         lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 7, 100)}),
         lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 51, 728)}),
+        _nan_case("subalgebras"),
+        _nan_case("involutions"),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "bracket"}),
+        _bracket_case(0, value=1e-7),
+        _bracket_case(-1, value=1e-7),
+        _bracket_case(5, value=np.nan),
+        _bracket_case(3, k=lambda k: (k + 1) % 52),     # onto an unused k
+        _bracket_case(-1, k=lambda k: 52),
+        _bracket_case(9, swap=True),
+        _bracket_case(9, drop=True),
+        _bracket_case(9, repeat=True),
+        _bracket_case(9, k=lambda k: k + 0.5),
     ], ids=["unreadable", "non-object", "provenance-int", "schema-1", "no-subalgebras",
             "missing-embedding", "derivations-shape", "involution-shape",
-            "missing-symmetric-subalgebra", "derivation-entry-1e-7", "last-derivation-entry-1e-7"])
+            "missing-symmetric-subalgebra", "derivation-entry-1e-7", "last-derivation-entry-1e-7",
+            "nan-subalgebra", "nan-involution", "no-bracket", "bracket-entry-1e-7",
+            "last-bracket-entry-1e-7", "nan-bracket-value", "bracket-k-shifted",
+            "bracket-k-52", "bracket-i-above-j", "bracket-entry-dropped",
+            "bracket-entry-repeated", "bracket-float-index"])
     def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
         import realflag.jordan as jordan_mod
         path = tmp_path / "f4.json"
@@ -378,8 +424,44 @@ class TestF4:
         from realflag.jordan import _leibniz_residual
         assert _leibniz_residual(f4bundle.derivations) < 1e-14
 
+    def test_clean_bracket_passes_the_realization_check(self, f4bundle, tmp_path):
+        # a nudge at the check's own scale still loads, as with the Leibniz check
+        import realflag.jordan as jordan_mod
+        from realflag.jordan import _realization_residual
+        assert _realization_residual(f4bundle.algebra) < 1e-14
+        path = tmp_path / "f4.json"
+        jordan_mod._save_bundle(f4bundle, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "bracket": _bracket_edit(doc["bracket"], 0, 1e-12)}))
+        assert jordan_mod._load_bundle(path) is not None
+
+    def test_warm_load_never_derives_the_bracket(self, f4bundle, tmp_path, monkeypatch):
+        import realflag.jordan as jordan_mod
+        from realflag import core
+        from realflag.catalog import build_pair
+        from realflag.realforms import minimal_parabolic
+        from realflag.spherical import is_spherical
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm f4 load derived the bracket from the realization")
+
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
+        monkeypatch.setattr(core, "_structure_from_matrices", forbidden)
+        monkeypatch.setattr(core.LieAlgebra, "_flat_pinv", property(forbidden))
+        monkeypatch.setattr(jordan_mod, "_build_bundle", forbidden)
+        monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+        bundle = jordan_mod.f4_bundle()
+        assert bundle is not f4bundle
+        assert minimal_parabolic(bundle.algebra).dim_flag == 15
+        pd = build_pair("max:f4:so(1,2)+g2")
+        assert pd.g is bundle.algebra
+        report = is_spherical(pd.g, pd.h, pd.P, samples=8, seed=0)
+        assert report.verdict == "not-spherical-at-confidence"
+
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
-        # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve
+        # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve,
+        # schema 4 no bracket
         import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
@@ -391,14 +473,14 @@ class TestF4:
             return f4bundle
 
         monkeypatch.setattr(jordan_mod, "_build_bundle", build)
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": old}))
             builds.clear()
             for _ in range(2):
                 monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
                 jordan_mod.f4_bundle()
             assert len(builds) == 1
-            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 4
+            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 5
 
     @pytest.mark.parametrize("fail", ["json.dumps", "os.replace"])
     def test_failed_write_keeps_the_old_cache(self, f4bundle, tmp_path, monkeypatch, fail):
