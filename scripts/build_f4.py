@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from realflag import jordan
@@ -26,11 +28,15 @@ def main() -> int:
     bundle = jordan.f4_bundle(rebuild=not args.keep_cache)
     print(f"bundle ready in {time.monotonic() - t0:.2f}s "
           f"(solver: {bundle.provenance['build_seconds']}s at build time)")
-    print(f"cache: {jordan.cache_path()}")
+    print(f"cache: {jordan.cache_path()} ({jordan.cache_path().stat().st_size:,} bytes)")
     print(f"table hash: {bundle.provenance['table_hash'][:16]}...")
     upper, lower = bundle.provenance["solver_margin"]
     print(f"solver margin: s_r/s_1 = {upper:.3g}, s_r+1/s_1 = {lower:.3g} "
           f"(cut {bundle.provenance['solver_tol']:g})")
+    stored = {"derivations": bundle.derivations, **bundle.subalgebras,
+              **{f"involution {key}": sigma for key, sigma in bundle.involutions.items()}}
+    print("cached nonzeros: " + ", ".join(
+        f"{name} {np.count_nonzero(array)}" for name, array in stored.items()))
     nonzeros = int((bundle.algebra.bracket_tensor != 0).sum()) // 2
     residual = jordan._realization_residual(bundle.algebra)
     print(f"cached bracket: {nonzeros} nonzeros c[i, j, k] with i < j, "

@@ -450,18 +450,55 @@ def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
 
 # -- JSON interchange --------------------------------------------------------
 
+def to_entries(a: np.ndarray, bracket: bool = False) -> dict:
+    """The nonzeros of ``a`` (a -0.0 is a zero) as ``{"index": flat indices, "value": values}``
+    in C order; of an antisymmetric ``bracket`` c, only its c[i, j, k] with i < j."""
+    keep = a != 0.0
+    if bracket:
+        keep &= np.triu(np.ones(a.shape[:2], dtype=bool), 1)[:, :, None]
+    index = np.flatnonzero(keep)
+    return {"index": index.tolist(), "value": a.ravel()[index].tolist()}
+
+
+def from_entries(entries: dict, shape: tuple[int, ...], bracket: bool = False) -> np.ndarray:
+    """The float array of ``shape`` that holds ``entries`` (as ``to_entries`` writes them)
+    and zeros elsewhere; a ``bracket`` is mirrored, c[j, i, k] = -c[i, j, k], so it comes
+    back exactly antisymmetric.
+
+    Raises ValueError unless every index is an integer inside the array, no index repeats,
+    every value is finite and, for a bracket, every entry has i < j.
+    """
+    index, value = np.asarray(entries["index"]), np.asarray(entries["value"], dtype=float)
+    if index.ndim != 1 or index.shape != value.shape:
+        raise ValueError("entries are not two lists of equal length")
+    # an empty list reads as floats, and numpy reads JSON's true among integers as 1
+    if index.size and (index.dtype.kind != "i" or bool in map(type, entries["index"])):
+        raise ValueError("an entry index is not an integer")
+    out, index = np.zeros(shape), index.astype(np.intp)
+    if index.size and not 0 <= index.min() <= index.max() < out.size:
+        raise ValueError(f"an entry index lies outside the {out.size} entries of {shape}")
+    if np.unique(index).size != index.size:
+        raise ValueError("an entry is repeated")
+    if not np.isfinite(value).all():
+        raise ValueError("an entry value is not finite")
+    if not bracket:
+        out.flat[index] = value
+        return out
+    i, j, k = np.unravel_index(index, shape)
+    if (i >= j).any():
+        raise ValueError("a bracket entry c[i, j, k] has i >= j")
+    out[i, j, k], out[j, i, k] = value, -value
+    return out
+
+
 def save_algebra(L: LieAlgebra, path: str | Path) -> None:
     """Write the algebra in the interchange format (0-based sparse bracket)."""
-    c = L.bracket_tensor
-    entries = []
-    nz = np.argwhere(c != 0.0)
-    for i, j, k in nz:
-        if i < j:
-            entries.append([int(i), int(j), int(k), float(c[i, j, k])])
+    n, entries = L.dim, to_entries(L.bracket_tensor, bracket=True)
     doc = {
-        "dim": L.dim,
+        "dim": n,
         "labels": list(L.labels),
-        "bracket": entries,
+        "bracket": [[f // (n * n), f // n % n, f % n, val]
+                    for f, val in zip(entries["index"], entries["value"])],
     }
     if L.theta is not None:
         doc["theta"] = L.theta.tolist()
@@ -492,13 +529,14 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
     try:
         dim = int(doc["dim"])
         labels = doc.get("labels") or [f"e{i}" for i in range(dim)]
-        c = np.zeros((dim, dim, dim))
+        index, value = [], []
         for i, j, k, val in doc["bracket"]:
-            # numpy would count -1 from the end and read a boolean as a mask
+            # checked before flattening, which could turn -1 or a boolean into a valid index
             if any(isinstance(x, bool) or not 0 <= x < dim for x in (i, j, k)):
                 raise IndexError(f"bracket index outside the integers [0, {dim}): {[i, j, k]}")
-            c[i, j, k] = val
-            c[j, i, k] = -val
+            index.append((i * dim + j) * dim + k)
+            value.append(val)
+        c = from_entries({"index": index, "value": value}, (dim, dim, dim), bracket=True)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
     if len(labels) != dim:

@@ -16,16 +16,17 @@ manifold of that algebra.
 g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor; it splits the derivation system
 into the blocks that no equation links and solves each.  The f4 build is
-cached to disk.  The cache (``CACHE_SCHEMA`` 5) holds what the solve and
+cached to disk.  The cache (``CACHE_SCHEMA`` 6) holds what the solve and
 the embedding search produce: the derivation basis, the bases of the eight
 subalgebras in ``F4_SUBALGEBRAS``, the two involutions, the bracket the
 build derived from the realization, and the provenance, which carries the
-solve's rank margin.  The realization on V and theta are recomputed from
-the derivations on load.  A file is used only if its schema and its hash
-of the multiplication tables match, every array is finite, its derivations
-obey the Leibniz rule and its bracket reproduces the commutators of the
-realization on fixed probe pairs; a stale, malformed or altered file is
-rebuilt and overwritten.
+solve's rank margin, each array as its nonzero entries (``core.to_entries``).
+The realization on V and theta are recomputed from the derivations on load.
+A file is used only if its schema and its hash of the multiplication tables
+match, every array decodes (``core.from_entries``), its derivations obey the
+Leibniz rule and its bracket reproduces the commutators of the realization
+on fixed probe pairs; a stale, malformed or altered file is rebuilt and
+overwritten.
 
 Every f4 subalgebra is read through ``f4_subalgebra``, which checks closure
 and the dimension in ``F4_SUBALGEBRAS`` and raises ``EmbeddingError``
@@ -48,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstructionError, InputError, LieAlgebra, Subalgebra
+from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra, from_entries,
+                   to_entries)
 from .linalg import _cut_certificate, brackets, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
@@ -334,7 +336,7 @@ def derivation_algebra(table: np.ndarray,
                                 f"{upper:.1e}, s_r+1/s_1 = {lower:.1e})")
     null_blocks = []
     for unknowns, R, u, s, vh in blocks:
-        r = int((s > SOLVER_TOL * s_all[0]).sum())
+        r = _cut_certificate(s, SOLVER_TOL, s_all[0])[0]
         # one refinement step takes off the SVD's rounding along the row space, R^+ R v
         null = vh[r:] - vh[r:] @ R.T @ u[:, :r] / s[:r] @ vh[:r]
         null_blocks.append(np.zeros((len(null), n * n)))
@@ -444,7 +446,7 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 # every subalgebra a bundle carries, by key, with its dimension
 F4_SUBALGEBRAS = {"g2": 14, "su3": 8, "su21": 8, "so12": 3, "su21+su3": 16, "so12+g2": 17,
                   "so(1,8)": 36, "sp(1,2)+sp(1)": 24}
@@ -505,8 +507,7 @@ def _build_bundle() -> F4Bundle:
     L1 = OCT_TABLE[1].T                          # left multiplication by e1
     commute = np.array([(D @ L1 - L1 @ D).ravel() for D in g2.matrices])
     uu, ss, _ = np.linalg.svd(commute)
-    r = int((ss > 1e-9 * ss[0]).sum())
-    su3_coeff = uu[:, r:].T
+    su3_coeff = uu[:, _cut_certificate(ss, 1e-9)[0]:].T
     su3_lift = coeffs_of([_lift_octonion_derivation(np.einsum("i,ijk->jk", v, g2.matrices))
                           for v in su3_coeff], "su3 lift")
     if su3_lift.shape[0] != 8:
@@ -554,17 +555,14 @@ def _build_bundle() -> F4Bundle:
 
 
 def _save_bundle(bundle: F4Bundle, path: Path) -> None:
-    """Write the bundle; the bracket goes in as its nonzero c[i, j, k] with i < j, the
-    index triples flattened into one list and the values in another."""
-    c = bundle.algebra.bracket_tensor
-    index = np.argwhere(np.triu(np.ones((52, 52), dtype=bool), 1)[:, :, None] & (c != 0.0))
+    """Write the bundle, every array as its nonzero entries (``core.to_entries``)."""
     doc = {
         "schema": CACHE_SCHEMA,
         "provenance": bundle.provenance,
-        "derivations": bundle.derivations.reshape(52, -1).tolist(),
-        "subalgebras": {k: v.tolist() for k, v in bundle.subalgebras.items()},
-        "involutions": {k: v.tolist() for k, v in bundle.involutions.items()},
-        "bracket": {"index": index.ravel().tolist(), "value": c[tuple(index.T)].tolist()},
+        "derivations": to_entries(bundle.derivations),
+        "subalgebras": {k: to_entries(v) for k, v in bundle.subalgebras.items()},
+        "involutions": {k: to_entries(v) for k, v in bundle.involutions.items()},
+        "bracket": to_entries(bundle.algebra.bracket_tensor, bracket=True),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -575,34 +573,6 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _matrix(data, rows: int, cols: int) -> np.ndarray:
-    """A finite float matrix of shape (rows, cols)."""
-    arr = np.array(data, dtype=float)
-    if arr.shape != (rows, cols) or not np.isfinite(arr).all():
-        raise ValueError(f"cached array of shape {arr.shape} is not a finite {rows} x {cols}")
-    return arr
-
-
-def _bracket(data) -> np.ndarray:
-    """The antisymmetric (52, 52, 52) bracket from its cached entries c[i, j, k], i < j.
-
-    Raises ValueError unless every index is an integer in range with i < j, no entry
-    repeats and every value is finite and nonzero.
-    """
-    index, value = np.array(data["index"]), np.array(data["value"], dtype=float)
-    if (index.dtype.kind != "i" or value.ndim != 1 or index.shape != (3 * len(value),)
-            or not np.isfinite(value).all()):
-        raise ValueError("cached bracket is not integer triples and finite values")
-    i, j, k = index.reshape(-1, 3).T
-    if not ((0 <= index) & (index < 52)).all() or not (i < j).all():
-        raise ValueError("cached bracket has an index out of range or i >= j")
-    c = np.zeros((52, 52, 52))
-    c[i, j, k], c[j, i, k] = value, -value
-    if np.count_nonzero(c) != 2 * len(value):
-        raise ValueError("cached bracket repeats an entry or holds a zero")
-    return c
 
 
 def _leibniz_residual(derivs: np.ndarray) -> float:
@@ -632,11 +602,11 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
         doc = json.loads(path.read_text())
         if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
             return None
-        derivs = _matrix(doc["derivations"], 52, W_DIM * W_DIM).reshape(52, W_DIM, W_DIM)
-        subalgebras = {k: _matrix(doc["subalgebras"][k], dim, 52)
+        derivs = from_entries(doc["derivations"], (52, W_DIM, W_DIM))
+        subalgebras = {k: from_entries(doc["subalgebras"][k], (dim, 52))
                        for k, dim in F4_SUBALGEBRAS.items()}
-        involutions = {k: _matrix(doc["involutions"][k], 52, 52) for k in _SYMMETRIC}
-        c = _bracket(doc["bracket"])
+        involutions = {k: from_entries(doc["involutions"][k], (52, 52)) for k in _SYMMETRIC}
+        c = from_entries(doc["bracket"], (52, 52, 52), bracket=True)
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
     if not _leibniz_residual(derivs) <= LOAD_TOL:      # about 5e-16 on a sound file

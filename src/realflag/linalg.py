@@ -62,18 +62,12 @@ def orth_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = Non
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return np.zeros((0, M.shape[1] if M.ndim == 2 else 0))
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    ref = s[0] if s.size else 0.0
-    if scale is not None:
-        ref = max(ref, scale)
-    if s.size == 0 or ref == 0.0:
-        return np.zeros((0, M.shape[1]))
-    r = int((s > tol * ref).sum())
-    return vh[:r]
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    return vh[:_cut_certificate(s, tol, scale or 0.0)[0]]
 
 
 def null_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (rows) for the null space {x : M x = 0}.
+    """Orthonormal basis (rows) for the null space {x : M x = 0}; all of R^n for a zero M.
 
     ``scale`` sets an absolute reference for the rank cut, for inputs that
     may consist of rounding noise only.
@@ -82,14 +76,10 @@ def null_rows(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float | None = Non
     n = M.shape[1]
     if M.size == 0:
         return np.eye(n)
-    u, s, vh = np.linalg.svd(M)
-    ref = s[0] if s.size else 0.0
-    if scale is not None:
-        ref = max(ref, scale)
-    if s.size == 0 or ref == 0.0:
+    _, s, vh = np.linalg.svd(M)
+    if s[0] == 0.0 and not scale:
         return np.eye(n)
-    r = int((s > tol * ref).sum())
-    return vh[r:]
+    return vh[_cut_certificate(s, tol, scale or 0.0)[0]:]
 
 
 def brackets(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:

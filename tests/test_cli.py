@@ -11,7 +11,7 @@ from realflag import jordan
 from realflag.catalog import build_pair
 from realflag.cli import main
 from realflag.jordan import EmbeddingError
-from realflag.core import LieAlgebra, save_algebra
+from realflag.core import LieAlgebra, save_algebra, to_entries
 from realflag.realforms import get_algebra
 
 
@@ -108,7 +108,8 @@ class TestCheck:
         path = tmp_path / "f4.json"
         jordan._save_bundle(f4bundle, path)
         doc = json.loads(path.read_text())
-        doc["subalgebras"]["so(1,8)"] = np.random.default_rng(0).standard_normal((36, 52)).tolist()
+        basis = np.random.default_rng(0).standard_normal((36, 52))
+        doc["subalgebras"]["so(1,8)"] = to_entries(basis)
         path.write_text(json.dumps(doc))
         assert main(["check", "--pair", "berger:f4:so(1,8)", "--samples", "8"]) == 3
         out, err = capsys.readouterr()
@@ -123,7 +124,7 @@ class TestCheck:
         path = tmp_path / "f4.json"
         jordan._save_bundle(f4bundle, path)
         doc = json.loads(path.read_text())
-        doc["derivations"][7][100] += 1e-7
+        doc["derivations"]["value"][100] += 1e-7
         path.write_text(json.dumps(doc))
         builds = []
         build = jordan._build_bundle
@@ -132,7 +133,7 @@ class TestCheck:
         assert code == 0 and "not-spherical" in out
         assert builds == [1]
         rewritten = json.loads(path.read_text())["derivations"]
-        assert np.array_equal(rewritten, f4bundle.derivations.reshape(52, -1))
+        assert rewritten == to_entries(f4bundle.derivations)
 
     def test_pair_file(self, capsys, tmp_path):
         L = get_algebra("so(1,2)")
@@ -161,7 +162,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
                                       "nan-subalgebra-row", "negative-bracket-index",
-                                      "boolean-bracket-index"])
+                                      "boolean-bracket-index", "repeated-bracket-entry",
+                                      "bracket-i-above-j"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = {"non-numeric-row": ["x", 0.0, 0.0],
                "nan-subalgebra-row": [float("nan"), 0.0, 1.0]}.get(case, [0.0, 0.0, 1.0])
@@ -178,6 +180,16 @@ class TestCheck:
         elif case == "boolean-bracket-index":  # one more entry, indexed [false, true, 2]
             doc = json.loads(path.read_text())
             doc["bracket"].append([False, True, 2, 1.0])
+            path.write_text(json.dumps(doc))
+        elif case in ("repeated-bracket-entry", "bracket-i-above-j"):
+            # without "matrices" no realization check would catch a changed bracket
+            doc = json.loads(path.read_text())
+            del doc["matrices"]
+            i, j, k, val = doc["bracket"][0]
+            if case == "repeated-bracket-entry":   # read last, it would double c[i, j, k]
+                doc["bracket"].append([i, j, k, 2.0 * val])
+            else:                                  # the same c, written as c[j, i, k]
+                doc["bracket"][0] = [j, i, k, -val]
             path.write_text(json.dumps(doc))
         assert main(["check", "--pair", str(path)]) == 3
         err = capsys.readouterr().err

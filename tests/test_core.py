@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           as_algebra, cartan_decomposition, killing_form, load_algebra,
-                           noncompact_ideal, save_algebra, subalgebra, subalgebra_closure,
-                           validate_algebra)
+                           as_algebra, cartan_decomposition, from_entries, killing_form,
+                           load_algebra, noncompact_ideal, save_algebra, subalgebra,
+                           subalgebra_closure, to_entries, validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
 from realflag.realforms import _sl2_weyl, direct_sum, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
@@ -466,6 +467,10 @@ class TestValidate:
             validate_algebra(L)
 
 
+# so(3): [e_0, e_1] = e_2, [e_1, e_2] = e_0, [e_2, e_0] = e_1, as rows with i < j
+_SO3 = [[0, 1, 2, 1.0], [1, 2, 0, 1.0], [0, 2, 1, -1.0]]
+
+
 class TestJSON:
     def test_roundtrip(self, tmp_path, so14):
         path = tmp_path / "so14.json"
@@ -476,6 +481,12 @@ class TestJSON:
         assert np.allclose(back.theta, so14.theta, atol=1e-12)
         assert back.labels == so14.labels
 
+    def test_roundtrip_of_an_abelian_algebra(self, tmp_path):
+        path = tmp_path / "abelian.json"
+        save_algebra(LieAlgebra(labels=("a", "b"), structure=np.zeros((2, 2, 2))), path)
+        assert json.loads(path.read_text())["bracket"] == []
+        assert not load_algebra(path).bracket_tensor.any()
+
     def test_loader_validates_jacobi(self, tmp_path):
         doc = {"dim": 2, "labels": ["x", "y"],
                "bracket": [[0, 1, 0, 1.0], [0, 1, 1, 1.0]]}
@@ -483,7 +494,7 @@ class TestJSON:
         import json
         path = tmp_path / "bad.json"
         doc = {"dim": 3, "labels": ["a", "b", "c"],
-               "bracket": [[0, 1, 2, 1.0], [1, 2, 0, 1.0], [2, 0, 1, 1.0],
+               "bracket": [[0, 1, 2, 1.0], [1, 2, 0, 1.0], [0, 2, 1, -1.0],
                            [0, 2, 0, 0.5]]}  # perturbed so(3): Jacobi fails
         path.write_text(json.dumps(doc))
         with pytest.raises(ConstructionError):
@@ -502,7 +513,14 @@ class TestJSON:
         {"dim": -1, "bracket": []},
         {"dim": "three", "bracket": []},
         {"dim": 3, "bracket": [[0, 1, 2]]},
-    ], ids=["negative-dim", "word-dim", "short-row"])
+        # so(3) plus a repeat of [e_1, e_2] = e_0, read last at a loose loader: c[1, 2, 0] = 2
+        # would pass every algebra check
+        {"dim": 3, "bracket": _SO3 + [[1, 2, 0, 2.0]]},
+        {"dim": 3, "bracket": _SO3 + [[1, 2, 0, 1.0]]},
+        {"dim": 3, "bracket": _SO3[:2] + [[2, 0, 1, 1.0]]},   # so(3) itself, one row as j < i
+        {"dim": 3, "bracket": _SO3 + [[1, 1, 0, 1.0]]},
+    ], ids=["negative-dim", "word-dim", "short-row", "repeated-entry", "repeated-same-value",
+            "bracket-i-above-j", "bracket-i-equals-j"])
     def test_loader_rejects_a_malformed_document(self, doc):
         with pytest.raises(InputError, match="malformed"):
             load_algebra(doc)
@@ -512,6 +530,46 @@ class TestJSON:
         path.write_text('{"dim": 3}')
         with pytest.raises(InputError):
             load_algebra(path)
+
+
+class TestEntries:
+    def test_roundtrip_is_bitwise(self, so14):
+        rng = np.random.default_rng(3)
+        a = np.where(rng.random((4, 5, 6)) < 0.3, rng.standard_normal((4, 5, 6)), 0.0)
+        entries = to_entries(a)
+        assert len(entries["value"]) == np.count_nonzero(a)
+        assert from_entries(entries, a.shape).tobytes() == a.tobytes()
+        c = so14.bracket_tensor
+        entries = to_entries(c, bracket=True)
+        assert 2 * len(entries["value"]) == np.count_nonzero(c)
+        assert from_entries(entries, c.shape, bracket=True).tobytes() == c.tobytes()
+
+    def test_no_entries_is_a_zero_array(self):
+        assert from_entries(to_entries(np.zeros((2, 3))), (2, 3)).tobytes() == bytes(48)
+
+    @pytest.mark.parametrize("index,value,match", [
+        ([6], [1.0], "outside"),
+        ([-1], [1.0], "outside"),
+        ([1.5], [1.0], "integer"),
+        ([1.0], [1.0], "integer"),
+        ([True], [1.0], "integer"),
+        ([3, True], [1.0, 2.0], "integer"),
+        ([1, 2], [1.0], "equal length"),
+        ([4, 1, 4], [1.0, 2.0, 3.0], "repeated"),
+        ([1], [float("nan")], "not finite"),
+        ([1], [float("inf")], "not finite"),
+    ], ids=["index-past-the-end", "negative-index", "float-index", "integral-float-index",
+            "boolean-index", "boolean-among-integers", "unequal-lengths", "repeated-index",
+            "nan-value", "inf-value"])
+    def test_rejects_malformed_entries(self, index, value, match):
+        with pytest.raises(ValueError, match=match):
+            from_entries({"index": index, "value": value}, (2, 3))
+
+    @pytest.mark.parametrize("ijk", [(1, 0, 2), (2, 2, 0)], ids=["i-above-j", "i-equals-j"])
+    def test_rejects_a_bracket_entry_without_i_below_j(self, ijk):
+        with pytest.raises(ValueError, match="i >= j"):
+            from_entries({"index": [np.ravel_multi_index(ijk, (3, 3, 3))], "value": [1.0]},
+                         (3, 3, 3), bracket=True)
 
 
 class TestAsAlgebra:

@@ -245,38 +245,50 @@ class TestG2:
         validate_algebra(build_g2())
 
 
-def _nudged(rows, i, j, by=1e-7):
-    """A copy of nested cache rows with entry (i, j) moved by ``by``."""
-    rows = [list(r) for r in rows]
-    rows[i][j] += by
-    return rows
+# where each kind of cached array sits in the document, and its number of entries
+_ARRAYS = {"derivation": ("derivations", None, 52 * 27 * 27),
+           "subalgebra": ("subalgebras", "so(1,8)", 36 * 52),
+           "involution": ("involutions", "so(1,8)", 52 * 52),
+           "bracket": ("bracket", None, 52 ** 3)}
 
 
-def _bracket_edit(bracket, n, value=0.0, k=None, swap=False, drop=False, repeat=False):
-    """A copy of the cached bracket with entry ``n`` moved by ``value``, its k replaced by
-    ``k(k)``, its i and j swapped, or the entry dropped or written twice."""
-    index, values = list(bracket["index"]), list(bracket["value"])
+def _entries_edit(entries, n, value=0.0, index=None, drop=False, repeat=False):
+    """A copy of cached entries with entry ``n`` moved by ``value``, its flat index replaced
+    by ``index(old)``, or the entry dropped or written twice."""
+    indices, values = list(entries["index"]), list(entries["value"])
     n %= len(values)
     values[n] += value
-    if k is not None:
-        index[3 * n + 2] = k(index[3 * n + 2])
-    if swap:
-        index[3 * n], index[3 * n + 1] = index[3 * n + 1], index[3 * n]
+    if index is not None:
+        indices[n] = index(indices[n])
     if drop:
-        del index[3 * n: 3 * n + 3], values[n]
+        del indices[n], values[n]
     if repeat:
-        index, values = index + index[3 * n: 3 * n + 3], values + values[n: n + 1]
-    return {"index": index, "value": values}
+        indices, values = indices + indices[n: n + 1], values + values[n: n + 1]
+    return {"index": indices, "value": values}
 
 
-def _bracket_case(n, **edit):
-    return lambda doc: json.dumps({**doc, "bracket": _bracket_edit(doc["bracket"], n, **edit)})
+def _entry_case(kind, n, **edit):
+    """A corruption of entry ``n`` of the cached array ``kind`` of ``_ARRAYS``."""
+    def corrupt(doc):
+        doc = json.loads(json.dumps(doc))
+        field, name, _ = _ARRAYS[kind]
+        holder, key = (doc[field], name) if name else (doc, field)
+        holder[key] = _entries_edit(holder[key], n, **edit)
+        return json.dumps(doc)
+    return corrupt
 
 
-def _nan_case(field):
-    """A NaN written into the so(1,8) array of ``field``."""
-    return lambda doc: json.dumps({**doc, field: {
-        **doc[field], "so(1,8)": _nudged(doc[field]["so(1,8)"], 3, 4, np.nan)}})
+def _entry_cases(kind):
+    """An index past the end, a repeated index, a float index and a NaN value."""
+    size = _ARRAYS[kind][2]
+    return [_entry_case(kind, 2, index=lambda f: size), _entry_case(kind, 2, repeat=True),
+            _entry_case(kind, 2, index=lambda f: f + 0.5), _entry_case(kind, 2, value=np.nan)]
+
+
+def _swap_ij(f):
+    """The flat bracket index of c[j, i, k] for that of c[i, j, k]."""
+    i, j, k = np.unravel_index(f, (52, 52, 52))
+    return int(np.ravel_multi_index((j, i, k), (52, 52, 52)))
 
 
 class TestF4:
@@ -360,21 +372,31 @@ class TestF4:
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
         doc = json.loads((tmp_path / "f4.json").read_text())
-        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 5
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 6
         upper, lower = doc["provenance"]["solver_margin"]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
                             "involutions", "bracket"}
         assert set(doc["subalgebras"]) == set(F4_SUBALGEBRAS)
-        # the nonzero c[i, j, k] with i < j: half of the bracket's nonzeros
+        assert set(doc["involutions"]) == {"so(1,8)", "sp(1,2)+sp(1)"}
+        # every array is its nonzero entries; the bracket only its c[i, j, k] with i < j
         assert 2 * len(doc["bracket"]["value"]) == np.count_nonzero(fresh.algebra.bracket_tensor)
+        assert len(doc["derivations"]["value"]) == np.count_nonzero(fresh.derivations)
+        for field in ("subalgebras", "involutions"):
+            for key, entries in doc[field].items():
+                assert set(entries) == {"index", "value"}
+                assert len(entries["value"]) == np.count_nonzero(getattr(fresh, field)[key])
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         loaded = jordan_mod.f4_bundle()
         assert loaded.algebra.structure is not None
-        assert np.array_equal(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor)
-        assert np.array_equal(loaded.derivations, fresh.derivations)
-        assert np.array_equal(loaded.algebra.matrices, fresh.algebra.matrices)
-        assert np.array_equal(loaded.algebra.theta, fresh.algebra.theta)
+        pairs = [(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor),
+                 (loaded.derivations, fresh.derivations),
+                 (loaded.algebra.matrices, fresh.algebra.matrices),
+                 (loaded.algebra.theta, fresh.algebra.theta),
+                 *((loaded.subalgebras[k], fresh.subalgebras[k]) for k in F4_SUBALGEBRAS),
+                 *((loaded.involutions[k], v) for k, v in fresh.involutions.items())]
+        for got, built in pairs:                   # bitwise, so a -0.0 would show too
+            assert got.shape == built.shape and got.tobytes() == built.tobytes()
         assert loaded.provenance["table_hash"] == fresh.provenance["table_hash"]
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
 
@@ -386,32 +408,39 @@ class TestF4:
         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "subalgebras"}),
         lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
                                                        if k != "su21+su3"}}),
-        lambda doc: json.dumps({**doc, "derivations": doc["derivations"][:51]}),
-        lambda doc: json.dumps({**doc, "involutions": {k: v[:3] for k, v
-                                                       in doc["involutions"].items()}}),
+        lambda doc: json.dumps({**doc, "derivations": {
+            **doc["derivations"], "value": doc["derivations"]["value"][:-1]}}),
+        lambda doc: json.dumps({**doc, "involutions": {     # nested lists, not flat ones
+            k: {"index": [v["index"]], "value": [v["value"]]}
+            for k, v in doc["involutions"].items()}}),
         lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
                                                        if k != "so(1,8)"}}),
-        lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 7, 100)}),
-        lambda doc: json.dumps({**doc, "derivations": _nudged(doc["derivations"], 51, 728)}),
-        _nan_case("subalgebras"),
-        _nan_case("involutions"),
+        _entry_case("derivation", 100, value=1e-7),
+        _entry_case("derivation", -1, value=1e-7),
+        _entry_case("subalgebra", 3, value=np.nan),
+        _entry_case("involution", 3, value=np.nan),
         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "bracket"}),
-        _bracket_case(0, value=1e-7),
-        _bracket_case(-1, value=1e-7),
-        _bracket_case(5, value=np.nan),
-        _bracket_case(3, k=lambda k: (k + 1) % 52),     # onto an unused k
-        _bracket_case(-1, k=lambda k: 52),
-        _bracket_case(9, swap=True),
-        _bracket_case(9, drop=True),
-        _bracket_case(9, repeat=True),
-        _bracket_case(9, k=lambda k: k + 0.5),
+        _entry_case("bracket", 0, value=1e-7),
+        _entry_case("bracket", -1, value=1e-7),
+        _entry_case("bracket", 5, value=np.nan),
+        _entry_case("bracket", 3, index=lambda f: f - f % 52 + (f + 1) % 52),  # onto an unused k
+        _entry_case("bracket", -1, index=lambda f: 52 ** 3),
+        _entry_case("bracket", 9, index=_swap_ij),
+        _entry_case("bracket", 9, drop=True),
+        _entry_case("bracket", 9, repeat=True),
+        _entry_case("bracket", 9, index=lambda f: f + 0.5),
+        *_entry_cases("derivation"),
+        *_entry_cases("subalgebra"),
+        *_entry_cases("involution"),
     ], ids=["unreadable", "non-object", "provenance-int", "schema-1", "no-subalgebras",
             "missing-embedding", "derivations-shape", "involution-shape",
             "missing-symmetric-subalgebra", "derivation-entry-1e-7", "last-derivation-entry-1e-7",
             "nan-subalgebra", "nan-involution", "no-bracket", "bracket-entry-1e-7",
             "last-bracket-entry-1e-7", "nan-bracket-value", "bracket-k-shifted",
-            "bracket-k-52", "bracket-i-above-j", "bracket-entry-dropped",
-            "bracket-entry-repeated", "bracket-float-index"])
+            "bracket-index-past-the-end", "bracket-i-above-j", "bracket-entry-dropped",
+            "bracket-entry-repeated", "bracket-float-index",
+            *(f"{kind}-{case}" for kind in ("derivation", "subalgebra", "involution")
+              for case in ("index-past-the-end", "index-repeated", "float-index", "nan-value"))])
     def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
         import realflag.jordan as jordan_mod
         path = tmp_path / "f4.json"
@@ -432,7 +461,7 @@ class TestF4:
         path = tmp_path / "f4.json"
         jordan_mod._save_bundle(f4bundle, path)
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "bracket": _bracket_edit(doc["bracket"], 0, 1e-12)}))
+        path.write_text(json.dumps({**doc, "bracket": _entries_edit(doc["bracket"], 0, 1e-12)}))
         assert jordan_mod._load_bundle(path) is not None
 
     def test_warm_load_never_derives_the_bracket(self, f4bundle, tmp_path, monkeypatch):
@@ -461,7 +490,7 @@ class TestF4:
 
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
         # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve,
-        # schema 4 no bracket
+        # schema 4 no bracket, schema 5 every array but the bracket densely
         import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
@@ -473,14 +502,14 @@ class TestF4:
             return f4bundle
 
         monkeypatch.setattr(jordan_mod, "_build_bundle", build)
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": old}))
             builds.clear()
             for _ in range(2):
                 monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
                 jordan_mod.f4_bundle()
             assert len(builds) == 1
-            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 5
+            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 6
 
     @pytest.mark.parametrize("fail", ["json.dumps", "os.replace"])
     def test_failed_write_keeps_the_old_cache(self, f4bundle, tmp_path, monkeypatch, fail):
