@@ -5,8 +5,8 @@ subalgebras, and the octonionic construction of the noncompact f4."""
 from .core import (BilinearForm, LieAlgebra, Subalgebra, cartan_decomposition, killing_form,
                    load_algebra, noncompact_ideal, save_algebra, subalgebra, subalgebra_closure)
 from .linalg import numeric_rank
-from .realforms import (build_classical, build_sl, diagonal_embed, direct_sum,
-                        embed_division, get_algebra, minimal_parabolic, restricted_roots)
+from .realforms import (build_classical, build_sl, direct_sum, get_algebra, minimal_parabolic,
+                        restricted_roots)
 from .spherical import SphericityReport, is_spherical, local_dim
 from .orbits import (bruhat_cell_of, nonreductive_orbit_count, normalize_nonreductive,
                      orbit_dim_at, symmetric_coincidence)
@@ -28,8 +28,8 @@ __all__ = [
     "BilinearForm", "LieAlgebra", "Subalgebra", "SphericityReport",
     "Octonion", "JordanElement",
     "bruhat_cell_of", "build_classical", "build_f4",
-    "build_g2", "build_sl", "cartan_decomposition", "cone_point", "diagonal_embed",
-    "direct_sum", "embed_division", "get_algebra", "induced_pair", "is_spherical",
+    "build_g2", "build_sl", "cartan_decomposition", "cone_point",
+    "direct_sum", "get_algebra", "induced_pair", "is_spherical",
     "jordan_mul", "killing_form", "levi_projection", "load_algebra", "local_dim",
     "minimal_parabolic", "noncompact_ideal", "nonreductive_orbit_count",
     "normalize_nonreductive", "numeric_rank", "orbit_dim_at",

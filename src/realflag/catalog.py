@@ -77,14 +77,6 @@ def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
     return out
 
 
-def _so_block_matrices(n_amb: int, p: int, q: int, offset: int) -> list[np.ndarray]:
-    """so(p,q) placed at the given coordinate offset inside (n_amb x n_amb) matrices."""
-    if p + q < 2:
-        return []
-    small = build_classical("so", p, q)
-    return [_pad(M, n_amb, offset) for M in small.matrices]
-
-
 def _block_signs(g: LieAlgebra, n: int, m: int, width: int) -> np.ndarray:
     """Conjugation by diag(I_{m+1}, -I_{n-m}), each sign repeated ``width`` times."""
     signs = np.repeat(np.array([1.0] * (m + 1) + [-1.0] * (n - m)), width)
@@ -105,24 +97,26 @@ def _maximal_compact(g: LieAlgebra, P: ParabolicData, name: str):
     return subalgebra(g, k.basis, name=name), None
 
 
-def _diagonal(g: LieAlgebra, P: ParabolicData):
-    d = g.dim // 3
-    return subalgebra(g, np.hstack([np.eye(d)] * 3), name="diag"), None
+def _slots(g: LieAlgebra, P: ParabolicData, assignment: tuple[int, ...], name: str):
+    """Image of the factor power L^k in L^len(assignment): slot s carries factor assignment[s].
+
+    (0, 0, 0) is the diagonal, (0, 0, 1) is (x, y) -> (x, x, y).
+    """
+    fills = np.equal.outer(np.arange(max(assignment) + 1), assignment).astype(float)
+    return subalgebra(g, np.kron(fills, np.eye(g.dim // len(assignment))), name=name), None
 
 
-def _partial_diagonal(g: LieAlgebra, P: ParabolicData):
-    d = g.dim // 3
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    rows = np.vstack([np.hstack([eye, eye, zero]), np.hstack([zero, zero, eye])])
-    return subalgebra(g, rows, name="sl2^2:(x,x,y)"), None
+def _block_sum(g: LieAlgebra, P: ParabolicData, N: int,
+               blocks: tuple[tuple[str, int, int, int], ...], signs: Optional[tuple] = None):
+    """Direct sum of classical blocks (family, p, q, offset), padded into N x N matrices.
 
-
-def _so_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
-    """so(1,m) + so(n-m) in block position inside so(1,n)."""
-    N = n + 1
-    mats = _so_block_matrices(N, 1, m, 0) + _so_block_matrices(N, 0, n - m, m + 1)
-    return from_matrices(g, mats, name=f"so(1,{m})+so({n - m})"), _block_signs(g, n, m, 1)
+    An so block with p + q < 2 is zero and adds no matrices, but keeps its name.
+    ``signs`` are the ``_block_signs`` arguments of the involution fixing h, if any.
+    """
+    mats = [_pad(M, N, off) for fam, p, q, off in blocks if fam != "so" or p + q >= 2
+            for M in build_classical(fam, p, q).matrices]
+    name = "+".join(f"{fam}({p},{q})" if p else f"{fam}({q})" for fam, p, q, _ in blocks)
+    return from_matrices(g, mats, name=name), None if signs is None else _block_signs(g, *signs)
 
 
 def _su_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
@@ -148,18 +142,6 @@ def _so_in_su(g: LieAlgebra, P: ParabolicData, n: int):
     return from_matrices(g, mats, name=f"so(1,{n})"), sigma
 
 
-def _sp_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
-    """sp(1,m) + sp(n-m) in block position inside sp(1,n).
-
-    Quaternionic realification is entrywise, so padding the realified
-    blocks at a 4-aligned offset places them at the quaternionic offset.
-    """
-    N4 = 4 * (n + 1)
-    mats = [_pad(M, N4, 0) for M in build_classical("sp", 1, m).matrices]
-    mats += [_pad(M, N4, 4 * (m + 1)) for M in build_classical("sp", 0, n - m).matrices]
-    return from_matrices(g, mats, name=f"sp(1,{m})+sp({n - m})"), _block_signs(g, n, m, 4)
-
-
 def _u_in_sp(g: LieAlgebra, P: ParabolicData, n: int):
     """u(1,n) (complex scalars inside the quaternions) inside sp(1,n)."""
     mats = [_complex_to_quaternion_real(Z) for Z in _complex_basis_u(1, n, traceless=False)]
@@ -172,24 +154,6 @@ def _so_sp1(g: LieAlgebra, P: ParabolicData, n: int):
     mats = [_complex_to_quaternion_real(M) for M in build_classical("so", 1, n).matrices]
     mats += [realify_quaternion(_unit_quat_diag(n + 1, u)) for u in range(1, 4)]
     return from_matrices(g, mats, name=f"so(1,{n})+sp(1)"), None
-
-
-def _su_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
-    """so(1, n-2k) + su(k) (in the rotation block) inside so(1,n)."""
-    N = n + 1
-    p = n - 2 * k
-    mats = _so_block_matrices(N, 1, p, 0)
-    mats += [_pad(M, N, p + 1) for M in build_classical("su", 0, k).matrices]
-    return from_matrices(g, mats, name=f"so(1,{p})+su({k})"), None
-
-
-def _sp_in_so_rotations(g: LieAlgebra, P: ParabolicData, n: int, k: int):
-    """so(1, n-4k) + sp(k) (in the rotation block) inside so(1,n)."""
-    N = n + 1
-    p = n - 4 * k
-    mats = _so_block_matrices(N, 1, p, 0)
-    mats += [_pad(M, N, p + 1) for M in build_classical("sp", 0, k).matrices]
-    return from_matrices(g, mats, name=f"so(1,{p})+sp({k})"), None
 
 
 def _f4_pair(g: LieAlgebra, P: ParabolicData, key: str):
@@ -208,11 +172,15 @@ _ALIASES = {
 }
 
 
-def _berger_so(n: int, m: int) -> _Row:
-    return _Row(CatalogEntry(f"berger:so(1,{n}):so(1,{m})+so({n - m})", f"so(1,{n})",
-                             f"so(1,{m})+so({n - m}) block pair", EXPECT_SPHERICAL,
-                             "symmetric pair"),
-                partial(_so_blocks, n=n, m=m))
+def _berger_blocks(fam: str, n: int, m: int) -> _Row:
+    """The symmetric pair fam(1,m) + fam(n-m) in block position inside fam(1,n), fam so or sp."""
+    width = 1 if fam == "so" else 4   # sp blocks are realified entrywise, 4 x 4 per quaternion
+    sub = f"{fam}(1,{m})+{fam}({n - m})"
+    return _Row(CatalogEntry(f"berger:{fam}(1,{n}):{sub}", f"{fam}(1,{n})", f"{sub} block pair",
+                             EXPECT_SPHERICAL, "symmetric pair"),
+                partial(_block_sum, N=width * (n + 1),
+                        blocks=((fam, 1, m, 0), (fam, 0, n - m, width * (m + 1))),
+                        signs=(n, m, width)))
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +201,17 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
              lambda g, P: (subalgebra(g, stack_span(P.m.basis, P.roots.a), name="m+a"), None)),
         _Row(CatalogEntry("sl2^3:diag", "sl2^3", "diagonal copy of sl2", EXPECT_SPHERICAL,
                           "diagonal in a triple product"),
-             _diagonal),
+             partial(_slots, assignment=(0, 0, 0), name="diag")),
         _Row(CatalogEntry("sl2^3:sl2^2", "sl2^3", "(x,y) -> (x,x,y)", EXPECT_SPHERICAL,
                           "partial diagonal, symmetric in the product"),
-             _partial_diagonal),
+             partial(_slots, assignment=(0, 0, 1), name="sl2^2:(x,x,y)")),
         _Row(CatalogEntry("sl3:so3", "sl3", "maximal compact so(3)", EXPECT_SPHERICAL,
                           "maximal compact subalgebra"),
              partial(_maximal_compact, name="so(3)")),
     ]
 
     for n in range(2, n_max + 1):
-        rows += [_berger_so(n, m) for m in range(1, n)]
+        rows += [_berger_blocks("so", n, m) for m in range(1, n)]
     for n in range(2, n_max + 1):
         for m in range(1, n):
             rows.append(_Row(CatalogEntry(
@@ -255,11 +223,7 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
             f"real form so(1,{n})", EXPECT_SPHERICAL, "symmetric pair"),
             partial(_so_in_su, n=n)))
     for n in range(2, n_max + 1):
-        for m in range(1, n):
-            rows.append(_Row(CatalogEntry(
-                f"berger:sp(1,{n}):sp(1,{m})+sp({n - m})", f"sp(1,{n})",
-                f"sp(1,{m})+sp({n - m}) block pair", EXPECT_SPHERICAL, "symmetric pair"),
-                partial(_sp_blocks, n=n, m=m)))
+        rows += [_berger_blocks("sp", n, m) for m in range(1, n)]
         rows.append(_Row(CatalogEntry(
             f"berger:sp(1,{n}):u(1,{n})", f"sp(1,{n})",
             f"complex restriction u(1,{n})", EXPECT_SPHERICAL, "symmetric pair"),
@@ -274,11 +238,12 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
     rows += [
         _Row(CatalogEntry("ml:so(1,5):so(1,1)+su(2)", "so(1,5)", "so(1,1)+su(2) block pair",
                           EXPECT_SPHERICAL, "compact factor transitive on spheres"),
-             partial(_su_in_so_rotations, n=5, k=2)),
+             partial(_block_sum, N=6, blocks=(("so", 1, 1, 0), ("su", 0, 2, 2)))),
         _Row(CatalogEntry("ml:so(1,5):so(1,1)+sp(1)", "so(1,5)", "so(1,1)+sp(1) block pair",
                           EXPECT_SPHERICAL, "compact factor transitive on spheres"),
-             partial(_sp_in_so_rotations, n=5, k=1)),
-        *([_berger_so(5, 1)] if n_max < 5 else []),   # the so(1,n) sweep lists it from n = 5
+             partial(_block_sum, N=6, blocks=(("so", 1, 1, 0), ("sp", 0, 1, 2)))),
+        # the so(1,n) sweep lists this row from n = 5
+        *([_berger_blocks("so", 5, 1)] if n_max < 5 else []),
         _Row(CatalogEntry("max:sp(1,2):so(1,2)+sp(1)", "sp(1,2)", "so(1,2)+sp(1)",
                           EXPECT_OBSTRUCTED, "maximal reductive, non-symmetric"),
              partial(_so_sp1, n=2)),

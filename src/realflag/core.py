@@ -188,6 +188,8 @@ class Subalgebra:
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        if basis.ndim != 2:
+            raise InputError(f"a subalgebra basis is a 2-D array of rows, not {basis.ndim}-D")
         object.__setattr__(self, "basis", basis)
         basis.setflags(write=False)
         if basis.size and basis.shape[1] != self.ambient.dim:
@@ -527,8 +529,10 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
     """
     doc = source if isinstance(source, dict) else read_json(source)
     try:
-        dim = int(doc["dim"])
-        labels = doc.get("labels") or [f"e{i}" for i in range(dim)]
+        dim = doc["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"dim is not an integer: {dim!r}")
+        labels = tuple(doc.get("labels") or (f"e{i}" for i in range(dim)))
         index, value = [], []
         for i, j, k, val in doc["bracket"]:
             # checked before flattening, which could turn -1 or a boolean into a valid index
@@ -537,17 +541,17 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
             index.append((i * dim + j) * dim + k)
             value.append(val)
         c = from_entries({"index": index, "value": value}, (dim, dim, dim), bracket=True)
+        theta = np.array(doc["theta"], dtype=float) if doc.get("theta") is not None else None
+        mats = np.array(doc["matrices"], dtype=float) if doc.get("matrices") is not None else None
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
     if len(labels) != dim:
         raise InputError("labels length disagrees with dim")
-    theta = np.array(doc["theta"], dtype=float) if doc.get("theta") is not None else None
-    mats = np.array(doc["matrices"], dtype=float) if doc.get("matrices") is not None else None
     if theta is not None and theta.shape != (dim, dim):
         raise InputError("theta has the wrong shape")
     if mats is not None and (mats.ndim != 3 or mats.shape[0] != dim or mats.shape[1] != mats.shape[2]):
         raise InputError("matrices have the wrong shape")
-    L = LieAlgebra(labels=tuple(labels), matrices=mats, theta=theta,
+    L = LieAlgebra(labels=labels, matrices=mats, theta=theta,
                    name=doc.get("name", ""), structure=c)
     if validate:
         validate_algebra(L)

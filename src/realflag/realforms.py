@@ -187,36 +187,10 @@ def algebra_power(L: LieAlgebra, copies: int) -> LieAlgebra:
                       name=f"{L.name}^{copies}", structure=out.bracket_tensor)
 
 
-def diagonal_embed(L: LieAlgebra, copies: int) -> Subalgebra:
-    """The diagonal copy of L inside L^copies."""
-    if copies < 2:
-        raise InputError("copies must be >= 2")
-    ambient = algebra_power(L, copies)
-    basis = np.hstack([np.eye(L.dim)] * copies)
-    return subalgebra(ambient, basis, name=f"diag({L.name},{copies})")
-
-
-def factor_embed(L: LieAlgebra, copies: int, assignment: tuple[int, ...]) -> Subalgebra:
-    """Image of L^k in L^copies via slot assignment, e.g. (0,0,1): (x,y) -> (x,x,y)."""
-    if len(assignment) != copies:
-        raise InputError("assignment must list one source factor per slot")
-    k = max(assignment) + 1
-    ambient = algebra_power(L, copies)
-    rows = []
-    for f in range(k):
-        block = np.zeros((L.dim, copies * L.dim))
-        for slot, src in enumerate(assignment):
-            if src == f:
-                block[:, slot * L.dim:(slot + 1) * L.dim] = np.eye(L.dim)
-        rows.append(block)
-    return subalgebra(ambient, np.vstack(rows), name=f"{L.name}^{k}->{assignment}")
-
-
-def from_matrices(L: LieAlgebra, mats: np.ndarray, name: str = "",
-                  validate: bool = True) -> Subalgebra:
+def from_matrices(L: LieAlgebra, mats: np.ndarray, name: str = "") -> Subalgebra:
     """Subalgebra spanned by the given realization matrices."""
     rows = L.coefficients_of(np.asarray(mats, dtype=float))
-    return subalgebra(L, rows, name=name, validate=validate)
+    return subalgebra(L, rows, name=name)
 
 
 def matrix_involution(L: LieAlgebra, D: np.ndarray) -> np.ndarray:
@@ -230,7 +204,7 @@ def matrix_involution(L: LieAlgebra, D: np.ndarray) -> np.ndarray:
     return sigma
 
 
-# -- embeddings through division algebras -----------------------------------
+# -- complex bases of u(p,q) and su(p,q), and their quaternionic images ---
 
 def _complex_basis_u(p: int, q: int, traceless: bool) -> list[np.ndarray]:
     """Complex basis of u(p,q) (or su(p,q) when traceless)."""
@@ -265,40 +239,6 @@ def _complex_to_quaternion_real(Z: np.ndarray) -> np.ndarray:
     Q[:, :, 0] = Z.real
     Q[:, :, 1] = Z.imag
     return realify_quaternion(Q)
-
-
-def embed_division(inner: str, signature: tuple[int, int], ambient: str) -> Subalgebra:
-    """Realified embedding of a smaller-field algebra into its classical ambient.
-
-    Supported: ('complex', (0,k), 'so') su(k) in so(2k);
-               ('quaternion', (0,k), 'so') sp(k) in so(4k);
-               ('real', (p,q), 'su') so(p,q) in su(p,q);
-               ('complex', (p,q), 'sp') u(p,q) in sp(p,q).
-    """
-    p, q = signature
-    if inner == "complex" and ambient == "so":
-        if p != 0:
-            raise InputError("su(k) in so(2k) requires compact signature (0, k)")
-        big = build_classical("so", 0, 2 * q)
-        small = build_classical("su", 0, q)
-        return from_matrices(big, small.matrices, name=f"su({q})")
-    if inner == "quaternion" and ambient == "so":
-        if p != 0:
-            raise InputError("sp(k) in so(4k) requires compact signature (0, k)")
-        big = build_classical("so", 0, 4 * q)
-        small = build_classical("sp", 0, q)
-        return from_matrices(big, small.matrices, name=f"sp({q})")
-    if inner == "real" and ambient == "su":
-        big = build_classical("su", p, q)
-        small = build_classical("so", p, q)
-        mats = np.array([realify_complex(M.astype(complex)) for M in small.matrices])
-        return from_matrices(big, mats, name=f"so({p},{q})")
-    if inner == "complex" and ambient == "sp":
-        big = build_classical("sp", p, q)
-        cbasis = _complex_basis_u(p, q, traceless=False)
-        mats = np.array([_complex_to_quaternion_real(Z) for Z in cbasis])
-        return from_matrices(big, mats, name=f"u({p},{q})")
-    raise InputError(f"unsupported embedding ({inner!r}, {signature!r}, {ambient!r})")
 
 
 # -- restricted roots and parabolics -----------------------------------------

@@ -163,10 +163,13 @@ class TestCheck:
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
                                       "nan-subalgebra-row", "negative-bracket-index",
                                       "boolean-bracket-index", "repeated-bracket-entry",
-                                      "bracket-i-above-j"])
+                                      "bracket-i-above-j", "non-numeric-theta",
+                                      "ragged-matrices", "integer-labels", "fractional-dim",
+                                      "three-dimensional-subalgebra"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = {"non-numeric-row": ["x", 0.0, 0.0],
-               "nan-subalgebra-row": [float("nan"), 0.0, 1.0]}.get(case, [0.0, 0.0, 1.0])
+               "nan-subalgebra-row": [float("nan"), 0.0, 1.0],
+               "three-dimensional-subalgebra": [[1.0], [0.0], [0.0]]}.get(case, [0.0, 0.0, 1.0])
         path = write_pair_file(tmp_path, [row])
         if case == "invalid-json":
             path.write_text(path.read_text()[:-1])
@@ -190,6 +193,17 @@ class TestCheck:
                 doc["bracket"].append([i, j, k, 2.0 * val])
             else:                                  # the same c, written as c[j, i, k]
                 doc["bracket"][0] = [j, i, k, -val]
+            path.write_text(json.dumps(doc))
+        elif case in ("non-numeric-theta", "ragged-matrices", "integer-labels", "fractional-dim"):
+            doc = json.loads(path.read_text())
+            if case == "non-numeric-theta":
+                doc["theta"][0][0] = "x"
+            elif case == "ragged-matrices":          # the first matrix loses its last row
+                doc["matrices"][0].pop()
+            elif case == "integer-labels":
+                doc["labels"] = 5
+            else:                                    # int() would have read 3.7 as 3
+                doc["dim"] = 3.7
             path.write_text(json.dumps(doc))
         assert main(["check", "--pair", str(path)]) == 3
         err = capsys.readouterr().err

@@ -143,3 +143,11 @@ def test_g2_build_loads_no_numpy_ma():
     # np.unique without return_inverse imports numpy.ma; the derivation solve avoids it
     assert _fresh_stdout("import sys\nfrom realflag.jordan import build_g2\nbuild_g2()\n"
                          "print('numpy.ma' in sys.modules)") == "False"
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is gone fails here, not in a user's import *
+    import realflag
+    missing = [name for name in realflag.__all__ if not hasattr(realflag, name)]
+    assert not missing, "realflag.__all__ lists undefined names: " + ", ".join(missing)
+    assert set(realflag._JORDAN_NAMES) <= set(realflag.__all__)

@@ -8,9 +8,8 @@ from realflag.core import (ConstructionError, InputError, UnsupportedOperation,
 from realflag.linalg import in_span, span_residual, stack_span
 import realflag.realforms as realforms
 from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
-                                build_classical, diagonal_embed, direct_sum,
-                                embed_division, factor_embed, get_algebra,
-                                matrix_involution, minimal_parabolic, restricted_roots)
+                                build_classical, direct_sum, get_algebra, matrix_involution,
+                                minimal_parabolic, restricted_roots)
 
 from test_core import DEPTHS
 
@@ -111,52 +110,6 @@ class TestSums:
         assert np.abs(B[:3, 3:]).max() < 1e-10
         assert np.allclose(B[:3, :3], L1.killing, atol=1e-10)
         assert np.allclose(B[3:, 3:], L2.killing, atol=1e-10)
-
-    def test_diagonal_embed(self):
-        sub = diagonal_embed(get_algebra("sl2"), 3)
-        assert sub.dim == 3 and sub.ambient.dim == 9
-        sub.validate()
-
-    def test_diagonal_embed_so3(self):
-        sub = diagonal_embed(get_algebra("so(3)"), 2)
-        assert sub.dim == 3
-        sub.validate()
-
-    def test_factor_embed(self):
-        sub = factor_embed(get_algebra("sl2"), 3, (0, 0, 1))
-        assert sub.dim == 6
-        sub.validate()
-
-
-class TestEmbedDivision:
-    def test_su2_in_so4(self):
-        sub = embed_division("complex", (0, 2), "so")
-        assert sub.dim == 3
-        sub.validate()
-
-    def test_sp1_in_so4(self):
-        sub = embed_division("quaternion", (0, 1), "so")
-        assert sub.dim == 3 and sub.ambient.dim == 6
-        sub.validate()
-
-    def test_sp2_in_so8(self):
-        sub = embed_division("quaternion", (0, 2), "so")
-        assert sub.dim == 10 and sub.ambient.dim == 28
-        sub.validate()
-
-    def test_so13_in_su13(self):
-        sub = embed_division("real", (1, 3), "su")
-        assert sub.dim == 6
-        sub.validate()
-
-    def test_u11_in_sp11(self):
-        sub = embed_division("complex", (1, 1), "sp")
-        assert sub.dim == 4
-        sub.validate()
-
-    def test_unsupported(self):
-        with pytest.raises(InputError):
-            embed_division("real", (1, 1), "sp")
 
 
 class TestRestrictedRoots:
