@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ConstructionError, InputError, LieError, load_algebra, read_json,
-                   subalgebra, validate_algebra)
+from .core import (ConstructionError, InputError, LieError, Subalgebra, load_algebra,
+                   read_json, subalgebra, validate_algebra)
 from .catalog import VERDICT_MATCHES, build_pair, catalog_entries, get_entry
 from .linalg import signature_of
 from .orbits import (nonreductive_orbit_count, normalize_nonreductive,
@@ -132,8 +132,8 @@ def cmd_reduce(args) -> int:
         rep = is_spherical(pd.g, pd.h, pd.P, samples=args.samples, seed=args.seed, tol=args.tol)
         if rep.witness is not None:
             moved = pd.g.ad_group(rep.witness, pd.h.basis, depth=pd.P.roots.depth)
-            h = subalgebra(pd.g, moved, name=f"{pd.h.name}@witness", validate=False)
-    ap = parabolic_alpha(pd.g, pd.P, simples[args.alpha])
+            h = Subalgebra(pd.g, moved, name=f"{pd.h.name}@witness")
+    ap = parabolic_alpha(pd.g, pd.P, args.alpha)
     l_alpha, h_alpha, flag = induced_pair(pd.g, h, ap)
     doc = {
         "schema": 1,

@@ -133,14 +133,13 @@ class LieAlgebra:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
-    def ad_group(self, word: np.ndarray, rows: np.ndarray,
-                 depth: Optional[int] = None) -> np.ndarray:
+    def ad_group(self, word: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
         """Ad(exp X_1 ... exp X_k) applied to every row of ``rows``.
 
         ``word`` is a ``(k, dim)`` array whose rows X_1, ..., X_k are
         ad-nilpotent.  Row i of the result is exp(ad X_1) ... exp(ad X_k)
         rows[i], each factor the finite series of ``_exp_nilpotent`` cut at
-        ``depth`` (``dim`` when no grading is known); the empty word is the
+        ``depth`` (``RestrictedRootData.depth``); the empty word is the
         identity.  The rows of ``eye(dim)`` give the transpose of Ad.
         """
         word = np.asarray(word, dtype=float)
@@ -148,8 +147,7 @@ class LieAlgebra:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
         c, out = self.bracket_tensor.reshape(self.dim, -1), np.array(rows, dtype=float)
         for X in word[::-1]:            # v @ (X @ c).reshape(dim, dim) = [X, v]
-            out = _exp_nilpotent(out, (X @ c).reshape(self.dim, self.dim),
-                                 self.dim if depth is None else depth)
+            out = _exp_nilpotent(out, (X @ c).reshape(self.dim, self.dim), depth)
         return out
 
 
@@ -219,11 +217,10 @@ class Subalgebra:
         return in_span(vecs, self.basis, tol)
 
 
-def subalgebra(ambient: LieAlgebra, basis: np.ndarray, name: str = "",
-               validate: bool = True, tol: float = 1e-8) -> Subalgebra:
+def subalgebra(ambient: LieAlgebra, basis: np.ndarray, name: str = "") -> Subalgebra:
+    """A validated ``Subalgebra``: InputError unless the basis spans a subalgebra."""
     sub = Subalgebra(ambient, basis, name)
-    if validate:
-        sub.validate(tol)
+    sub.validate()
     return sub
 
 
@@ -532,7 +529,11 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
         dim = doc["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise TypeError(f"dim is not an integer: {dim!r}")
-        labels = tuple(doc.get("labels") or (f"e{i}" for i in range(dim)))
+        labels, name = doc.get("labels", [f"e{i}" for i in range(dim)]), doc.get("name", "")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise TypeError(f"labels are not a list of strings: {labels!r}")
+        if not isinstance(name, str):
+            raise TypeError(f"name is not a string: {name!r}")
         index, value = [], []
         for i, j, k, val in doc["bracket"]:
             # checked before flattening, which could turn -1 or a boolean into a valid index
@@ -551,8 +552,7 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
         raise InputError("theta has the wrong shape")
     if mats is not None and (mats.ndim != 3 or mats.shape[0] != dim or mats.shape[1] != mats.shape[2]):
         raise InputError("matrices have the wrong shape")
-    L = LieAlgebra(labels=labels, matrices=mats, theta=theta,
-                   name=doc.get("name", ""), structure=c)
+    L = LieAlgebra(labels=labels, matrices=mats, theta=theta, name=name, structure=c)
     if validate:
         validate_algebra(L)
     return L

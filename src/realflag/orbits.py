@@ -146,8 +146,8 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
         if span_residual(br, n1) > 1e-8:
             raise NormalizationError("m1 + R X does not normalize n1")
 
-    galpha = P.roots.space_of([1.0])
-    g2alpha = P.roots.space_of([2.0])
+    galpha = P.roots.space_of([1])
+    g2alpha = P.roots.space_of([2])
 
     def grade(space: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if space.shape[0] == 0:
@@ -265,8 +265,7 @@ def adapted_parabolic(g: LieAlgebra, sigma: np.ndarray, seed: int = 0,
     if sq.shape[0] == 0:
         raise InputError("s ∩ q is trivial; no adapted parabolic exists")
     a = sq[:1]
-    roots = restricted_roots(g, a_basis=a, seed=seed, tol=tol)
-    return minimal_parabolic(g, roots, seed=seed, tol=tol)
+    return minimal_parabolic(g, restricted_roots(g, a_basis=a, seed=seed))
 
 
 def hprime_decomposition_check(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,

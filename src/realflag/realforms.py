@@ -3,9 +3,11 @@
 ``build_classical`` produces so(p,q), su(p,q), sp(p,q) as real matrix
 algebras (complex and quaternionic entries are realified blockwise), with
 the Cartan involution X -> -X^T.  ``restricted_roots`` extracts a maximal
-abelian subspace of s, the joint ad-eigenspace decomposition, and the
-simple roots; ``minimal_parabolic`` assembles p = m + a + n together with
-a Weyl representative of the longest element w0, a word of simple reflections
+abelian subspace of s, the joint ad-eigenspace decomposition, the simple
+roots, every root's integer coordinates in them and the integer Cartan
+matrix; no root vector is matched against a tolerance after that.
+``minimal_parabolic`` assembles p = m + a + n together with a Weyl
+representative of the longest element w0, a word of simple reflections
 whose adjoint action maps n onto the opposite nilpotent.  The word comes
 from the descent rule on the Cartan matrix (Humphreys, Reflection Groups
 and Coxeter Groups, 1.6-1.8): starting from w = 1, while some simple root
@@ -26,8 +28,8 @@ import numpy as np
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra,
                    UnsupportedOperation, cartan_decomposition, subalgebra)
-from .linalg import (DEFAULT_TOL, brackets, in_span, intersect_spans, null_rows, numeric_rank,
-                     orth_rows, stack_span)
+from .linalg import (brackets, in_span, intersect_spans, null_rows, numeric_rank, orth_rows,
+                     stack_span)
 
 # quaternion left-multiplication table on the basis (1, i, j, k)
 _QT = np.zeros((4, 4, 4))
@@ -250,7 +252,9 @@ class RestrictedRootData:
     Root functionals are stored as coefficient vectors against the rows of
     ``a``: the root evaluates on Z = t @ a as (vector . t).  In real rank
     one the generator is normalized so the indivisible positive root takes
-    value 1 on it.
+    value 1 on it.  Every root is named by its integer coordinates in the
+    simple roots (``coords``): simple root i is the unit vector e_i, and in
+    rank one [1], [2] and [-1] name g^alpha, g^2alpha and g^-alpha.
     """
 
     algebra: LieAlgebra
@@ -260,6 +264,8 @@ class RestrictedRootData:
     root_spaces: tuple[np.ndarray, ...]
     simple_roots: np.ndarray           # (S, r), subset of the positive roots
     positive: np.ndarray               # bool mask over root_vectors
+    coords: np.ndarray                 # (R, S) integers: root = coords @ simple_roots
+    cartan: np.ndarray                 # (S, S) integers: cartan[j, i] = <alpha_j, alpha_i^vee>
 
     @property
     def rank(self) -> int:
@@ -270,30 +276,20 @@ class RestrictedRootData:
         """(m_alpha, m_2alpha) in real rank one."""
         if self.rank != 1:
             raise UnsupportedOperation("multiplicities are a rank-one notion")
-        m1 = m2 = 0
-        for vec, space in zip(self.root_vectors, self.root_spaces):
-            if abs(vec[0] - 1.0) < 1e-6:
-                m1 = space.shape[0]
-            elif abs(vec[0] - 2.0) < 1e-6:
-                m2 = space.shape[0]
-        return (m1, m2)
+        return (self.space_of([1]).shape[0], self.space_of([2]).shape[0])
 
-    @cached_property
+    @property
     def depth(self) -> int:
-        """2 m + 1, m the largest height of a positive root in simple-root coordinates:
+        """2 m + 1, m the largest height of a root in simple-root coordinates:
         heights of g lie in [-m, m] and ad of a row in n or n̄ moves them by at
         least 1, so (ad X)^depth = 0 for every such row."""
-        pos = self.root_vectors[self.positive]
-        coords = np.linalg.lstsq(self.simple_roots.T, pos.T, rcond=None)[0]
-        if np.abs(coords - np.round(coords)).max() > 1e-6:
-            raise ConstructionError("a positive root is not an integer sum of simple roots")
-        return 2 * int(np.round(coords).sum(axis=0).max()) + 1
+        return 2 * int(self.coords.sum(axis=1).max()) + 1
 
-    def space_of(self, vec: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-        """Root space for the functional ``vec`` (empty basis if not a root)."""
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        for rv, space in zip(self.root_vectors, self.root_spaces):
-            if np.linalg.norm(rv - vec) < tol:
+    def space_of(self, coords) -> np.ndarray:
+        """Root space of the root with these simple-root coordinates (empty basis if none)."""
+        key = np.ravel(coords).tolist()
+        for c, space in zip(self.coords.tolist(), self.root_spaces):
+            if c == key:
                 return space
         return np.zeros((0, self.algebra.dim))
 
@@ -304,25 +300,39 @@ class RestrictedRootData:
         return [sp for sp, pos in zip(self.root_spaces, self.positive) if not pos]
 
 
-def _cluster(evals: np.ndarray, gap: float) -> list[np.ndarray]:
+def _root_lattice(root_vectors: np.ndarray, simple: np.ndarray,
+                  a_gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, cartan) as integers, for roots paired through the inverse of ``a_gram``,
+    the B_theta Gram matrix of a; ConstructionError unless both are integral to 1e-6."""
+    coords = np.linalg.lstsq(simple.T, root_vectors.T, rcond=None)[0].T
+    if np.abs(coords - np.round(coords)).max() > 1e-6:
+        raise ConstructionError("a root is not an integer sum of simple roots")
+    gram = simple @ np.linalg.solve(a_gram, simple.T)
+    cartan = 2.0 * gram / np.diag(gram)
+    if np.abs(cartan - np.round(cartan)).max() > 1e-6:
+        raise ConstructionError("the Cartan matrix of the simple roots is not integral")
+    return np.round(coords).astype(int), np.round(cartan).astype(int)
+
+
+def _cluster(evals: np.ndarray) -> list[np.ndarray]:
     """Indices of eigenvalues grouped by absolute gap."""
     order = np.argsort(evals)
     groups = [[order[0]]]
     for idx in order[1:]:
-        if evals[idx] - evals[groups[-1][-1]] > gap:
+        if evals[idx] - evals[groups[-1][-1]] > 1e-6:
             groups.append([])
         groups[-1].append(idx)
     return [np.array(g) for g in groups]
 
 
-def _maximal_abelian(L: LieAlgebra, s: np.ndarray, seed: int, tol: float) -> np.ndarray:
+def _maximal_abelian(L: LieAlgebra, s: np.ndarray, seed: int) -> np.ndarray:
     """Centralizer in s of a generic element of s (maximal abelian for generic picks)."""
     rng = np.random.default_rng(seed)
     for _ in range(20):
         X = rng.standard_normal(s.shape[0]) @ s
         X /= np.linalg.norm(X)
-        ker = null_rows(L.ad(X) @ s.T, tol)
-        cand = orth_rows(ker @ s, tol)
+        ker = null_rows(L.ad(X) @ s.T)
+        cand = orth_rows(ker @ s)
         pair = brackets(L.bracket_tensor, cand, cand)
         if np.abs(pair).max() < 1e-8 * max(1.0, np.abs(cand).max()):
             return cand
@@ -330,8 +340,7 @@ def _maximal_abelian(L: LieAlgebra, s: np.ndarray, seed: int, tol: float) -> np.
 
 
 def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
-                     seed: int = 0, tol: float = DEFAULT_TOL,
-                     gap: float = 1e-6, xi: Optional[np.ndarray] = None) -> RestrictedRootData:
+                     seed: int = 0, xi: Optional[np.ndarray] = None) -> RestrictedRootData:
     """Restricted-root decomposition relative to a maximal abelian a in s.
 
     ``a_basis`` prescribes a (it is checked to be abelian and maximal);
@@ -341,15 +350,15 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
     """
     if L.theta is None:
         raise UnsupportedOperation("restricted_roots requires theta")
-    ksub, s = cartan_decomposition(L, tol)
+    ksub, s = cartan_decomposition(L)
     if s.shape[0] == 0:
         raise UnsupportedOperation(f"{L.name or 'algebra'} is compact (real rank zero)")
     if a_basis is None:
-        a = _maximal_abelian(L, s, seed, tol)
+        a = _maximal_abelian(L, s, seed)
     else:
         # keep the prescribed rows (their orientation fixes the positivity convention)
         a = np.atleast_2d(np.asarray(a_basis, dtype=float))
-        if numeric_rank(a, tol) != a.shape[0]:
+        if numeric_rank(a) != a.shape[0]:
             raise InputError("prescribed a basis is not linearly independent")
         if not in_span(a, s, 1e-8):
             raise InputError("prescribed a is not contained in s")
@@ -359,8 +368,8 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
         # centralizer of a in s must be a itself
         cent = s
         for Z in a:
-            coeff = null_rows(L.ad(Z) @ cent.T, tol)
-            cent = orth_rows(coeff @ cent, tol)
+            coeff = null_rows(L.ad(Z) @ cent.T)
+            cent = orth_rows(coeff @ cent)
         if cent.shape[0] != a.shape[0]:
             raise InputError("prescribed a is not maximal abelian in s")
 
@@ -377,7 +386,7 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
         for space, vals in zip(spaces, values):
             R = space @ M @ space.T
             ev, V = np.linalg.eigh((R + R.T) / 2.0)
-            for idx in _cluster(ev, gap):
+            for idx in _cluster(ev):
                 new_spaces.append(V[:, idx].T @ space)
                 new_values.append(vals + [float(ev[idx].mean())])
         spaces = new_spaces
@@ -385,19 +394,19 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
     values = [np.array(v) for v in values]
 
     # back to plain coefficients: u-rows = x-rows @ lo, so x-rows = u-rows @ lo^{-1}
-    spaces = [orth_rows(sp @ lo_inv, tol) for sp in spaces]
+    spaces = [orth_rows(sp @ lo_inv) for sp in spaces]
 
     root_vectors, root_spaces = [], []
     zero_space = None
     for sp, val in zip(spaces, values):
-        if np.linalg.norm(val) < gap:
+        if np.linalg.norm(val) < 1e-6:
             zero_space = sp
         else:
             root_vectors.append(val)
             root_spaces.append(sp)
     if zero_space is None:
         raise ConstructionError("no zero weight space found (m + a missing)")
-    m = intersect_spans(zero_space, ksub.basis, tol)
+    m = intersect_spans(zero_space, ksub.basis)
     if m.shape[0] + a.shape[0] != zero_space.shape[0]:
         raise ConstructionError("centralizer of a does not split as m + a")
 
@@ -428,11 +437,13 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
     pos_vecs = root_vectors[positive]
     sums = (pos_vecs[:, None] + pos_vecs[None]).reshape(-1, pos_vecs.shape[1])
     simple = np.array([v for v in pos_vecs if np.linalg.norm(sums - v, axis=1).min() >= 1e-6])
+    coords, cartan = _root_lattice(root_vectors, simple, a @ L.b_theta @ a.T)
 
     return RestrictedRootData(algebra=L, a=a, m=m,
                               root_vectors=root_vectors,
                               root_spaces=tuple(root_spaces),
-                              simple_roots=simple, positive=positive)
+                              simple_roots=simple, positive=positive,
+                              coords=coords, cartan=cartan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,15 +477,11 @@ class ParabolicData:
         return np.linalg.inv(np.vstack([self.nbar.basis, self.p.basis]))[:, :self.nbar.dim]
 
 
-def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Three-row word [E, theta E, E] for a simple root alpha, E in its root space
+def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, i: int) -> np.ndarray:
+    """Three-row word [E, theta E, E] for the simple root alpha_i, E in its root space
     scaled so that (E, F = -theta E) spans an sl2 triple.  exp(E) exp(-F) exp(E) =
-    exp(pi/2 (E - F)) in SL2, so the word represents the reflection in alpha."""
-    space = roots.space_of(alpha)
-    if space.shape[0] == 0:
-        raise InputError("not a root")
-    E = space[0]
+    exp(pi/2 (E - F)) in SL2, so the word represents the reflection in alpha_i."""
+    E = roots.space_of(np.eye(len(roots.cartan), dtype=int)[i])[0]
     H0 = L.bracket(E, -(L.theta @ E))
     # H0 lies in a, so [H0, E] = alpha(H0) E; alpha(H0) > 0, rescale so that alpha(H) = 2
     val = float(E @ L.bracket(H0, E)) / float(E @ E)
@@ -484,28 +491,21 @@ def _sl2_weyl(L: LieAlgebra, roots: RestrictedRootData, alpha: np.ndarray,
     return np.array([E, L.theta @ E, E])
 
 
-def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
-                      seed: int = 0, tol: float = DEFAULT_TOL) -> ParabolicData:
+def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None) -> ParabolicData:
     """Standard minimal parabolic from the restricted root data."""
     if roots is None:
-        roots = restricted_roots(L, seed=seed, tol=tol)
-    n = orth_rows(stack_span(*roots.positive_spaces()), tol)
-    nbar = orth_rows(stack_span(*roots.negative_spaces()), tol)
-    p_basis = orth_rows(stack_span(roots.m, roots.a, n), tol)
+        roots = restricted_roots(L)
+    n = orth_rows(stack_span(*roots.positive_spaces()))
+    nbar = orth_rows(stack_span(*roots.negative_spaces()))
+    p_basis = orth_rows(stack_span(roots.m, roots.a, n))
 
     # Weyl representative by descent: column i of w is w(alpha_i) in simple-root coordinates
-    S = roots.simple_roots
-    gram = S @ np.linalg.solve(roots.a @ L.b_theta @ roots.a.T, S.T)
-    cartan = 2.0 * gram / np.diag(gram)            # cartan[j, i] = <alpha_j, alpha_i^vee>
-    if np.abs(cartan - np.round(cartan)).max() > 1e-6:
-        raise ConstructionError("the Cartan matrix of the simple roots is not integral")
-    cartan = np.round(cartan)
-    w, word = np.eye(len(S)), []
+    w, word = np.eye(len(roots.cartan), dtype=int), []
     while (up := np.flatnonzero(w.sum(axis=0) > 0)).size:
         if len(word) == roots.positive.sum():
             raise ConstructionError("the descent is longer than the number of positive roots")
-        w -= np.outer(w[:, up[0]], cartan[:, up[0]])     # w <- w s_i
-        word.append(_sl2_weyl(L, roots, S[up[0]], tol))
+        w -= np.outer(w[:, up[0]], roots.cartan[:, up[0]])     # w <- w s_i
+        word.append(_sl2_weyl(L, roots, up[0]))
     weyl = np.vstack(word)
     moved = L.ad_group(weyl, np.vstack([n, roots.a]), roots.depth)
     if not (in_span(moved[:len(n)], nbar, 1e-7) and in_span(moved[len(n):], roots.a, 1e-7)):
@@ -514,11 +514,11 @@ def minimal_parabolic(L: LieAlgebra, roots: Optional[RestrictedRootData] = None,
     alg_name = L.name or "g"
     return ParabolicData(
         algebra=L, roots=roots,
-        p=subalgebra(L, p_basis, name=f"p({alg_name})", validate=False),
-        m=subalgebra(L, roots.m, name=f"m({alg_name})", validate=False),
+        p=Subalgebra(L, p_basis, name=f"p({alg_name})"),
+        m=Subalgebra(L, roots.m, name=f"m({alg_name})"),
         a=roots.a,
-        n=subalgebra(L, n, name=f"n({alg_name})", validate=False),
-        nbar=subalgebra(L, nbar, name=f"nbar({alg_name})", validate=False),
+        n=Subalgebra(L, n, name=f"n({alg_name})"),
+        nbar=Subalgebra(L, nbar, name=f"nbar({alg_name})"),
         weyl=weyl)
 
 

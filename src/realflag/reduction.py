@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, LieAlgebra, Subalgebra, subalgebra
+from .core import InputError, LieAlgebra, Subalgebra
 from .linalg import (DEFAULT_TOL, intersect_spans, numeric_rank, orth_rows,
                      span_residual, stack_span)
 from .realforms import ParabolicData
@@ -26,7 +26,7 @@ class AlphaParabolicData:
 
     algebra: LieAlgebra
     P: ParabolicData
-    alpha: np.ndarray                  # simple root (coefficients against the a-basis)
+    alpha: int                         # index of the simple root
     p_alpha: Subalgebra
     l_alpha: Subalgebra
     u_alpha: np.ndarray                # basis rows of the nilradical
@@ -34,22 +34,19 @@ class AlphaParabolicData:
     l_cap_p: np.ndarray                # basis rows of l_alpha ∩ p
 
 
-def parabolic_alpha(g: LieAlgebra, P: ParabolicData, alpha: np.ndarray,
+def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int,
                     tol: float = DEFAULT_TOL) -> AlphaParabolicData:
-    """Build p_alpha = p + g^{-alpha} + g^{-2alpha} for a simple root alpha."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    """Build p_alpha = p + g^{-alpha} + g^{-2alpha} for the simple root alpha_i; its Levi
+    holds m, a and the roots whose simple-root coordinates vanish off i."""
     roots = P.roots
-    if not any(np.linalg.norm(alpha - s) < 1e-6 for s in roots.simple_roots):
+    if not 0 <= i < len(roots.simple_roots):
         raise InputError("alpha is not a simple root of the parabolic")
 
+    on_line = ~np.delete(roots.coords, i, axis=1).any(axis=1)
     levi_spaces = [roots.m, roots.a]
-    nil_spaces = []
-    for vec, space, pos in zip(roots.root_vectors, roots.root_spaces, roots.positive):
-        on_alpha_line = any(np.linalg.norm(vec - c * alpha) < 1e-6 for c in (1, 2, -1, -2))
-        if on_alpha_line:
-            levi_spaces.append(space)
-        elif pos:
-            nil_spaces.append(space)
+    levi_spaces += [sp for sp, on in zip(roots.root_spaces, on_line) if on]
+    nil_spaces = [sp for sp, on, pos in zip(roots.root_spaces, on_line, roots.positive)
+                  if pos and not on]
     l_basis = orth_rows(stack_span(*levi_spaces), tol)
     u_basis = orth_rows(stack_span(*nil_spaces), tol) if nil_spaces else np.zeros((0, g.dim))
     p_alpha_basis = orth_rows(stack_span(l_basis, u_basis), tol)
@@ -66,9 +63,9 @@ def parabolic_alpha(g: LieAlgebra, P: ParabolicData, alpha: np.ndarray,
     l_cap_p = intersect_spans(l_basis, P.p.basis, tol)
 
     return AlphaParabolicData(
-        algebra=g, P=P, alpha=alpha,
-        p_alpha=subalgebra(g, p_alpha_basis, name="p_alpha", validate=False),
-        l_alpha=subalgebra(g, l_basis, name="l_alpha", validate=False),
+        algebra=g, P=P, alpha=i,
+        p_alpha=Subalgebra(g, p_alpha_basis, name="p_alpha"),
+        l_alpha=Subalgebra(g, l_basis, name="l_alpha"),
         u_alpha=u_basis, projector=projector, l_cap_p=l_cap_p)
 
 
@@ -92,6 +89,6 @@ def induced_pair(g: LieAlgebra, h: Subalgebra, ap: AlphaParabolicData,
         image = orth_rows(hp @ ap.projector.T, tol)
     else:
         image = np.zeros((0, g.dim))
-    h_alpha = subalgebra(g, image, name=f"{h.name or 'h'}_alpha", validate=False)
+    h_alpha = Subalgebra(g, image, name=f"{h.name or 'h'}_alpha")
     flag = numeric_rank(stack_span(image, ap.l_cap_p), tol) == ap.l_alpha.dim
     return ap.l_alpha, h_alpha, flag

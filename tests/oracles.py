@@ -10,7 +10,9 @@ grid), evaluates the subalgebra's vector fields at every node, and counts
 connected components of the equal-orbit-dimension strata.  For the
 rank-one pairs it is applied to this equals the orbit count.  It never
 touches the library's orbit machinery.  The Jordan oracle multiplies two
-elements as twisted Hermitian octonion matrices, one pair at a time.
+elements as twisted Hermitian octonion matrices, one pair at a time.  The
+alpha-line oracle is the float matching of root vectors that the integer
+simple-root coordinates replaced.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ def stacked_local_dim(g, rows, P, word, tol: float = 1e-9) -> int:
 def intersect_orbit_dim(g, rows, P, word, tol: float = 1e-9) -> int:
     """dim span(rows) - dim(span(rows) ∩ Ad(x) p); rows independent."""
     return len(rows) - intersect_spans(rows, _moved_p(g, P, word), tol).shape[0]
+
+
+def float_alpha_line(roots, alpha) -> tuple[list[int], list[int]]:
+    """(Levi, nilradical) root indices of p_alpha for the simple root vector ``alpha``: a
+    root is on the alpha-line when it lies within 1e-6 of c alpha, c in {1, 2, -1, -2}, and
+    every other positive root is in the nilradical."""
+    levi, nil = [], []
+    for k, (vec, pos) in enumerate(zip(roots.root_vectors, roots.positive)):
+        if any(np.linalg.norm(vec - c * alpha) < 1e-6 for c in (1, 2, -1, -2)):
+            levi.append(k)
+        elif pos:
+            nil.append(k)
+    return levi, nil
 
 
 def circle_orbit_count(fields, nodes: int = 720, tol: float = 1e-9) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from realflag.catalog import build_pair, catalog_entries
-from realflag.core import killing_form, subalgebra
+from realflag.core import Subalgebra, killing_form, subalgebra
 from realflag.jordan import (build_g2, f4_bundle, jordan_tensor, omul,
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points)
@@ -190,9 +190,9 @@ def test_criterion_8_reduction_steps():
         h = pd.h
         if numeric_rank(stack_span(h.basis, pd.P.p.basis)) != pd.g.dim:
             rep = is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0)
-            h = subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis), name="h@w",
-                           validate=False)
-        for alpha in pd.P.roots.simple_roots:
+            h = Subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis, pd.P.roots.depth),
+                           name="h@w")
+        for alpha in range(len(pd.P.roots.simple_roots)):
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             _, _, flag = induced_pair(pd.g, h, ap)
             assert flag, f"{name}: induced pair not open at {alpha}"

@@ -164,7 +164,8 @@ class TestCheck:
                                       "nan-subalgebra-row", "negative-bracket-index",
                                       "boolean-bracket-index", "repeated-bracket-entry",
                                       "bracket-i-above-j", "non-numeric-theta",
-                                      "ragged-matrices", "integer-labels", "fractional-dim",
+                                      "ragged-matrices", "integer-labels", "string-labels",
+                                      "non-string-labels", "list-name", "fractional-dim",
                                       "three-dimensional-subalgebra"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = {"non-numeric-row": ["x", 0.0, 0.0],
@@ -194,7 +195,8 @@ class TestCheck:
             else:                                  # the same c, written as c[j, i, k]
                 doc["bracket"][0] = [j, i, k, -val]
             path.write_text(json.dumps(doc))
-        elif case in ("non-numeric-theta", "ragged-matrices", "integer-labels", "fractional-dim"):
+        elif case in ("non-numeric-theta", "ragged-matrices", "integer-labels", "string-labels",
+                      "non-string-labels", "list-name", "fractional-dim"):
             doc = json.loads(path.read_text())
             if case == "non-numeric-theta":
                 doc["theta"][0][0] = "x"
@@ -202,6 +204,12 @@ class TestCheck:
                 doc["matrices"][0].pop()
             elif case == "integer-labels":
                 doc["labels"] = 5
+            elif case == "string-labels":            # one character per basis element
+                doc["labels"] = "abc"
+            elif case == "non-string-labels":
+                doc["labels"] = [1, 2, 3]
+            elif case == "list-name":
+                doc["name"] = [1]
             else:                                    # int() would have read 3.7 as 3
                 doc["dim"] = 3.7
             path.write_text(json.dumps(doc))

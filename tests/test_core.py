@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from realflag.core import (ConstructionError, InputError, LieAlgebra, Unsupporte
                            load_algebra, noncompact_ideal, save_algebra, subalgebra,
                            subalgebra_closure, to_entries, validate_algebra)
 from realflag.linalg import numeric_rank, signature_of
-from realflag.realforms import _sl2_weyl, direct_sum, get_algebra
+from realflag.realforms import _root_lattice, _sl2_weyl, direct_sum, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
 from oracles import commutator_coefficients, jacobi_residual
@@ -25,8 +24,9 @@ def _unit(L, label):
 
 
 def _ad(L, word, depth=None):
-    """The full matrix Ad(x): the row action on the identity, transposed."""
-    return L.ad_group(word, np.eye(L.dim), depth).T
+    """The full matrix Ad(x): the row action on the identity, transposed; the series is
+    cut at ``depth``, or at ``dim``, where it ends for every ad-nilpotent row."""
+    return L.ad_group(word, np.eye(L.dim), L.dim if depth is None else depth).T
 
 
 # 2 m + 1, m the height of the highest restricted root
@@ -150,8 +150,8 @@ class TestAdGroup:
         # exp(E) exp(theta E) exp(E) is the reflection exp(pi/2 (E + theta E))
         L = get_algebra(name)
         roots = parabolic_of(name).roots
-        for alpha in roots.simple_roots:
-            word = _sl2_weyl(L, roots, alpha)
+        for i in range(len(roots.simple_roots)):
+            word = _sl2_weyl(L, roots, i)
             E = word[0]
             assert word.shape == (3, L.dim) and np.array_equal(word[2], E)
             ref = expm(np.pi / 2 * L.ad(E + L.theta @ E))
@@ -206,10 +206,11 @@ class TestAdGroup:
         assert P.roots.depth == DEPTHS[name]
 
     def test_depth_needs_integer_simple_root_coordinates(self, parabolic_of):
+        # against doubled simple roots, alpha_1 has coordinates (1/2, 0)
         roots = parabolic_of("sl3").roots
-        halved = replace(roots, simple_roots=2.0 * roots.simple_roots)
+        a_gram = roots.a @ roots.algebra.b_theta @ roots.a.T
         with pytest.raises(ConstructionError, match="integer"):
-            halved.depth
+            _root_lattice(roots.root_vectors, 2.0 * roots.simple_roots, a_gram)
 
     @pytest.mark.parametrize("name", RANK_ONE_AMBIENTS + ["sl3", "sl2^3", "so(3,4)", "su(3,3)"])
     def test_cut_at_the_depth_matches_the_full_series(self, name, parabolic_of):
@@ -217,7 +218,7 @@ class TestAdGroup:
         P = parabolic_of(name)
         L, depth = P.algebra, P.roots.depth
         words = [sample_group_element(P, sample_rng(0, i)) for i in range(8)]
-        words += [_sl2_weyl(L, P.roots, alpha) for alpha in P.roots.simple_roots]
+        words += [_sl2_weyl(L, P.roots, i) for i in range(len(P.roots.simple_roots))]
         for word in words:
             full = _ad(L, word)
             cut = _ad(L, word, depth=depth)
@@ -238,7 +239,7 @@ class TestAdGroup:
         # E + theta E lies in k: ad of it is not nilpotent, so the series may not be cut
         P = parabolic_of(name)
         L = P.algebra
-        E = P.roots.space_of(P.roots.simple_roots[0])[0]
+        E = P.roots.space_of(np.eye(P.roots.rank, dtype=int)[0])[0]
         with pytest.raises(InputError, match="ad-nilpotent"):
             _ad(L, (E + L.theta @ E)[None], depth=P.roots.depth)
 

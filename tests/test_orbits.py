@@ -139,7 +139,7 @@ class TestNormalForm:
         g = get_algebra("so(1,3)")
         P = parabolic_of("so(1,3)")
         galpha = P.roots.space_of([1.0])
-        h = subalgebra(g, galpha[:1], name="line", validate=True)
+        h = subalgebra(g, galpha[:1], name="line")
         with pytest.raises(NotSphericalError):
             normalize_nonreductive(g, h, P)
 

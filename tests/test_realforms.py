@@ -5,18 +5,22 @@ import pytest
 
 from realflag.core import (ConstructionError, InputError, UnsupportedOperation,
                            cartan_decomposition, validate_algebra)
-from realflag.linalg import in_span, span_residual, stack_span
+from realflag.linalg import in_span, orth_rows, span_residual, stack_span
 import realflag.realforms as realforms
 from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
-                                build_classical, direct_sum, get_algebra, matrix_involution,
-                                minimal_parabolic, restricted_roots)
+                                _root_lattice, build_classical, direct_sum, get_algebra,
+                                matrix_involution, minimal_parabolic, restricted_roots)
+from realflag.reduction import parabolic_alpha
 
+from oracles import float_alpha_line
 from test_core import DEPTHS
 
 WEYL_AMBIENTS = sorted(DEPTHS) + ["sl4"]
 # length of the longest Weyl element; every other ambient of WEYL_AMBIENTS has real rank one
 WEYL_LENGTHS = {"sl3": 3, "sl2^3": 3, "su(2,2)": 4, "sp(2,3)": 4, "sl4": 6, "so(3,4)": 9,
                 "su(3,3)": 9}
+LATTICE_AMBIENTS = ["sl2", "so(1,3)", "so(1,5)", "su(1,3)", "su(1,5)", "sp(1,3)", "sp(1,5)",
+                    "sl3", "sl4", "su(2,2)", "sp(2,3)", "so(3,4)", "su(3,3)", "sl2^3", "f4"]
 
 
 def _weyl_ad(P):
@@ -228,17 +232,18 @@ class TestMinimalParabolic:
         assert len(parabolic_of(name).weyl) == 3 * length
 
     def test_weyl_needs_an_integral_cartan_matrix(self, parabolic_of):
-        # <alpha_1, (alpha_2/2)^vee> = -2 is integral, <alpha_2/2, alpha_1^vee> = -1/2 is not
+        # against (alpha_1, alpha_2/2) every root has integer coordinates, but
+        # <alpha_1, (alpha_2/2)^vee> = -2 is integral and <alpha_2/2, alpha_1^vee> = -1/2 is not
         roots = parabolic_of("sl3").roots
-        halved = replace(roots, simple_roots=roots.simple_roots * [[1.0], [0.5]])
+        a_gram = roots.a @ roots.algebra.b_theta @ roots.a.T
         with pytest.raises(ConstructionError, match="Cartan matrix"):
-            minimal_parabolic(roots.algebra, halved)
+            _root_lattice(roots.root_vectors, roots.simple_roots * [[1.0], [0.5]], a_gram)
 
     def test_weyl_descent_stops_at_the_number_of_positive_roots(self, parabolic_of):
-        # simple roots alpha and -alpha give the affine Cartan matrix [[2, -2], [-2, 2]],
-        # whose Weyl group is infinite: the descent never ends on its own
+        # the affine Cartan matrix [[2, -2], [-2, 2]] has an infinite Weyl group:
+        # the descent never ends on its own
         roots = parabolic_of("sl3").roots
-        affine = replace(roots, simple_roots=roots.simple_roots[:1] * [[1.0], [-1.0]])
+        affine = replace(roots, cartan=np.array([[2, -2], [-2, 2]]))
         with pytest.raises(ConstructionError, match="descent"):
             minimal_parabolic(roots.algebra, affine)
 
@@ -247,6 +252,38 @@ class TestMinimalParabolic:
             P = parabolic_of(name)
             assert P.p.dim + P.dim_flag == P.algebra.dim
             assert P.dim_flag == sum(P.roots.multiplicities)
+
+
+class TestRootLattice:
+    @pytest.mark.parametrize("name", LATTICE_AMBIENTS)
+    def test_integer_coordinates_name_the_roots(self, name, parabolic_of):
+        P = parabolic_of(name)
+        roots, g = P.roots, P.algebra
+        coords, S = roots.coords, len(roots.simple_roots)
+        assert coords.dtype.kind == "i" and roots.cartan.dtype.kind == "i"
+        resid = coords @ roots.simple_roots - roots.root_vectors
+        assert np.abs(resid).max() <= 1e-9 * np.abs(roots.root_vectors).max()
+        assert ((coords >= 0).all(axis=1) | (coords <= 0).all(axis=1)).all()
+        assert np.array_equal(roots.positive, coords.sum(axis=1) > 0)
+        assert np.array_equal(np.diag(roots.cartan), np.full(S, 2))
+        assert (roots.cartan[~np.eye(S, dtype=bool)] <= 0).all()
+        for i, alpha in enumerate(roots.simple_roots):
+            unit = np.eye(S, dtype=int)[i]
+            hit = np.flatnonzero((coords == unit).all(axis=1))
+            assert hit.size == 1 and np.array_equal(roots.root_vectors[hit[0]], alpha)
+            assert np.linalg.norm(roots.root_vectors - alpha, axis=1).argmin() == hit[0]
+            assert roots.space_of(unit) is roots.root_spaces[hit[0]]
+            # the Levi and the nilradical of p_alpha are the float alpha-line matching's
+            levi, nil = float_alpha_line(roots, alpha)
+            ap = parabolic_alpha(g, P, i)
+            expected = orth_rows(stack_span(roots.m, roots.a,
+                                            *[roots.root_spaces[k] for k in levi]))
+            assert np.array_equal(ap.l_alpha.basis, expected)
+            if nil:
+                expected = orth_rows(stack_span(*[roots.root_spaces[k] for k in nil]))
+                assert np.array_equal(ap.u_alpha, expected)
+            else:
+                assert ap.u_alpha.shape[0] == 0
 
 
 class TestMatrixInvolution:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realflag.core import InputError, as_algebra, subalgebra
+from realflag.core import InputError, Subalgebra, as_algebra
 from realflag.linalg import in_span, numeric_rank, stack_span
 from realflag.realforms import restricted_roots
 from realflag.reduction import induced_pair, levi_projection, parabolic_alpha
@@ -12,14 +12,14 @@ def _translated(pd, samples=16):
     """h moved by a sphericality witness so that h + p = g at the identity."""
     rep = is_spherical(pd.g, pd.h, pd.P, samples=samples, seed=0)
     assert rep.witness is not None
-    return subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis), name=f"{pd.h.name}@w",
-                      validate=False)
+    return Subalgebra(pd.g, pd.g.ad_group(rep.witness, pd.h.basis, pd.P.roots.depth),
+                      name=f"{pd.h.name}@w")
 
 
 class TestParabolicAlpha:
     def test_rank_one_degenerate(self, pair):
         pd = pair("sl2:k")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         assert ap.p_alpha.dim == pd.g.dim
         assert ap.u_alpha.shape[0] == 0
         # flag reduces to sphericality at the identity: true for k (Iwasawa),
@@ -31,7 +31,7 @@ class TestParabolicAlpha:
 
     def test_sl3_dimensions(self, pair):
         pd = pair("sl3:so3")
-        for alpha in pd.P.roots.simple_roots:
+        for alpha in range(len(pd.P.roots.simple_roots)):
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             assert ap.p_alpha.dim == 6
             assert ap.l_alpha.dim + ap.u_alpha.shape[0] == ap.p_alpha.dim
@@ -40,22 +40,21 @@ class TestParabolicAlpha:
 
     def test_sl2cubed_structure(self, pair):
         pd = pair("sl2^3:diag")
-        alpha = pd.P.roots.simple_roots[0]
-        ap = parabolic_alpha(pd.g, pd.P, alpha)
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         # levi contains the root's own sl2 factor plus the other split torus directions
         assert ap.l_alpha.dim == 5
         assert ap.u_alpha.shape[0] == 2
 
     def test_non_simple_rejected(self, pair):
         pd = pair("sl3:so3")
-        bad = pd.P.roots.simple_roots[0] + pd.P.roots.simple_roots[1]
-        with pytest.raises(InputError):
-            parabolic_alpha(pd.g, pd.P, bad)
+        for bad in (-1, 2):
+            with pytest.raises(InputError):
+                parabolic_alpha(pd.g, pd.P, bad)
 
     def test_levi_rank_one(self, pair):
         # the derived algebra of l_alpha has exactly one indivisible positive root
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         from realflag.core import subalgebra_closure, pairwise_brackets
         derived = subalgebra_closure(pd.g, pairwise_brackets(pd.g, ap.l_alpha.basis))
         alg = as_algebra(derived, name="levi-derived")
@@ -69,34 +68,33 @@ class TestParabolicAlpha:
 class TestLeviProjection:
     def test_identity_on_levi(self, pair):
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         for v in ap.l_alpha.basis:
             assert np.allclose(levi_projection(ap, v), v, atol=1e-10)
 
     def test_kernel_is_nilradical(self, pair):
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         for v in ap.u_alpha:
             assert np.linalg.norm(levi_projection(ap, v)) < 1e-10
 
     def test_rejects_outside_vectors(self, pair):
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
-        outside = pd.P.roots.space_of(-(pd.P.roots.simple_roots[0]
-                                        + pd.P.roots.simple_roots[1]))[0]
+        ap = parabolic_alpha(pd.g, pd.P, 0)
+        outside = pd.P.roots.space_of([-1, -1])[0]
         with pytest.raises(InputError):
             levi_projection(ap, outside)
 
     def test_idempotent(self, pair):
         pd = pair("sl2^3:diag")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[1])
+        ap = parabolic_alpha(pd.g, pd.P, 1)
         assert np.allclose(ap.projector @ ap.projector, ap.projector, atol=1e-10)
 
     @pytest.mark.parametrize("name,alpha_idx", [("sl3:so3", 0), ("sl3:so3", 1),
                                                 ("sl2^3:diag", 0)])
     def test_homomorphism_residual(self, pair, name, alpha_idx):
         pd = pair(name)
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[alpha_idx])
+        ap = parabolic_alpha(pd.g, pd.P, alpha_idx)
         rng = np.random.default_rng(0)
         pa = ap.p_alpha.basis
         X = rng.standard_normal((1000, pa.shape[0])) @ pa
@@ -109,7 +107,7 @@ class TestLeviProjection:
 
     def test_bracket_with_nilradical_projects_to_zero(self, pair):
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
+        ap = parabolic_alpha(pd.g, pd.P, 0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(ap.p_alpha.dim) @ ap.p_alpha.basis
         u = rng.standard_normal(ap.u_alpha.shape[0]) @ ap.u_alpha
@@ -119,15 +117,15 @@ class TestLeviProjection:
 class TestInducedPair:
     def test_full_algebra(self, pair):
         pd = pair("sl3:so3")
-        ap = parabolic_alpha(pd.g, pd.P, pd.P.roots.simple_roots[0])
-        full = subalgebra(pd.g, np.eye(pd.g.dim), name="g", validate=False)
+        ap = parabolic_alpha(pd.g, pd.P, 0)
+        full = Subalgebra(pd.g, np.eye(pd.g.dim), name="g")
         _, h_alpha, flag = induced_pair(pd.g, full, ap)
         assert flag and h_alpha.dim == ap.l_alpha.dim
 
     def test_sl3_so3_open_for_each_root(self, pair):
         pd = pair("sl3:so3")
         assert numeric_rank(stack_span(pd.h.basis, pd.P.p.basis)) == pd.g.dim
-        for alpha in pd.P.roots.simple_roots:
+        for alpha in range(len(pd.P.roots.simple_roots)):
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             _, h_alpha, flag = induced_pair(pd.g, pd.h, ap)
             assert flag
@@ -138,7 +136,7 @@ class TestInducedPair:
         pd = pair("sl2^3:diag")
         h_t = _translated(pd)
         assert numeric_rank(stack_span(h_t.basis, pd.P.p.basis)) == pd.g.dim
-        for alpha in pd.P.roots.simple_roots:
+        for alpha in range(len(pd.P.roots.simple_roots)):
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             _, h_alpha, flag = induced_pair(pd.g, h_t, ap)
             assert flag
@@ -148,7 +146,7 @@ class TestInducedPair:
         from realflag.linalg import intersect_spans
         pd = pair("sl2^3:diag")
         h_t = _translated(pd)
-        for alpha in pd.P.roots.simple_roots:
+        for alpha in range(len(pd.P.roots.simple_roots)):
             ap = parabolic_alpha(pd.g, pd.P, alpha)
             _, h_alpha, _ = induced_pair(pd.g, h_t, ap)
             cap = intersect_spans(h_t.basis, ap.p_alpha.basis)
@@ -162,7 +160,7 @@ class TestInducedPair:
                 pd_h = _translated(pd)
             else:
                 pd_h = pd.h
-            for alpha in pd.P.roots.simple_roots:
+            for alpha in range(len(pd.P.roots.simple_roots)):
                 ap = parabolic_alpha(pd.g, pd.P, alpha)
                 _, _, flag = induced_pair(pd.g, pd_h, ap)
                 assert flag

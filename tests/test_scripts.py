@@ -1,0 +1,34 @@
+"""The scripts under ``scripts/``, each run as its own process on the session's f4 cache
+(``REALFLAG_CACHE_DIR`` is inherited from the environment that conftest sets)."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from realflag.catalog import catalog_entries
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_orbit_census_matches_every_orbit_count():
+    proc = _run("orbit_census.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    reports = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("  {")]
+    expected = {e.name: e.orbit_count for e in catalog_entries() if e.orbit_count is not None}
+    assert {r["pair"]: r["count"] for r in reports} == expected
+    assert len(reports) == len(expected)
+
+
+def test_catalog_suite_matches_every_entry(tmp_path):
+    out = tmp_path / "suite.json"
+    proc = _run("catalog_suite.py", "--n", "2", "--samples", "8", "--json-out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["pair"] for r in rows] == [e.name for e in catalog_entries(2)]
+    assert all(r["match"] for r in rows)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from realflag.catalog import catalog_entries
-from realflag.core import InputError, subalgebra
+from realflag.core import InputError, Subalgebra, subalgebra
 from realflag.realforms import get_algebra, minimal_parabolic, restricted_roots
 from realflag.spherical import (is_spherical, local_dim, sample_group_element,
                                 sample_rng)
@@ -156,7 +156,8 @@ class TestIsSpherical:
         base = is_spherical(pd.g, pd.h, pd.P, samples=8, seed=0).verdict
         for trial in range(10):
             y = sample_group_element(pd.P, sample_rng(1234, trial))
-            moved = subalgebra(pd.g, pd.g.ad_group(y, pd.h.basis), name="moved", validate=False)
+            moved = Subalgebra(pd.g, pd.g.ad_group(y, pd.h.basis, pd.P.roots.depth),
+                               name="moved")
             rep = is_spherical(pd.g, moved, pd.P, samples=8, seed=0)
             assert rep.verdict == base
 
