@@ -8,19 +8,22 @@ from .linalg import numeric_rank
 from .realforms import (build_classical, build_sl, direct_sum, get_algebra, minimal_parabolic,
                         restricted_roots)
 from .spherical import SphericityReport, is_spherical, local_dim
-from .orbits import (bruhat_cell_of, nonreductive_orbit_count, normalize_nonreductive,
-                     orbit_dim_at, symmetric_coincidence)
-from .reduction import induced_pair, levi_projection, parabolic_alpha
 
-# served from jordan on first use, so that importing the package loads neither jordan nor
-# the hashlib that keys the f4 cache
-_JORDAN_NAMES = ("Octonion", "JordanElement", "build_f4", "build_g2", "cone_point", "jordan_mul")
+# served from their modules on first use, so that importing the package loads neither
+# jordan (nor the hashlib that keys the f4 cache) nor orbits and reduction
+_LAZY_NAMES = {
+    **dict.fromkeys(("Octonion", "JordanElement", "build_f4", "build_g2", "cone_point",
+                     "jordan_mul"), "jordan"),
+    **dict.fromkeys(("bruhat_cell_of", "nonreductive_orbit_count", "normalize_nonreductive",
+                     "orbit_dim_at", "symmetric_coincidence"), "orbits"),
+    **dict.fromkeys(("induced_pair", "levi_projection", "parabolic_alpha"), "reduction"),
+}
 
 
 def __getattr__(name):
-    if name in _JORDAN_NAMES:
-        from . import jordan
-        return getattr(jordan, name)
+    if name in _LAZY_NAMES:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

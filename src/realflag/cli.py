@@ -19,10 +19,7 @@ from .core import (ConstructionError, InputError, LieError, Subalgebra, load_alg
                    read_json, subalgebra, validate_algebra)
 from .catalog import VERDICT_MATCHES, build_pair, catalog_entries, get_entry
 from .linalg import signature_of
-from .orbits import (nonreductive_orbit_count, normalize_nonreductive,
-                     symmetric_coincidence)
 from .realforms import minimal_parabolic
-from .reduction import induced_pair, parabolic_alpha
 from .spherical import is_spherical
 
 
@@ -89,6 +86,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from .orbits import nonreductive_orbit_count, normalize_nonreductive, symmetric_coincidence
+
     try:
         pd = build_pair(args.pair, args.n)
     except KeyError:
@@ -118,6 +117,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import induced_pair, parabolic_alpha
+
     try:
         pd = build_pair(args.pair, args.n)
     except KeyError:
@@ -236,7 +237,8 @@ def main(argv=None) -> int:
     common.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0,
                                                 "a number in (0, 1)"), default=1e-9)
     common.add_argument("--json", action="store_true")
-    common.add_argument("--n", type=int, default=4, help="catalog family bound")
+    common.add_argument("--n", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                        default=4, help="catalog family bound")
 
     parser = argparse.ArgumentParser(prog="realflag",
                                      description="sphericality and orbit decomposition toolkit")

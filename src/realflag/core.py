@@ -476,7 +476,9 @@ def from_entries(entries: dict, shape: tuple[int, ...], bracket: bool = False) -
     out, index = np.zeros(shape), index.astype(np.intp)
     if index.size and not 0 <= index.min() <= index.max() < out.size:
         raise ValueError(f"an entry index lies outside the {out.size} entries of {shape}")
-    if np.unique(index).size != index.size:
+    # sort and compare neighbours: np.unique without return_inverse would import numpy.ma
+    ordered = np.sort(index)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("an entry is repeated")
     if not np.isfinite(value).all():
         raise ValueError("an entry value is not finite")

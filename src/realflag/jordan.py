@@ -174,11 +174,16 @@ def _oct_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def jordan_tensor() -> np.ndarray:
     """Bilinear table P[a, b, :] = e_a o e_b on the 27 coordinates.
 
-    Built from the stacked basis matrices; every entry is an exact small dyadic
-    sum, so the table equals the one pairwise matrix products give.
+    The products e_a e_b of the stacked basis matrices sum over (j, q) in one matmul of 27
+    (24, 24) @ (24, 81) blocks, one per a: each block is too small for BLAS to hand to its
+    threads, which on two shared cores stall a single (648, 24) @ (24, 81) product for
+    milliseconds.  Every entry is an exact small dyadic sum, so the table equals the one
+    pairwise matrix products give.
     """
-    E = _coords_to_matrix(np.eye(W_DIM))                          # [a, i, j, p]
-    prod = _oct_matmul(E[:, None], E)                              # e_a e_b
+    E = _coords_to_matrix(np.eye(W_DIM))                          # [a, i, j, q]
+    left = np.tensordot(E, OCT_TABLE, axes=(-1, 0)).transpose(0, 1, 4, 2, 3)   # [a, i, r, j, q]
+    prod = left.reshape(W_DIM, -1, 24) @ E.transpose(1, 3, 0, 2).reshape(24, -1)
+    prod = prod.reshape(W_DIM, 3, 8, W_DIM, 3).transpose(0, 3, 1, 4, 2)       # e_a e_b [a, b, i, k, r]
     P = _matrix_to_coords((prod + prod.transpose(1, 0, 2, 3, 4)) / 2.0)
     P.setflags(write=False)
     return P
@@ -465,15 +470,20 @@ def _f4_algebra(derivs: np.ndarray, structure: Optional[np.ndarray] = None) -> L
     """f4 restricted to V, with theta from conjugation by diag(1, 1, -1), and the bracket
     ``structure`` if given (else derived from the realization on first use).
 
-    Q D Q^T (Q the trace-free rows) sums each row's at most three nonzeros in einsum's order.
+    Q D Q^T (Q the trace-free rows) sums the terms of each entry from 0.0 in einsum's order.
+    Rows 0 and 1 of Q mix the diagonal coordinates 0..2 and rows 2.. are e_3..; a term with
+    a zero weight changes no bit of such a sum of finite terms and is skipped, so where both
+    rows are unit vectors the entry is one of ``derivs``.
     """
     theta = _conjugation_matrix(derivs, _THETA_VEC)
-    Q = _trace_free_rows()
-    col = np.argsort(Q == 0, axis=1, kind="stable")[:, :3]    # nonzero columns first
-    w = np.take_along_axis(Q, col, axis=1)
-    mats = np.zeros((len(derivs), len(Q), len(Q)))            # C order, unlike the terms
-    for s, t in np.ndindex(3, 3):
-        mats += w[:, s, None] * derivs[:, col[:, s, None], col[None, :, t]] * w[None, :, t]
+    q = _trace_free_rows()[:2, :3]
+    mats = np.zeros((len(derivs), 26, 26))                    # C order, unlike the terms
+    mats[:, 2:, 2:] += derivs[:, 3:, 3:]
+    for s in range(3):
+        for t in range(3):
+            mats[:, :2, :2] += q[:, s, None] * derivs[:, s, t, None, None] * q[:, t]
+        mats[:, :2, 2:] += q[:, s, None] * derivs[:, s, None, 3:]
+        mats[:, 2:, :2] += derivs[:, 3:, s, None] * q[:, s]
     return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
                       theta=theta, name="f4", structure=structure)
 

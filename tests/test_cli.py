@@ -274,6 +274,20 @@ class TestCheck:
         assert "Traceback" not in err
         assert "--samples" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--json"],
+        ["check", "--pair", "sl2:a"],
+        ["orbits", "count", "--pair", "sl2:a"],
+    ], ids=["catalog", "check", "orbits"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_a_usage_error(self, capsys, argv, n):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--n" in err.splitlines()[-1]
+
 
 class TestCatalog:
     def test_table(self, capsys):

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
@@ -533,7 +535,94 @@ class TestJSON:
             load_algebra(path)
 
 
+def _entries_are_valid(index, value, shape, bracket) -> bool:
+    """What ``from_entries`` accepts, decided on the Python lists with a set for repeats."""
+    size, n = math.prod(shape), shape[0]
+    return (len(index) == len(value)
+            and not any(isinstance(f, bool) for f in index)
+            and all(0 <= f < size for f in index)
+            and len(set(index)) == len(index)
+            and all(math.isfinite(v) for v in value)
+            and (not bracket or all(f // (n * n) < f // n % n for f in index)))
+
+
+@st.composite
+def _entry_lists(draw, shape, bracket):
+    """Index and value lists, valid about half the time: distinct indices that pass every
+    check on their own (for a bracket, entries with i < j), into which one repeat or one
+    failing index (negative, past the end, a boolean or, for a bracket, i >= j) may be put;
+    a value is sometimes not finite, and the lengths sometimes differ by one."""
+    size, n = math.prod(shape), shape[0]
+    good = [f for f in range(size) if not bracket or f // (n * n) < f // n % n]
+    bad = {"negative": st.integers(-3, -1), "past-the-end": st.integers(size, size + 2),
+           "boolean": st.booleans()}
+    if bracket:
+        bad["i >= j"] = st.sampled_from([f for f in range(size) if f not in good])
+    index = draw(st.lists(st.sampled_from(good), max_size=6, unique=True))
+    kind = draw(st.sampled_from([None] * 5 + ["repeat", *bad]))
+    if kind is not None and (kind != "repeat" or index):
+        index.insert(draw(st.integers(0, len(index))),
+                     draw(st.sampled_from(index) if kind == "repeat" else bad[kind]))
+    length = max(0, len(index) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    value = draw(st.lists(st.floats(-10, 10), min_size=length, max_size=length))
+    if value and draw(st.integers(0, 6)) == 0:
+        value[draw(st.integers(0, length - 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                         -math.inf]))
+    return index, value
+
+
+_SPARSE_FLOATS = st.just(0.0) | st.just(-0.0) | st.floats(-10, 10)
+
+
 class TestEntries:
+    @staticmethod
+    def _agrees_with_the_set_oracle(index, value, shape, bracket):
+        valid = _entries_are_valid(index, value, shape, bracket)
+        try:
+            out = from_entries({"index": index, "value": value}, shape, bracket=bracket)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        expected = np.zeros(shape)
+        for f, v in zip(index, value):
+            expected.flat[f] = v
+            if bracket:
+                i, j, k = np.unravel_index(f, shape)
+                expected[j, i, k] = -v
+        assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_entry_lists((2, 3), bracket=False))
+    @example(([0, -1], [1.0, 2.0]))
+    @example(([5, 6], [1.0, 2.0]))
+    @example(([3, True], [1.0, 2.0]))
+    @example(([False], [1.0]))
+    @example(([4, 1, 4], [1.0, 2.0, 3.0]))
+    @example(([2, 0], [1.0, -math.inf]))
+    @example(([2, 0], [1.0]))
+    def test_raises_exactly_when_the_set_oracle_rejects(self, entries):
+        self._agrees_with_the_set_oracle(*entries, (2, 3), bracket=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_entry_lists((3, 3, 3), bracket=True))
+    @example(([3, 1], [1.0, 2.0]))            # c[0, 0, 1] has i = j
+    @example(([5, 9], [1.0, 2.0]))            # c[1, 0, 0] has i > j
+    @example(([5, -1], [1.0, 2.0]))
+    @example(([5, 5], [1.0, 2.0]))
+    def test_bracket_raises_exactly_when_the_set_oracle_rejects(self, entries):
+        self._agrees_with_the_set_oracle(*entries, (3, 3, 3), bracket=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, (3, 3, 3), elements=_SPARSE_FLOATS))
+    def test_roundtrip_of_any_array_is_bitwise(self, a):
+        # a -0.0 is written as no entry and comes back as 0.0
+        assert from_entries(to_entries(a), a.shape).tobytes() == (a + 0.0).tobytes()
+        c = a - a.transpose(1, 0, 2)             # exactly antisymmetric
+        back = from_entries(to_entries(c, bracket=True), c.shape, bracket=True)
+        assert back.tobytes() == (c + 0.0).tobytes()
+        assert np.array_equal(back, -back.transpose(1, 0, 2))
+
     def test_roundtrip_is_bitwise(self, so14):
         rng = np.random.default_rng(3)
         a = np.where(rng.random((4, 5, 6)) < 0.3, rng.standard_normal((4, 5, 6)), 0.0)

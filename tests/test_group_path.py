@@ -1,4 +1,4 @@
-"""Guard: one group path, cut at the grading's depth, and no scipy in the package.
+"""Guard: one group path, cut at the grading's depth, no scipy, and lazy imports.
 
 Every group element the package builds is a word of ad-nilpotent rows (n̄
 samples and Weyl reflections written as root-vector triples), and
@@ -11,6 +11,9 @@ conjugate and project), so no module defines, imports or uses ``expm`` or
 its parabolic's restricted roots, positionally after the rows or by keyword,
 so no caller falls back to the ``dim``-term series.  The package depends on
 numpy alone: no module imports scipy, so no process pays for loading it.
+Fresh interpreters take an import census: a warm f4 load and a pair-file load
+leave ``numpy.ma`` unloaded, and the package and a ``check`` load neither
+``jordan`` nor ``orbits`` and ``reduction`` until a name from them is used.
 """
 
 import ast
@@ -18,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from realflag.core import save_algebra
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "realflag"
 EXPM_NAMES = {"expm", "_expm"}
@@ -145,9 +150,44 @@ def test_g2_build_loads_no_numpy_ma():
                          "print('numpy.ma' in sys.modules)") == "False"
 
 
+def test_warm_f4_load_loads_no_numpy_ma(f4bundle):
+    # the fixture leaves a sound cache behind, so a cold build (which would fail) never runs;
+    # from_entries sorts for its duplicate check, where np.unique would import numpy.ma
+    assert _fresh_stdout("import sys\nfrom realflag import jordan\n"
+                         "jordan._build_bundle = None\njordan.f4_bundle()\n"
+                         "print('numpy.ma' in sys.modules)") == "False"
+
+
+def test_pair_file_load_loads_no_numpy_ma(so14, tmp_path):
+    path = tmp_path / "so14.json"
+    save_algebra(so14, path)
+    assert _fresh_stdout(f"import sys\nfrom realflag.core import load_algebra\n"
+                         f"print(load_algebra({str(path)!r}).dim, 'numpy.ma' in sys.modules)"
+                         ) == "10 False"
+
+
+def test_check_loads_no_orbits_or_reduction():
+    assert _fresh_stdout("import contextlib, io, sys\nimport realflag.cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    code = realflag.cli.main(['check', '--pair', 'sl2:a', '--json'])\n"
+                         "print(code, [m for m in ('realflag.orbits', 'realflag.reduction')\n"
+                         "             if m in sys.modules])") == "0 []"
+
+
+def test_package_serves_orbits_and_reduction_names_on_first_use():
+    assert _fresh_stdout("import sys, realflag\n"
+                         "print([m for m in ('realflag.orbits', 'realflag.reduction')\n"
+                         "       if m in sys.modules])\n"
+                         "from realflag import orbit_dim_at, parabolic_alpha, levi_projection\n"
+                         "from realflag import orbits, reduction\n"
+                         "print(orbit_dim_at is orbits.orbit_dim_at,\n"
+                         "      parabolic_alpha is reduction.parabolic_alpha,\n"
+                         "      levi_projection is reduction.levi_projection)") == "[]\nTrue True True"
+
+
 def test_every_public_name_resolves():
     # a name left in __all__ after its definition is gone fails here, not in a user's import *
     import realflag
     missing = [name for name in realflag.__all__ if not hasattr(realflag, name)]
     assert not missing, "realflag.__all__ lists undefined names: " + ", ".join(missing)
-    assert set(realflag._JORDAN_NAMES) <= set(realflag.__all__)
+    assert set(realflag._LAZY_NAMES) <= set(realflag.__all__)

@@ -19,7 +19,7 @@ from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingErr
 from realflag.linalg import RANK_BAND, signature_of
 from realflag.realforms import _complex_basis_u, build_classical
 
-from oracles import jordan_coords
+from oracles import jordan_coords, nine_gather_f4
 
 
 class TestOctonions:
@@ -338,6 +338,18 @@ class TestF4:
             mats = _f4_algebra(derivs).matrices
             assert np.array_equal(mats, np.einsum("va,iab,wb->ivw", Q, derivs, Q))
             assert mats.flags.c_contiguous      # the bracket's products run on these
+
+    def test_realization_and_theta_match_the_nine_gathers(self, f4bundle):
+        # bitwise, signed zeros included, on the f4 basis, on generic matrices, on matrices
+        # whose zeros are half -0.0 and on matrices with many zeros
+        rng = np.random.default_rng(1)
+        generic = rng.standard_normal((52, 27, 27))
+        signed = np.where(rng.random((52, 27, 27)) < 0.5, -0.0, generic)
+        for derivs in (f4bundle.derivations, generic, signed, np.where(generic < 0, 0.0, generic)):
+            L = _f4_algebra(derivs)
+            mats, theta = nine_gather_f4(derivs)
+            assert L.matrices.tobytes() == mats.tobytes()
+            assert L.theta.tobytes() == theta.tobytes()
 
     def test_derivations_bracket_closed(self, f4bundle):
         rng = np.random.default_rng(6)
