@@ -2,8 +2,8 @@
 by generic rank sampling, flag-manifold orbit decomposition for rank-one
 subalgebras, and the octonionic construction of the noncompact f4."""
 
-from .core import (BilinearForm, LieAlgebra, Subalgebra, cartan_decomposition, killing_form,
-                   load_algebra, noncompact_ideal, save_algebra, subalgebra, subalgebra_closure)
+from .core import (LieAlgebra, Subalgebra, cartan_decomposition, load_algebra, noncompact_ideal,
+                   save_algebra, subalgebra)
 from .linalg import numeric_rank
 from .realforms import (build_classical, build_sl, direct_sum, get_algebra, minimal_parabolic,
                         restricted_roots)
@@ -12,11 +12,10 @@ from .spherical import SphericityReport, is_spherical, local_dim
 # served from their modules on first use, so that importing the package loads neither
 # jordan (nor the hashlib that keys the f4 cache) nor orbits and reduction
 _LAZY_NAMES = {
-    **dict.fromkeys(("Octonion", "JordanElement", "build_f4", "build_g2", "cone_point",
-                     "jordan_mul"), "jordan"),
+    **dict.fromkeys(("build_g2", "cone_point"), "jordan"),
     **dict.fromkeys(("bruhat_cell_of", "nonreductive_orbit_count", "normalize_nonreductive",
                      "orbit_dim_at", "symmetric_coincidence"), "orbits"),
-    **dict.fromkeys(("induced_pair", "levi_projection", "parabolic_alpha"), "reduction"),
+    **dict.fromkeys(("induced_pair", "parabolic_alpha"), "reduction"),
 }
 
 
@@ -28,16 +27,13 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BilinearForm", "LieAlgebra", "Subalgebra", "SphericityReport",
-    "Octonion", "JordanElement",
-    "bruhat_cell_of", "build_classical", "build_f4",
-    "build_g2", "build_sl", "cartan_decomposition", "cone_point",
-    "direct_sum", "get_algebra", "induced_pair", "is_spherical",
-    "jordan_mul", "killing_form", "levi_projection", "load_algebra", "local_dim",
-    "minimal_parabolic", "noncompact_ideal", "nonreductive_orbit_count",
-    "normalize_nonreductive", "numeric_rank", "orbit_dim_at",
+    "LieAlgebra", "Subalgebra", "SphericityReport",
+    "bruhat_cell_of", "build_classical", "build_g2", "build_sl", "cartan_decomposition",
+    "cone_point", "direct_sum", "get_algebra", "induced_pair", "is_spherical",
+    "load_algebra", "local_dim", "minimal_parabolic", "noncompact_ideal",
+    "nonreductive_orbit_count", "normalize_nonreductive", "numeric_rank", "orbit_dim_at",
     "parabolic_alpha", "restricted_roots", "save_algebra", "subalgebra",
-    "subalgebra_closure", "symmetric_coincidence",
+    "symmetric_coincidence",
 ]
 
 __version__ = "0.1.0"

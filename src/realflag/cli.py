@@ -180,8 +180,7 @@ def cmd_f4(args) -> int:
     worst_inv = 0.0
     worst_skew = 0.0
     xc_min = np.inf
-    for pt in pts:
-        w = pt.w
+    for w in pts:
         co = rng.standard_normal(52)
         D = bundle.derivation_of(co)
         worst_inv = max(worst_inv, float(np.linalg.norm(jordan.jordan_product(w, D @ w)))
@@ -190,16 +189,16 @@ def cmd_f4(args) -> int:
         y = rng.standard_normal(27)
         skew = jordan.trace_form(D @ x, y) + jordan.trace_form(x, D @ y)
         worst_skew = max(worst_skew, abs(skew) / max(1.0, np.linalg.norm(x) * np.linalg.norm(y)))
-        xc_min = min(xc_min, pt.complex_part_norm())
+        xc_min = min(xc_min, jordan.complex_part_norm(w))
     add("cone-invariance", worst_inv <= 1e-8, f"max residual {worst_inv:.2e}")
     add("trace-form-skew", worst_skew <= 1e-8, f"max residual {worst_skew:.2e}")
     add("complex-part-nonzero", xc_min > 1e-9, f"min |x_C| {xc_min:.2e}")
 
-    stab = min(jordan.projective_stabilizer_dim(bundle, bundle.subalgebras["su21+su3"], pt)
-               for pt in pts)
+    stab = min(jordan.projective_stabilizer_dim(bundle, bundle.subalgebras["su21+su3"], w)
+               for w in pts)
     add("su21+su3-stabilizer", stab >= 2, f"min stabilizer dim {stab}")
-    g2max = max(jordan.projective_orbit_dim(bundle, bundle.subalgebras["g2"], pt)
-                for pt in pts)
+    g2max = max(jordan.projective_orbit_dim(bundle, bundle.subalgebras["g2"], w)
+                for w in pts)
     add("g2-orbit-bound", g2max <= 11, f"max orbit dim {g2max}")
 
     for label, keys in (("embeddings", ("su21+su3", "so12+g2")),

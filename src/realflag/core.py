@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, null_rows, numeric_rank,
-                     orth_rows, signature_of, span_residual, stack_span)
+                     orth_rows, span_residual, stack_span)
 
 
 class LieError(Exception):
@@ -122,14 +122,14 @@ class LieAlgebra:
         # column j holds [X, e_j]
         return np.einsum("i,ijk->kj", X, self.bracket_tensor)
 
-    def coefficients_of(self, M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def coefficients_of(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of a realization matrix or a stack; raises if one leaves the span."""
         M = np.asarray(M, dtype=float)
         flat = M.reshape(-1, self._flat_pinv.shape[0])
         coeff = flat @ self._flat_pinv
         resid = np.linalg.norm(coeff @ self.matrices.reshape(self.dim, -1) - flat, axis=1)
         rel = resid / np.maximum(np.linalg.norm(flat, axis=1), 1e-30)
-        if rel.size and rel.max() > tol:
+        if rel.size and rel.max() > 1e-8:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
@@ -212,9 +212,9 @@ class Subalgebra:
         if not _closure_residual(self.ambient, br, self.basis, scale) <= tol:
             raise InputError(f"{self.name or 'subalgebra'}: not closed under the bracket")
 
-    def contains(self, other: "Subalgebra | np.ndarray", tol: float = 1e-8) -> bool:
+    def contains(self, other: "Subalgebra | np.ndarray") -> bool:
         vecs = other.basis if isinstance(other, Subalgebra) else np.atleast_2d(other)
-        return in_span(vecs, self.basis, tol)
+        return in_span(vecs, self.basis)
 
 
 def subalgebra(ambient: LieAlgebra, basis: np.ndarray, name: str = "") -> Subalgebra:
@@ -224,23 +224,7 @@ def subalgebra(ambient: LieAlgebra, basis: np.ndarray, name: str = "") -> Subalg
     return sub
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """A symmetric bilinear form on the coefficient space with its signature."""
-
-    matrix: np.ndarray
-    signature: tuple[int, int]
-
-    def __call__(self, X: np.ndarray, Y: np.ndarray) -> float:
-        return float(np.asarray(X) @ self.matrix @ np.asarray(Y))
-
-
 # -- module-level operations ----------------------------------------------
-
-def killing_form(L: LieAlgebra) -> BilinearForm:
-    B = L.killing
-    return BilinearForm(matrix=B, signature=signature_of(B))
-
 
 def pairwise_brackets(L: LieAlgebra, basis: np.ndarray) -> np.ndarray:
     """All brackets [b_i, b_j], i < j, row-stacked."""
@@ -251,21 +235,6 @@ def pairwise_brackets(L: LieAlgebra, basis: np.ndarray) -> np.ndarray:
     out = brackets(L.bracket_tensor, basis, basis)
     idx = np.triu_indices(k, 1)
     return out[idx]
-
-
-def subalgebra_closure(L: LieAlgebra, generators: np.ndarray, tol: float = DEFAULT_TOL,
-                       name: str = "") -> Subalgebra:
-    """Smallest bracket-closed subspace containing the generators."""
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    if gens.size == 0:
-        raise InputError("need at least one generator")
-    basis = orth_rows(gens, tol)
-    while True:
-        br = pairwise_brackets(L, basis)
-        new = orth_rows(stack_span(basis, br), tol)
-        if new.shape[0] == basis.shape[0]:
-            return Subalgebra(L, new, name)
-        basis = new
 
 
 def cartan_decomposition(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebra, np.ndarray]:
@@ -388,8 +357,7 @@ def as_algebra(sub: Subalgebra, name: str = "", tol: float = 1e-8) -> LieAlgebra
                       name=name or sub.name, structure=c)
 
 
-def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray,
-                             tol: float = 1e-7) -> np.ndarray:
+def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray) -> np.ndarray:
     n = mats.shape[0]
     flat = mats.reshape(n, -1)
     c = np.zeros((n, n, n))
@@ -398,7 +366,7 @@ def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray,
         com = mats[i] @ mats - mats @ mats[i]          # (n, N, N)
         coeffs = com.reshape(n, -1) @ flat_pinv
         resid = np.linalg.norm(coeffs @ flat - com.reshape(n, -1))
-        if resid > tol * scale * scale * n:
+        if resid > 1e-7 * scale * scale * n:
             raise ConstructionError(f"matrices do not close under commutators (residual {resid:.2e})")
         c[i] = coeffs
     c = (c - np.einsum("ijk->jik", c)) / 2.0   # exact antisymmetry
@@ -408,7 +376,7 @@ def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray,
 
 # -- validation -------------------------------------------------------------
 
-def validate_algebra(L: LieAlgebra, tol: float = 1e-8) -> None:
+def validate_algebra(L: LieAlgebra) -> None:
     """Check the structural invariants, NaN-safe; raise ConstructionError on failure."""
     if not all(np.isfinite(x).all() for x in (L.structure, L.theta, L.matrices) if x is not None):
         raise ConstructionError("structure constants, theta or matrices are not finite")
@@ -511,17 +479,18 @@ def save_algebra(L: LieAlgebra, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object in a file; InputError if the file does not hold one."""
+    """The JSON object in a file; InputError if the file does not hold one, or nests too
+    deeply for the parser."""
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: not a JSON document ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: not a JSON object")
     return doc
 
 
-def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra:
+def load_algebra(source: str | Path | dict) -> LieAlgebra:
     """Load an algebra from the interchange format, validating invariants.
 
     ``source`` is a file or a document already read with ``read_json``.
@@ -555,6 +524,5 @@ def load_algebra(source: str | Path | dict, validate: bool = True) -> LieAlgebra
     if mats is not None and (mats.ndim != 3 or mats.shape[0] != dim or mats.shape[1] != mats.shape[2]):
         raise InputError("matrices have the wrong shape")
     L = LieAlgebra(labels=labels, matrices=mats, theta=theta, name=name, structure=c)
-    if validate:
-        validate_algebra(L)
+    validate_algebra(L)
     return L

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra, from_entries,
-                   to_entries)
+                   read_json, to_entries)
 from .linalg import _cut_certificate, brackets, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
@@ -97,40 +97,6 @@ def oconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Octonion:
-    """An octonion over the basis {1, e1, ..., e7}."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (8,):
-            raise InputError("octonion needs 8 coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    def __mul__(self, other: "Octonion") -> "Octonion":
-        return Octonion(omul(self.coeffs, other.coeffs))
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.coeffs)
-
-    def conjugate(self) -> "Octonion":
-        return Octonion(oconj(self.coeffs))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    @staticmethod
-    def unit(i: int) -> "Octonion":
-        c = np.zeros(8)
-        c[i] = 1.0
-        return Octonion(c)
-
-
 # -- the twisted Jordan algebra ----------------------------------------------
 #
 # Coordinates on W (dim 27): (alpha1, alpha2, alpha3, c1[0:8], c2[0:8], c3[0:8])
@@ -152,14 +118,14 @@ def _coords_to_matrix(w: np.ndarray) -> np.ndarray:
     return M
 
 
-def _matrix_to_coords(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _matrix_to_coords(M: np.ndarray) -> np.ndarray:
     """Inverse of ``_coords_to_matrix``; raises unless every matrix has the pattern."""
     scale = np.maximum(1.0, np.abs(M).max(axis=(-3, -2, -1)))
     dev = np.max([np.linalg.norm(M[..., 1, 0, :] - oconj(M[..., 0, 1, :]), axis=-1),
                   np.linalg.norm(M[..., 2, 1, :] + oconj(M[..., 1, 2, :]), axis=-1),
                   np.linalg.norm(M[..., 0, 2, :] + oconj(M[..., 2, 0, :]), axis=-1),
                   np.abs(M[..., [0, 1, 2], [0, 1, 2], 1:]).max(axis=(-2, -1))], axis=0)
-    if (dev > tol * scale).any():
+    if (dev > 1e-9 * scale).any():
         raise ConstructionError("matrix does not have the twisted Hermitian pattern")
     return np.concatenate([M[..., [0, 1, 2], [0, 1, 2], 0], M[..., 1, 2, :],
                            M[..., 2, 0, :], M[..., 0, 1, :]], axis=-1)
@@ -189,41 +155,9 @@ def jordan_tensor() -> np.ndarray:
     return P
 
 
-@dataclass
-class JordanElement:
-    """Element of the twisted Jordan algebra: 3 reals and 3 octonions."""
-
-    diag: np.ndarray
-    off: np.ndarray          # rows c1, c2, c3
-
-    def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=float).reshape(3)
-        self.off = np.asarray(self.off, dtype=float).reshape(3, 8)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.diag, self.off.ravel()])
-
-    @staticmethod
-    def from_coords(w: np.ndarray) -> "JordanElement":
-        w = np.asarray(w, dtype=float).reshape(W_DIM)
-        return JordanElement(w[:3], w[3:].reshape(3, 8))
-
-    def trace(self) -> float:
-        return float(self.diag.sum())
-
-    @staticmethod
-    def identity() -> "JordanElement":
-        return JordanElement(np.ones(3), np.zeros((3, 8)))
-
-
 def jordan_product(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """x o y on 27-coordinates: two matrix-vector products with the Jordan tensor."""
     return wy @ (wx @ jordan_tensor().reshape(W_DIM, -1)).reshape(W_DIM, W_DIM)
-
-
-def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
-    return JordanElement.from_coords(jordan_product(x.coords, y.coords))
 
 
 def trace_form(wx: np.ndarray, wy: np.ndarray) -> float:
@@ -233,53 +167,39 @@ def trace_form(wx: np.ndarray, wy: np.ndarray) -> float:
 
 # -- cone points --------------------------------------------------------------
 
-@dataclass
-class ConePoint:
-    """A trace-free null element x (x o x = 0, x != 0), up to real scale."""
-
-    x: JordanElement
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.x.coords
-
-    def complex_part_norm(self) -> float:
-        """Norm of the components along C = span{1, e1} plus the diagonal."""
-        w = self.w
-        idx = [0, 1, 2, 3, 4, 11, 12, 19, 20]
-        return float(np.linalg.norm(w[idx]))
+def complex_part_norm(w: np.ndarray) -> float:
+    """Norm of the components of a 27-vector along C = span{1, e1} plus the diagonal."""
+    return float(np.linalg.norm(w[[0, 1, 2, 3, 4, 11, 12, 19, 20]]))
 
 
-def cone_point(c1: Octonion | np.ndarray, c2: Octonion | np.ndarray,
-               tol: float = 1e-10) -> ConePoint:
-    """The null element with diag (|c2|^2, |c1|^2, -1) and c3 = -c2~ c1~.
+def cone_point(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The trace-free null 27-vector w (w o w = 0) with diag (|c2|^2, |c1|^2, -1) and
+    c3 = -c2~ c1~.
 
     Requires |c1|^2 + |c2|^2 = 1.  The off-diagonal entries then satisfy
     c1 c2 = -c3~ (equivalently c3 = -conj(c1 c2)).
     """
-    c1 = c1.coeffs if isinstance(c1, Octonion) else np.asarray(c1, dtype=float)
-    c2 = c2.coeffs if isinstance(c2, Octonion) else np.asarray(c2, dtype=float)
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
     n1, n2 = float(c1 @ c1), float(c2 @ c2)
-    if abs(n1 + n2 - 1.0) > tol:
+    if abs(n1 + n2 - 1.0) > 1e-10:
         raise InputError(f"|c1|^2 + |c2|^2 must be 1, got {n1 + n2}")
     c3 = -oconj(omul(c1, c2))
     w = np.concatenate([[n2, n1, -1.0], c1, c2, c3])
-    elem = JordanElement.from_coords(w)
     sq = jordan_product(w, w)
     if np.linalg.norm(sq) > 1e-9 * max(1.0, float(w @ w)):
         raise ConstructionError("cone point does not square to zero")
-    return ConePoint(x=elem)
+    return w
 
 
-def sample_cone_points(count: int, seed: int = 0) -> list[ConePoint]:
-    """Seeded cone points from the unit sphere chart (c1, c2)."""
+def sample_cone_points(count: int, seed: int = 0) -> np.ndarray:
+    """Seeded cone points from the unit sphere chart (c1, c2), as a (count, 27) array."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                                        spawn_key=(7,)))
-    out = []
-    for _ in range(count):
+    out = np.zeros((count, W_DIM))
+    for row in out:
         v = rng.standard_normal(16)
         v /= np.linalg.norm(v)
-        out.append(cone_point(v[:8], v[8:]))
+        row[:] = cone_point(v[:8], v[8:])
     return out
 
 
@@ -609,7 +529,7 @@ def _realization_residual(L: LieAlgebra) -> float:
 def _load_bundle(path: Path) -> Optional[F4Bundle]:
     """The cached bundle, or None if the file is missing, stale, malformed or not finite."""
     try:
-        doc = json.loads(path.read_text())
+        doc = read_json(path)
         if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
             return None
         derivs = from_entries(doc["derivations"], (52, W_DIM, W_DIM))
@@ -645,11 +565,6 @@ def f4_bundle(rebuild: bool = False) -> F4Bundle:
     return bundle
 
 
-def build_f4() -> LieAlgebra:
-    """The 52-dimensional noncompact f4, realized on the 26-dimensional V."""
-    return f4_bundle().algebra
-
-
 # -- subalgebras ---------------------------------------------------------------
 
 def f4_subalgebra(bundle: F4Bundle, key: str) -> Subalgebra:
@@ -675,17 +590,13 @@ def derivation_images(bundle: F4Bundle, h_basis: np.ndarray, w: np.ndarray) -> n
     return np.atleast_2d(h_basis) @ (bundle.derivations @ w)
 
 
-def projective_orbit_dim(bundle: F4Bundle, h_basis: np.ndarray, point: ConePoint,
-                         tol: float = 1e-9) -> int:
-    """Orbit dimension of the subalgebra through [x] in P(V)."""
-    w = point.w
+def projective_orbit_dim(bundle: F4Bundle, h_basis: np.ndarray, w: np.ndarray) -> int:
+    """Orbit dimension of the subalgebra through [x] in P(V), x = w a cone point."""
     images = derivation_images(bundle, h_basis, w)
-    stacked = np.vstack([images, w.reshape(1, -1)])
-    return numeric_rank(stacked, tol) - 1
+    return numeric_rank(np.vstack([images, w.reshape(1, -1)])) - 1
 
 
-def projective_stabilizer_dim(bundle: F4Bundle, h_basis: np.ndarray, point: ConePoint,
-                              tol: float = 1e-9) -> int:
-    """Dimension of {D in h : D x in R x} at [x]."""
+def projective_stabilizer_dim(bundle: F4Bundle, h_basis: np.ndarray, w: np.ndarray) -> int:
+    """Dimension of {D in h : D x in R x} at [x], x = w a cone point."""
     h_basis = np.atleast_2d(h_basis)
-    return h_basis.shape[0] - projective_orbit_dim(bundle, h_basis, point, tol)
+    return h_basis.shape[0] - projective_orbit_dim(bundle, h_basis, w)

@@ -74,8 +74,8 @@ class NonreductiveNormalForm:
         return (self.P.n.dim, 0 if self.n1.size == 0 else self.n1.shape[0])
 
 
-def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
-                           tol: float = DEFAULT_TOL) -> NonreductiveNormalForm:
+def normalize_nonreductive(g: LieAlgebra, h: Subalgebra,
+                           P: ParabolicData) -> NonreductiveNormalForm:
     """Split h ⊂ p as m1 + R X + n1 and grade the orthocomplement n0.
 
     Raises InputError when h is not inside p, NormalizationError when the
@@ -88,7 +88,7 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
         raise UnsupportedOperation("normal form requires real rank one")
     dim = g.dim
 
-    h_cap_n = intersect_spans(h.basis, P.n.basis, tol)
+    h_cap_n = intersect_spans(h.basis, P.n.basis)
     # largest h-ideal inside h ∩ n: repeatedly drop directions whose h-bracket leaves the space
     bracket_scale = float(np.linalg.norm(h.basis)) * (1.0 + float(np.abs(g.bracket_tensor).max()))
     n1 = h_cap_n
@@ -96,8 +96,8 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
         comp = complement_in(n1, np.eye(dim))
         maps = brackets(g.bracket_tensor, h.basis, n1).transpose(1, 0, 2)  # (dim n1, dim h, dim)
         out = maps @ comp.T
-        coeffs = null_rows(out.reshape(n1.shape[0], -1).T, tol, scale=bracket_scale)
-        new = orth_rows(coeffs @ n1, tol) if coeffs.shape[0] else np.zeros((0, dim))
+        coeffs = null_rows(out.reshape(n1.shape[0], -1).T, scale=bracket_scale)
+        new = orth_rows(coeffs @ n1) if coeffs.shape[0] else np.zeros((0, dim))
         if new.shape[0] == n1.shape[0]:
             break
         n1 = new
@@ -105,8 +105,8 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
         n1 = np.zeros((0, dim))
 
     ma = stack_span(P.m.basis, P.roots.a)
-    m1 = intersect_spans(h.basis, P.m.basis, tol)
-    w = intersect_spans(h.basis, ma, tol)
+    m1 = intersect_spans(h.basis, P.m.basis)
+    w = intersect_spans(h.basis, ma)
     n1_dim = n1.shape[0]
     if w.shape[0] + n1_dim != h.dim:
         raise NormalizationError(
@@ -114,7 +114,7 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
 
     X = Y = Z = None
     if w.shape[0] == m1.shape[0] + 1:
-        xdir = complement_in(m1, w, metric=g.b_theta, tol=tol)
+        xdir = complement_in(m1, w, metric=g.b_theta)
         if xdir.shape[0] != 1:
             raise NormalizationError("could not split R X off m1")
         X = xdir[0]
@@ -152,13 +152,13 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra, P: ParabolicData,
     def grade(space: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if space.shape[0] == 0:
             return (np.zeros((0, dim)), np.zeros((0, dim)))
-        p1 = intersect_spans(space, galpha, tol)
-        p2 = intersect_spans(space, g2alpha, tol) if g2alpha.shape[0] else np.zeros((0, dim))
+        p1 = intersect_spans(space, galpha)
+        p2 = intersect_spans(space, g2alpha) if g2alpha.shape[0] else np.zeros((0, dim))
         if p1.shape[0] + p2.shape[0] != space.shape[0]:
             raise NormalizationError("subspace of n is not graded by the root spaces")
         return (p1, p2)
 
-    n0 = complement_in(n1, P.n.basis, metric=g.b_theta, tol=tol)
+    n0 = complement_in(n1, P.n.basis, metric=g.b_theta)
     n1_graded = grade(n1)
     n0_graded = grade(n0)
     j = None
@@ -239,7 +239,7 @@ def symmetric_coincidence(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
                           P: ParabolicData, samples: int = 64, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> CoincidenceReport:
     """Compare h- and h'-orbit dimensions at the identity, the Weyl point and samples."""
-    if not hprime.contains(h, 1e-8):
+    if not hprime.contains(h):
         raise InputError("h is not contained in h'")
     dims_h = sampled_orbit_dims(g, h, P, samples, seed, tol)
     dims_hp = sampled_orbit_dims(g, hprime, P, samples, seed, tol)
@@ -275,7 +275,7 @@ def hprime_decomposition_check(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
     ``P`` should be adapted to the symmetric subalgebra h' (a inside s ∩ q);
     use :func:`adapted_parabolic` to construct one.
     """
-    if not hprime.contains(h, 1e-8):
+    if not hprime.contains(h):
         raise InputError("h is not contained in h'")
     if g.theta is None or span_residual(hprime.basis @ g.theta.T, hprime.basis) > 1e-8:
         raise UnsupportedOperation("h' must be theta-stable (reductive in g)")

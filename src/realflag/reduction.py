@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, LieAlgebra, Subalgebra
-from .linalg import (DEFAULT_TOL, intersect_spans, numeric_rank, orth_rows,
-                     span_residual, stack_span)
+from .linalg import intersect_spans, numeric_rank, orth_rows, stack_span
 from .realforms import ParabolicData
 
 
@@ -34,8 +33,7 @@ class AlphaParabolicData:
     l_cap_p: np.ndarray                # basis rows of l_alpha ∩ p
 
 
-def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int,
-                    tol: float = DEFAULT_TOL) -> AlphaParabolicData:
+def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int) -> AlphaParabolicData:
     """Build p_alpha = p + g^{-alpha} + g^{-2alpha} for the simple root alpha_i; its Levi
     holds m, a and the roots whose simple-root coordinates vanish off i."""
     roots = P.roots
@@ -47,9 +45,9 @@ def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int,
     levi_spaces += [sp for sp, on in zip(roots.root_spaces, on_line) if on]
     nil_spaces = [sp for sp, on, pos in zip(roots.root_spaces, on_line, roots.positive)
                   if pos and not on]
-    l_basis = orth_rows(stack_span(*levi_spaces), tol)
-    u_basis = orth_rows(stack_span(*nil_spaces), tol) if nil_spaces else np.zeros((0, g.dim))
-    p_alpha_basis = orth_rows(stack_span(l_basis, u_basis), tol)
+    l_basis = orth_rows(stack_span(*levi_spaces))
+    u_basis = orth_rows(stack_span(*nil_spaces)) if nil_spaces else np.zeros((0, g.dim))
+    p_alpha_basis = orth_rows(stack_span(l_basis, u_basis))
     if l_basis.shape[0] + u_basis.shape[0] != p_alpha_basis.shape[0]:
         raise InputError("Levi and nilradical overlap; root data inconsistent")
 
@@ -60,7 +58,7 @@ def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int,
         projector = l_basis.T @ coords[: l_basis.shape[0], :]
     else:
         projector = l_basis.T @ l_basis
-    l_cap_p = intersect_spans(l_basis, P.p.basis, tol)
+    l_cap_p = intersect_spans(l_basis, P.p.basis)
 
     return AlphaParabolicData(
         algebra=g, P=P, alpha=i,
@@ -69,26 +67,18 @@ def parabolic_alpha(g: LieAlgebra, P: ParabolicData, i: int,
         u_alpha=u_basis, projector=projector, l_cap_p=l_cap_p)
 
 
-def levi_projection(ap: AlphaParabolicData, v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Project v in p_alpha onto l_alpha along u_alpha."""
-    v = np.asarray(v, dtype=float)
-    if span_residual(v.reshape(1, -1), ap.p_alpha.basis) > tol:
-        raise InputError("vector is not in p_alpha")
-    return ap.projector @ v
-
-
-def induced_pair(g: LieAlgebra, h: Subalgebra, ap: AlphaParabolicData,
-                 tol: float = DEFAULT_TOL) -> tuple[Subalgebra, Subalgebra, bool]:
+def induced_pair(g: LieAlgebra, h: Subalgebra,
+                 ap: AlphaParabolicData) -> tuple[Subalgebra, Subalgebra, bool]:
     """(l_alpha, h_alpha, openness): h_alpha is the Levi projection of h ∩ p_alpha.
 
     The flag is true iff h_alpha + (l_alpha ∩ p) fills l_alpha; it must
     hold whenever h + p = g.
     """
-    hp = intersect_spans(h.basis, ap.p_alpha.basis, tol)
+    hp = intersect_spans(h.basis, ap.p_alpha.basis)
     if hp.shape[0]:
-        image = orth_rows(hp @ ap.projector.T, tol)
+        image = orth_rows(hp @ ap.projector.T)
     else:
         image = np.zeros((0, g.dim))
     h_alpha = Subalgebra(g, image, name=f"{h.name or 'h'}_alpha")
-    flag = numeric_rank(stack_span(image, ap.l_cap_p), tol) == ap.l_alpha.dim
+    flag = numeric_rank(stack_span(image, ap.l_cap_p)) == ap.l_alpha.dim
     return ap.l_alpha, h_alpha, flag

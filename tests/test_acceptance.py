@@ -10,11 +10,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from realflag.catalog import build_pair, catalog_entries
-from realflag.core import Subalgebra, killing_form, subalgebra
+from realflag.core import Subalgebra, subalgebra
 from realflag.jordan import (build_g2, f4_bundle, jordan_tensor, omul,
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points)
-from realflag.linalg import numeric_rank, stack_span
+from realflag.linalg import numeric_rank, signature_of, stack_span
 from realflag.orbits import (nonreductive_orbit_count, normalize_nonreductive,
                              orbit_dim_at, symmetric_coincidence)
 from realflag.realforms import build_classical, get_algebra
@@ -44,12 +44,12 @@ def test_criterion_2_exceptional_builds():
     bundle = f4_bundle()
     L = bundle.algebra
     assert L.dim == 52
-    assert killing_form(L).signature == (16, 36)
+    assert signature_of(L.killing) == (16, 36)
     P = _parabolic_for("f4")
     assert P.dim_flag == 15
     g2 = build_g2()
     assert g2.dim == 14
-    assert killing_form(g2).signature == (0, 14)
+    assert signature_of(g2.killing) == (0, 14)
     build_time = bundle.provenance["build_seconds"]
     assert build_time <= 300.0
     _report(2, f"f4: dim 52, signature (16,36), dim g/p 15; g2: dim 14, (0,14); "
@@ -94,15 +94,15 @@ def test_criterion_4_negative_suite():
     # (c) f4, so(1,2)+g2: g2-orbit dimensions on the projective cone at most 11
     bundle = f4_bundle()
     pts = sample_cone_points(256, seed=0)
-    g2_dims = [projective_orbit_dim(bundle, bundle.subalgebras["g2"], pt) for pt in pts]
+    g2_dims = [projective_orbit_dim(bundle, bundle.subalgebras["g2"], w) for w in pts]
     assert max(g2_dims) <= 11
     pd = build_pair("max:f4:so(1,2)+g2")
     rep = is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0, pair_name=pd.entry.name)
     assert rep.verdict == "not-spherical-at-confidence"
 
     # (d) f4, su(2,1)+su(3): stabilizer at least 2 at every sampled cone point
-    stabs = [projective_stabilizer_dim(bundle, bundle.subalgebras["su21+su3"], pt)
-             for pt in pts]
+    stabs = [projective_stabilizer_dim(bundle, bundle.subalgebras["su21+su3"], w)
+             for w in pts]
     assert min(stabs) >= 2
     orbit_max = 16 - min(stabs)
     assert orbit_max <= 14 < 15
@@ -235,9 +235,9 @@ def test_criterion_9_property_suites():
 
     bundle = f4_bundle()
     P27 = jordan_tensor()
-    for i, pt in enumerate(sample_cone_points(100, seed=2)):
+    for w in sample_cone_points(100, seed=2):
         D = bundle.derivation_of(rng.standard_normal(52))
-        resid = np.einsum("a,b,abc->c", pt.w, D @ pt.w, P27)
+        resid = np.einsum("a,b,abc->c", w, D @ w, P27)
         assert np.linalg.norm(resid) <= 1e-8 * max(1.0, float(np.linalg.norm(D)))
 
     _report(9, "Jacobi, Killing invariance, B_theta positivity, octonion norm "

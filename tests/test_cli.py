@@ -160,7 +160,8 @@ class TestCheck:
         assert report["verdict"] == "spherical"
         assert len(report["witness"]) == 1
 
-    @pytest.mark.parametrize("case", ["invalid-json", "non-object", "non-numeric-row",
+    @pytest.mark.parametrize("case", ["invalid-json", "non-object", "deeply-nested",
+                                      "non-numeric-row",
                                       "nan-subalgebra-row", "negative-bracket-index",
                                       "boolean-bracket-index", "repeated-bracket-entry",
                                       "bracket-i-above-j", "non-numeric-theta",
@@ -176,6 +177,8 @@ class TestCheck:
             path.write_text(path.read_text()[:-1])
         elif case == "non-object":
             path.write_text(f"[{path.read_text()}]")
+        elif case == "deeply-nested":                # deeper than the parser's recursion limit
+            path.write_text("[" * 200_000 + "]" * 200_000)
         elif case == "negative-bracket-index":   # the same bracket, with index 2 written -1
             doc = json.loads(path.read_text())
             entry = next(e for e in doc["bracket"] if e[1] == 2)
@@ -213,9 +216,9 @@ class TestCheck:
             else:                                    # int() would have read 3.7 as 3
                 doc["dim"] = 3.7
             path.write_text(json.dumps(doc))
-        assert main(["check", "--pair", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
+        assert main(["check", "--pair", str(path), "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("case", ["infinite-bracket", "nan-theta"])

@@ -17,7 +17,7 @@ ALLOWED = {
     ("jordan.py", "qmul", "i,j,ijk->k"):
         "quaternion products that build the octonion table fingerprinted by _table_hash",
     ("jordan.py", "omul", "i,j,ijk->k"):
-        "octonion product behind Octonion.__mul__ and the cone points, whose bits it fixes",
+        "octonion product behind the cone points, whose bits it fixes",
 }
 
 

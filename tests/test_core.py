@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           as_algebra, cartan_decomposition, from_entries, killing_form,
-                           load_algebra, noncompact_ideal, save_algebra, subalgebra,
-                           subalgebra_closure, to_entries, validate_algebra)
-from realflag.linalg import numeric_rank, signature_of
+                           as_algebra, cartan_decomposition, from_entries, load_algebra,
+                           noncompact_ideal, save_algebra, subalgebra, to_entries,
+                           validate_algebra)
+from realflag.linalg import signature_of
 from realflag.realforms import _root_lattice, _sl2_weyl, direct_sum, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
@@ -86,15 +86,14 @@ class TestBracket:
 
 class TestKilling:
     def test_sl2_BHH(self, sl2):
-        B = killing_form(sl2)
         H = _unit(sl2, "H0")
-        assert abs(B(H, H) - 8.0) < 1e-10
+        assert abs(H @ sl2.killing @ H - 8.0) < 1e-10
 
     def test_so3_signature(self):
-        assert killing_form(get_algebra("so(3)")).signature == (0, 3)
+        assert signature_of(get_algebra("so(3)").killing) == (0, 3)
 
     def test_so12_signature(self):
-        assert killing_form(get_algebra("so(1,2)")).signature == (2, 1)
+        assert signature_of(get_algebra("so(1,2)").killing) == (2, 1)
 
     def test_ad_invariance(self, so14):
         rng = np.random.default_rng(3)
@@ -280,30 +279,19 @@ class TestAdGroup:
 
 class TestClosure:
     def test_nilpotent_line(self, sl2):
-        sub = subalgebra_closure(sl2, _unit(sl2, "E01").reshape(1, -1))
-        assert sub.dim == 1
+        assert subalgebra(sl2, _unit(sl2, "E01")).dim == 1
 
     def test_EF_generate(self, sl2):
-        gens = np.vstack([_unit(sl2, "E01"), _unit(sl2, "E10")])
-        assert subalgebra_closure(sl2, gens).dim == 3
+        E, F = _unit(sl2, "E01"), _unit(sl2, "E10")
+        with pytest.raises(InputError, match="not closed"):
+            subalgebra(sl2, np.vstack([E, F]))
+        assert subalgebra(sl2, np.vstack([E, F, sl2.bracket(E, F)])).dim == 3
 
     def test_so3_inside_so13(self):
         so13 = get_algebra("so(1,3)")
         rows = [so13.coefficients_of(M) for M in so13.matrices
                 if np.abs(M[0]).max() == 0.0]  # rotations fixing the time axis
-        sub = subalgebra_closure(so13, np.array(rows))
-        assert sub.dim == 3
-
-    def test_idempotent(self, so14):
-        rng = np.random.default_rng(5)
-        gens = rng.standard_normal((2, so14.dim))
-        once = subalgebra_closure(so14, gens)
-        twice = subalgebra_closure(so14, once.basis)
-        assert numeric_rank(once.basis) == numeric_rank(twice.basis)
-
-    def test_empty_generators(self, sl2):
-        with pytest.raises(InputError):
-            subalgebra_closure(sl2, np.zeros((0, 3)))
+        assert subalgebra(so13, np.array(rows)).dim == 3
 
 
 class TestCartan:
@@ -668,4 +656,4 @@ class TestAsAlgebra:
         sub = as_algebra(k, name="k")
         assert sub.dim == 6
         validate_algebra(sub)
-        assert killing_form(sub).signature == (0, 6)
+        assert signature_of(sub.killing) == (0, 6)

@@ -140,8 +140,8 @@ def test_package_import_loads_no_jordan():
     # the jordan names are served on first use; hashlib comes in only with jordan
     assert _fresh_stdout("import sys, realflag.cli\n"
                          "print('realflag.jordan' in sys.modules, 'hashlib' in sys.modules)\n"
-                         "from realflag import build_f4\n"
-                         "print(build_f4.__module__)") == "False False\nrealflag.jordan"
+                         "from realflag import build_g2\n"
+                         "print(build_g2.__module__)") == "False False\nrealflag.jordan"
 
 
 def test_g2_build_loads_no_numpy_ma():
@@ -178,11 +178,11 @@ def test_package_serves_orbits_and_reduction_names_on_first_use():
     assert _fresh_stdout("import sys, realflag\n"
                          "print([m for m in ('realflag.orbits', 'realflag.reduction')\n"
                          "       if m in sys.modules])\n"
-                         "from realflag import orbit_dim_at, parabolic_alpha, levi_projection\n"
+                         "from realflag import orbit_dim_at, parabolic_alpha, induced_pair\n"
                          "from realflag import orbits, reduction\n"
                          "print(orbit_dim_at is orbits.orbit_dim_at,\n"
                          "      parabolic_alpha is reduction.parabolic_alpha,\n"
-                         "      levi_projection is reduction.levi_projection)") == "[]\nTrue True True"
+                         "      induced_pair is reduction.induced_pair)") == "[]\nTrue True True"
 
 
 def test_every_public_name_resolves():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from realflag.catalog import catalog_entries
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -32,3 +34,17 @@ def test_catalog_suite_matches_every_entry(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert [r["pair"] for r in rows] == [e.name for e in catalog_entries(2)]
     assert all(r["match"] for r in rows)
+
+
+@pytest.mark.parametrize("argv", [("catalog_suite.py", "--samples", "0"),
+                                  ("catalog_suite.py", "--n", "-1", "--samples", "1"),
+                                  ("catalog_suite.py", "--n", "0"),
+                                  ("orbit_census.py", "--samples", "0"),
+                                  ("orbit_census.py", "--samples", "-2")])
+def test_bound_below_one_is_a_usage_error(argv):
+    # argparse rejects it before any pair is built: exit 2, usage and one error line
+    proc = _run(*argv)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "error: argument" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
