@@ -15,6 +15,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from realflag import jordan
+from realflag.core import _realization_residual
 from realflag.cli import main as cli_main
 
 
@@ -33,14 +34,17 @@ def main() -> int:
     upper, lower = bundle.provenance["solver_margin"]
     print(f"solver margin: s_r/s_1 = {upper:.3g}, s_r+1/s_1 = {lower:.3g} "
           f"(cut {bundle.provenance['solver_tol']:g})")
-    stored = {"derivations": bundle.derivations, **bundle.subalgebras,
-              **{f"involution {key}": sigma for key, sigma in bundle.involutions.items()}}
+    stored = {"derivations": bundle.derivations, **bundle.subalgebras}
     print("cached nonzeros: " + ", ".join(
         f"{name} {np.count_nonzero(array)}" for name, array in stored.items()))
-    nonzeros = int((bundle.algebra.bracket_tensor != 0).sum()) // 2
-    residual = jordan._realization_residual(bundle.algebra)
-    print(f"cached bracket: {nonzeros} nonzeros c[i, j, k] with i < j, "
-          f"load-check residual {residual:.2g} (cut {jordan.LOAD_TOL:g})")
+    L, derivs = bundle.algebra, bundle.derivations
+    print(f"exact basis: entries in 1/2 Z {np.array_equal(2 * derivs, np.round(2 * derivs))}, "
+          f"Leibniz defect {jordan._leibniz_defect(derivs):g} (must be 0), "
+          f"pivot block the identity {np.array_equal(L._pivots[1], np.eye(L.dim))}")
+    c = L.bracket_tensor
+    print(f"bracket, recomputed on load: {np.count_nonzero(c) // 2} nonzeros c[i, j, k] with "
+          f"i < j, values {sorted(set(np.unique(c).tolist()))}, closure residual "
+          f"{_realization_residual(L.matrices, c):.2g}")
     print("subalgebra dimensions: " + ", ".join(
         f"{key} {len(basis)}" for key, basis in bundle.subalgebras.items()))
     print()

@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from realflag.catalog import VERDICT_MATCHES, build_pair, catalog_entries
-from realflag.cli import _checked
+from realflag.cli import _SEED, _checked
 from realflag.spherical import is_spherical
 
 AT_LEAST_ONE = _checked(int, lambda k: k >= 1, "an integer >= 1")
@@ -23,7 +23,7 @@ AT_LEAST_ONE = _checked(int, lambda k: k >= 1, "an integer >= 1")
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=AT_LEAST_ONE, default=64)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_SEED, default=0)
     ap.add_argument("--n", type=AT_LEAST_ONE, default=4)
     ap.add_argument("--json-out", type=Path)
     args = ap.parse_args()

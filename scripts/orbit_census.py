@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from realflag.catalog import build_pair, catalog_entries
-from realflag.cli import _checked
+from realflag.cli import _SEED, _checked
 from realflag.orbits import nonreductive_orbit_count, normalize_nonreductive
 from realflag.spherical import is_spherical
 
@@ -24,7 +24,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
                     default=64)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_SEED, default=0)
     args = ap.parse_args()
 
     bad = 0

@@ -228,11 +228,15 @@ def _checked(convert, ok, what: str):
     return parse
 
 
+# numpy seeds its generators from the integers in [0, 2**64)
+_SEED = _checked(int, lambda s: 0 <= s < 2 ** 64, "an integer in [0, 2**64)")
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
                         default=64)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_SEED, default=0)
     common.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0,
                                                 "a number in (0, 1)"), default=1e-9)
     common.add_argument("--json", action="store_true")

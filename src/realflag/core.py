@@ -50,12 +50,20 @@ class NotSphericalError(LieError):
     """Structural certificate that the pair at hand cannot be spherical."""
 
 
+# relative residual above which a matrix, or a commutator, is read as outside a realization's span
+READ_TOL = 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """A finite-dimensional real Lie algebra on a fixed basis.
 
-    Exactly one of ``structure`` / ``matrices`` may be omitted; the bracket
-    tensor is derived from the matrix realization on first use.
+    Exactly one of ``structure`` / ``matrices`` may be omitted.  A matrix
+    realization is read through one reader: its pivot entries, found once by
+    elimination on the flattened basis, whose (dim, dim) block is solved for
+    the coefficients of a matrix (``coefficients_of``).  Without ``structure``
+    the bracket is the commutators taken at those entries only, checked to
+    close on fixed probe pairs (``_realization_residual``).
     """
 
     labels: tuple[str, ...]
@@ -80,17 +88,39 @@ class LieAlgebra:
     def bracket_tensor(self) -> np.ndarray:
         if self.structure is not None:
             return self.structure
-        c = _structure_from_matrices(self.matrices, self._flat_pinv)
+        entries, inv = self._pivots
+        r, s = np.divmod(entries, self.matrices.shape[1])
+        # prod[p, i, j] = (M_i M_j)[r[p], s[p]], and read[i, j] the coefficients read off
+        # M_i M_j.  Each product is a stack of small blocks: BLAS would split one large
+        # product over threads, which can stall for milliseconds
+        prod = self.matrices[:, r].transpose(1, 0, 2) @ self.matrices.transpose(2, 1, 0)[s]
+        read = prod.transpose(1, 2, 0) @ inv
+        c = read - read.transpose(1, 0, 2)                 # exactly antisymmetric
+        resid = _realization_residual(self.matrices, c)
+        if not resid <= READ_TOL:
+            raise ConstructionError(f"matrices do not close under commutators "
+                                    f"(residual {resid:.2e})")
         c.setflags(write=False)
         return c
 
     @cached_property
-    def _flat_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the flattened realization basis, for coefficient extraction."""
+    def _pivots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat entries at which the realization is read, one per basis element, and the
+        inverse of the basis's block at them.  Element i takes the largest entry (the first
+        of equals) left after eliminating the entries of the elements before it; InputError
+        if none is left above READ_TOL of its own largest entry."""
         if self.matrices is None:
             raise UnsupportedOperation(f"{self.name or 'algebra'} has no matrix realization")
         flat = self.matrices.reshape(self.dim, -1)
-        return np.linalg.pinv(flat)
+        rest, cols, floor = flat.copy(), np.zeros(self.dim, dtype=np.intp), abs(flat).max(1)
+        for i, row in enumerate(rest):
+            cols[i] = p = abs(row).argmax()
+            if not abs(row[p]) > READ_TOL * floor[i]:                       # NaN fails
+                raise InputError("the realization matrices are not linearly independent")
+            later = i + 1 + np.flatnonzero(rest[i + 1:, p])
+            if later.size:
+                rest[later] -= np.outer(rest[later, p] / row[p], row)
+        return cols, np.linalg.inv(flat[:, cols])
 
     @cached_property
     def killing(self) -> np.ndarray:
@@ -123,13 +153,18 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", X, self.bracket_tensor)
 
     def coefficients_of(self, M: np.ndarray) -> np.ndarray:
-        """Coefficients of a realization matrix or a stack; raises if one leaves the span."""
+        """Coefficients of a realization matrix or a stack, read at the pivot entries;
+        InputError if one leaves the span."""
+        cols, inv = self._pivots
         M = np.asarray(M, dtype=float)
-        flat = M.reshape(-1, self._flat_pinv.shape[0])
-        coeff = flat @ self._flat_pinv
-        resid = np.linalg.norm(coeff @ self.matrices.reshape(self.dim, -1) - flat, axis=1)
-        rel = resid / np.maximum(np.linalg.norm(flat, axis=1), 1e-30)
-        if rel.size and rel.max() > 1e-8:
+        stack = M.reshape(-1, *self.matrices.shape[1:])
+        coeff = stack.reshape(len(stack), -1)[:, cols] @ inv
+        # sum_i coeff[a, i] M_i one matrix row at a time, for the reason given in bracket_tensor
+        back = (coeff @ self.matrices.transpose(1, 0, 2)).transpose(1, 0, 2)
+        back -= stack
+        rel = (np.linalg.norm(back, axis=(1, 2))
+               / np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-30))
+        if rel.size and not rel.max() <= READ_TOL:
             raise InputError(f"matrix not in the realization span (residual {rel.max():.2e})")
         return coeff[0] if M.ndim == 2 else coeff
 
@@ -357,21 +392,14 @@ def as_algebra(sub: Subalgebra, name: str = "", tol: float = 1e-8) -> LieAlgebra
                       name=name or sub.name, structure=c)
 
 
-def _structure_from_matrices(mats: np.ndarray, flat_pinv: np.ndarray) -> np.ndarray:
-    n = mats.shape[0]
-    flat = mats.reshape(n, -1)
-    c = np.zeros((n, n, n))
-    scale = max(1.0, np.abs(mats).max())
-    for i in range(n):
-        com = mats[i] @ mats - mats @ mats[i]          # (n, N, N)
-        coeffs = com.reshape(n, -1) @ flat_pinv
-        resid = np.linalg.norm(coeffs @ flat - com.reshape(n, -1))
-        if resid > 1e-7 * scale * scale * n:
-            raise ConstructionError(f"matrices do not close under commutators (residual {resid:.2e})")
-        c[i] = coeffs
-    c = (c - np.einsum("ijk->jik", c)) / 2.0   # exact antisymmetry
-    c[np.abs(c) < 1e-12 * max(1.0, np.abs(c).max())] = 0.0
-    return c
+def _realization_residual(mats: np.ndarray, c: np.ndarray) -> float:
+    """Largest |[X, Y] - sum_k c(x, y)_k M_k| over three fixed pairs (sines of integers:
+    every coefficient nonzero), relative to the largest |X| |Y|."""
+    X, Y = np.sin(np.arange(1, 6 * len(mats) + 1)).reshape(2, 3, len(mats))
+    MX, MY = np.tensordot(X, mats, 1), np.tensordot(Y, mats, 1)
+    coeffs = brackets(c, X, Y)[[0, 1, 2], [0, 1, 2]]                  # [x_a, y_a]
+    resid = MX @ MY - MY @ MX - np.tensordot(coeffs, mats, 1)
+    return float(np.abs(resid).max() / max(np.abs(MX).max() * np.abs(MY).max(), 1e-300))
 
 
 # -- validation -------------------------------------------------------------

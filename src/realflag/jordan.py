@@ -9,24 +9,26 @@ n is the one the null-cone equation below forces).  The Jordan algebra W is the
 space of 3x3 octonionic matrices Hermitian with respect to the signature
 (+, +, -), with product x o y = (xy + yx)/2; its 52-dimensional derivation
 algebra is the noncompact rank-one real form of f4 with maximal compact
-so(9), realized here by matrices acting on the 26-dimensional trace-free
-part V.  The projectivized null cone {x in V : x o x = 0} is the flag
-manifold of that algebra.
+so(9).  The projectivized null cone {x in V : x o x = 0}, V the trace-free
+part of W, is the flag manifold of that algebra.
 
 g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor; it splits the derivation system
-into the blocks that no equation links and solves each.  The f4 build is
-cached to disk.  The cache (``CACHE_SCHEMA`` 6) holds what the solve and
-the embedding search produce: the derivation basis, the bases of the eight
-subalgebras in ``F4_SUBALGEBRAS``, the two involutions, the bracket the
-build derived from the realization, and the provenance, which carries the
-solve's rank margin, each array as its nonzero entries (``core.to_entries``).
-The realization on V and theta are recomputed from the derivations on load.
-A file is used only if its schema and its hash of the multiplication tables
-match, every array decodes (``core.from_entries``), its derivations obey the
-Leibniz rule and its bracket reproduces the commutators of the realization
-on fixed probe pairs; a stale, malformed or altered file is rebuilt and
-overwritten.
+into the blocks that no equation links, solves each, and returns the exact
+dyadic RREF basis of the solutions.  f4 is realized by those 27x27
+derivations of W: its pivot block is the identity, so its bracket, theta
+and the two involutions, all read at the pivot entries (``core.LieAlgebra``),
+are exact gathers.  The f4 build is cached to disk.  The cache
+(``CACHE_SCHEMA`` 7) holds what the solve and the embedding search produce:
+the derivation basis, the bases of the eight subalgebras in
+``F4_SUBALGEBRAS`` and the provenance, which carries the solve's rank
+margin, each array as its nonzero entries (``core.to_entries``).  The
+bracket, theta and the involutions are recomputed on load.  A file is used
+only if its schema and its hash of the multiplication tables match, every
+array decodes (``core.from_entries``), every derivation entry lies in 1/2 Z,
+the derivations obey the Leibniz rule exactly on fixed integer probes, and
+they are independent and close under commutators; a stale, malformed or
+altered file is rebuilt and overwritten.
 
 Every f4 subalgebra is read through ``f4_subalgebra``, which checks closure
 and the dimension in ``F4_SUBALGEBRAS`` and raises ``EmbeddingError``
@@ -51,12 +53,10 @@ import numpy as np
 
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra, from_entries,
                    read_json, to_entries)
-from .linalg import _cut_certificate, brackets, numeric_rank, orth_rows, signature_of
+from .linalg import _cut_certificate, numeric_rank, orth_rows, signature_of
 from .realforms import _QT, _complex_basis_u, build_classical
 
 SOLVER_TOL = 1e-9
-# a cached f4 file is a miss when its Leibniz or realization residual exceeds this
-LOAD_TOL = 1e-12
 
 
 class EmbeddingError(ConstructionError):
@@ -226,17 +226,38 @@ def _derivation_system(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return *np.divmod(keys[total != 0], n * n), total[total != 0], a.size * n
 
 
+def _rref(rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form of independent rows, by elimination with partial pivoting;
+    a column whose remaining entries are all at most SOLVER_TOL is not a pivot column."""
+    R, top = rows.copy(), 0
+    for col in range(R.shape[1]):
+        if top == len(R):
+            break
+        p = top + np.abs(R[top:, col]).argmax()
+        if abs(R[p, col]) > SOLVER_TOL:
+            R[[top, p]] = R[[p, top]]
+            R[top] /= R[top, col]
+            others = np.arange(len(R)) != top
+            R[others] -= np.outer(R[others, col], R[top])
+            top += 1
+    return R
+
+
 def derivation_algebra(table: np.ndarray,
                        expected_dim: int) -> tuple[np.ndarray, tuple[float, float]]:
-    """Orthonormal basis, as (dim, n, n), of the derivations of a bilinear product,
-    and the rank margin (s_r / s_1, s_{r+1} / s_1) of the system that defines them.
+    """Exact basis, as (dim, n, n), of the derivations of a bilinear product with dyadic
+    entries, and the rank margin (s_r / s_1, s_{r+1} / s_1) of the system that defines them.
 
     ``table[a, b, :]`` is e_a e_b.  A derivation D satisfies
     D(e_a e_b) = D(e_a) e_b + e_a D(e_b) for a <= b, a sparse linear system A in
     the n^2 entries of D.  Two unknowns are linked when a row holds both, so A is
     block diagonal up to a permutation.  Each block is scattered from A's nonzeros
     into a dense array, rows and unknowns ascending; its null space comes from an
-    SVD of R in block = QR, refined once.  The rank cut is SOLVER_TOL times s_1 of A.
+    SVD of R in block = QR, cut at SOLVER_TOL times s_1 of A.  The basis is the reduced
+    row echelon form (RREF) of each block's null space, blocks in the order of their
+    smallest unknown, with every entry rounded to a multiple of 1/2.  It is accepted only
+    if every block annihilates it exactly and it has ``expected_dim`` rows; the octonion
+    table gives entries in {0, +-1}, the Jordan tensor entries in {0, +-1/2, +-1}.
     """
     n = table.shape[0]
     rows, cols, vals, n_rows = _derivation_system(table)
@@ -252,18 +273,20 @@ def derivation_algebra(table: np.ndarray,
         at = np.unique(rows[inside], return_inverse=True)[1]
         block = np.zeros((at.max() + 1, unknowns.sum()))
         block[at, np.cumsum(unknowns)[cols[inside]] - 1] = vals[inside]
-        R = np.linalg.qr(block, mode="r")
-        blocks.append((unknowns, R, *np.linalg.svd(R)))
+        _, s, vh = np.linalg.svd(np.linalg.qr(block, mode="r"))
+        blocks.append((unknowns, block, s, vh))
     s_all = np.sort(np.concatenate([s for *_, s, _ in blocks]))[::-1]
     _, upper, lower, ambiguous = _cut_certificate(s_all, SOLVER_TOL)
     if ambiguous:
         raise ConstructionError(f"derivation solve: rank cut is ambiguous (s_r/s_1 = "
                                 f"{upper:.1e}, s_r+1/s_1 = {lower:.1e})")
     null_blocks = []
-    for unknowns, R, u, s, vh in blocks:
-        r = _cut_certificate(s, SOLVER_TOL, s_all[0])[0]
-        # one refinement step takes off the SVD's rounding along the row space, R^+ R v
-        null = vh[r:] - vh[r:] @ R.T @ u[:, :r] / s[:r] @ vh[:r]
+    for unknowns, block, s, vh in blocks:
+        null = _rref(vh[_cut_certificate(s, SOLVER_TOL, s_all[0])[0]:])
+        null = np.round(2.0 * null) / 2.0 + 0.0                # + 0.0 turns a -0.0 into 0.0
+        if (block @ null.T).any():
+            raise ConstructionError("derivation solve: the rounded basis does not solve "
+                                    "its block exactly")
         null_blocks.append(np.zeros((len(null), n * n)))
         null_blocks[-1][:, unknowns] = null
     basis = np.vstack(null_blocks)
@@ -287,16 +310,6 @@ def build_g2() -> LieAlgebra:
 
 # -- f4 = derivations of W -----------------------------------------------------
 
-def _trace_free_rows() -> np.ndarray:
-    """Orthonormal rows spanning the trace-free part V inside W."""
-    Q = np.zeros((26, W_DIM))
-    Q[0, 0], Q[0, 1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    Q[1, 0] = Q[1, 1] = 1 / np.sqrt(6)
-    Q[1, 2] = -2 / np.sqrt(6)
-    Q[2:, 3:] = np.eye(24)
-    return Q
-
-
 def _sign_involution(d: tuple[float, float, float]) -> np.ndarray:
     """Coordinate action on W of conjugation by diag(d) (d entries +-1)."""
     sv = np.ones(W_DIM)
@@ -318,32 +331,28 @@ _H1_VEC = _sign_involution((1.0, -1.0, 1.0))
 class F4Bundle:
     """The f4 algebra plus the Jordan-level data its embeddings need.
 
-    ``derivations`` holds one 27x27 matrix per basis element (the action
-    on W); the LieAlgebra's own realization is the restriction to V.
-    Subalgebra bases are row-stacked coefficient vectors against the f4
-    basis.
+    The algebra is realized by its derivations of W, one 27x27 matrix per
+    basis element.  Subalgebra bases and involutions are coefficient rows
+    and matrices against the f4 basis.
     """
 
     algebra: LieAlgebra
-    derivations: np.ndarray                  # (52, 27, 27)
     subalgebras: dict[str, np.ndarray]       # every key of F4_SUBALGEBRAS
-    involutions: dict[str, np.ndarray]       # coefficient matrices on f4
+    involutions: dict[str, np.ndarray]       # every key of _SYMMETRIC
     provenance: dict
+
+    @property
+    def derivations(self) -> np.ndarray:
+        """(52, 27, 27): the derivation basis of W, the algebra's realization."""
+        return self.algebra.matrices
 
     def derivation_of(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=float), self.derivations, axes=1)
 
 
 def _solve_der_w() -> tuple[np.ndarray, tuple[float, float]]:
-    """Orthonormal basis of Der(W) as (52, 27, 27), and the solve's rank margin."""
+    """The RREF basis of Der(W) as (52, 27, 27), and the solve's rank margin."""
     return derivation_algebra(jordan_tensor(), 52)
-
-
-def _conjugation_matrix(derivs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of D -> s D s for a diagonal coordinate involution s."""
-    flat = derivs.reshape(52, -1)
-    conj = (derivs * vec[None, None, :]) * vec[None, :, None]
-    return (conj.reshape(52, -1) @ flat.T).T
 
 
 def _complex_conjugation_derivation(Zr: np.ndarray, Zi: np.ndarray) -> np.ndarray:
@@ -371,7 +380,7 @@ def _table_hash() -> str:
     return h.hexdigest()
 
 
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 # every subalgebra a bundle carries, by key, with its dimension
 F4_SUBALGEBRAS = {"g2": 14, "su3": 8, "su21": 8, "so12": 3, "su21+su3": 16, "so12+g2": 17,
                   "so(1,8)": 36, "sp(1,2)+sp(1)": 24}
@@ -386,50 +395,33 @@ def cache_path() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))) / "realflag" / "f4.json"
 
 
-def _f4_algebra(derivs: np.ndarray, structure: Optional[np.ndarray] = None) -> LieAlgebra:
-    """f4 restricted to V, with theta from conjugation by diag(1, 1, -1), and the bracket
-    ``structure`` if given (else derived from the realization on first use).
-
-    Q D Q^T (Q the trace-free rows) sums the terms of each entry from 0.0 in einsum's order.
-    Rows 0 and 1 of Q mix the diagonal coordinates 0..2 and rows 2.. are e_3..; a term with
-    a zero weight changes no bit of such a sum of finite terms and is skipped, so where both
-    rows are unit vectors the entry is one of ``derivs``.
-    """
-    theta = _conjugation_matrix(derivs, _THETA_VEC)
-    q = _trace_free_rows()[:2, :3]
-    mats = np.zeros((len(derivs), 26, 26))                    # C order, unlike the terms
-    mats[:, 2:, 2:] += derivs[:, 3:, 3:]
-    for s in range(3):
-        for t in range(3):
-            mats[:, :2, :2] += q[:, s, None] * derivs[:, s, t, None, None] * q[:, t]
-        mats[:, :2, 2:] += q[:, s, None] * derivs[:, s, None, 3:]
-        mats[:, 2:, :2] += derivs[:, 3:, s, None] * q[:, s]
-    return LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=mats,
-                      theta=theta, name="f4", structure=structure)
+def _f4_algebra(derivs: np.ndarray) -> tuple[LieAlgebra, dict[str, np.ndarray]]:
+    """f4 realized by ``derivs``, with theta from conjugation by diag(1, 1, -1), and the
+    involutions of ``_SYMMETRIC``; each is D -> s D s for a coordinate sign vector s, read
+    at the pivot entries, so on the RREF basis it is a diagonal sign matrix."""
+    labels = tuple(f"D{i}" for i in range(52))
+    plain = LieAlgebra(labels=labels, matrices=derivs, name="f4")
+    s = np.array([_THETA_VEC, _H1_VEC, _CAYLEY_VEC])[:, None]         # (3, 1, 27)
+    read = plain.coefficients_of(derivs * (s[..., None] * s[:, :, None])).reshape(3, 52, 52)
+    theta, *sigmas = read.transpose(0, 2, 1)
+    return (LieAlgebra(labels=labels, matrices=derivs, theta=theta, name="f4"),
+            dict(zip(_SYMMETRIC, sigmas)))
 
 
 def _build_bundle() -> F4Bundle:
     t0 = time.perf_counter()
     derivs, margin = _solve_der_w()
-    L = _f4_algebra(derivs)
+    L, involutions = _f4_algebra(derivs)
 
     sig = signature_of(L.killing)
     if sig != (16, 36):
         raise ConstructionError(f"f4 Killing signature {sig}, expected (16, 36)")
 
-    subalgebras: dict[str, np.ndarray] = {}
-    flat = derivs.reshape(52, -1)
-
     def coeffs_of(mats27: list[np.ndarray], what: str) -> np.ndarray:
-        rows = []
-        for D in mats27:
-            co = D.ravel() @ flat.T
-            resid = np.linalg.norm(co @ flat - D.ravel())
-            if resid > 1e-7 * max(1.0, np.linalg.norm(D)):
-                raise EmbeddingError(f"{what}: candidate map is not a derivation "
-                                     f"(residual {resid:.2e})")
-            rows.append(co)
-        return orth_rows(np.array(rows))
+        try:
+            return orth_rows(L.coefficients_of(np.array(mats27)))
+        except InputError as exc:
+            raise EmbeddingError(f"{what}: candidate map is not a derivation ({exc})") from exc
 
     # g2 entrywise and its complex-commutant su(3)
     g2 = build_g2()
@@ -449,17 +441,8 @@ def _build_bundle() -> F4Bundle:
     so12 = coeffs_of([_complex_conjugation_derivation(R, np.zeros((3, 3)))
                       for R in build_classical("so", 2, 1).matrices], "so(1,2) conjugation")
 
-    subalgebras["g2"] = g2_lift
-    subalgebras["su3"] = su3_lift
-    subalgebras["su21"] = su21
-    subalgebras["so12"] = so12
-    subalgebras["su21+su3"] = np.vstack([su21, su3_lift])
-    subalgebras["so12+g2"] = np.vstack([so12, g2_lift])
-
-    involutions = {
-        "so(1,8)": _conjugation_matrix(derivs, _H1_VEC),
-        "sp(1,2)+sp(1)": _conjugation_matrix(derivs, _CAYLEY_VEC),
-    }
+    subalgebras = {"g2": g2_lift, "su3": su3_lift, "su21": su21, "so12": so12,
+                   "su21+su3": np.vstack([su21, su3_lift]), "so12+g2": np.vstack([so12, g2_lift])}
     for name, sigma in involutions.items():
         ev, V = np.linalg.eigh((sigma + sigma.T) / 2.0)
         subalgebras[name] = V[:, ev > 0.5].T
@@ -470,8 +453,8 @@ def _build_bundle() -> F4Bundle:
         "solver_margin": list(margin),
         "build_seconds": round(time.perf_counter() - t0, 3),
     }
-    bundle = F4Bundle(algebra=L, derivations=derivs, subalgebras=subalgebras,
-                      involutions=involutions, provenance=provenance)
+    bundle = F4Bundle(algebra=L, subalgebras=subalgebras, involutions=involutions,
+                      provenance=provenance)
     for name, expected_sig in _SYMMETRIC.items():
         fixed = f4_subalgebra(bundle, name).basis
         sig = signature_of(fixed @ L.killing @ fixed.T)
@@ -485,14 +468,13 @@ def _build_bundle() -> F4Bundle:
 
 
 def _save_bundle(bundle: F4Bundle, path: Path) -> None:
-    """Write the bundle, every array as its nonzero entries (``core.to_entries``)."""
+    """Write the derivations, the subalgebras (each as its nonzero entries,
+    ``core.to_entries``) and the provenance."""
     doc = {
         "schema": CACHE_SCHEMA,
         "provenance": bundle.provenance,
         "derivations": to_entries(bundle.derivations),
         "subalgebras": {k: to_entries(v) for k, v in bundle.subalgebras.items()},
-        "involutions": {k: to_entries(v) for k, v in bundle.involutions.items()},
-        "bracket": to_entries(bundle.algebra.bracket_tensor, bracket=True),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -505,29 +487,22 @@ def _save_bundle(bundle: F4Bundle, path: Path) -> None:
         raise
 
 
-def _leibniz_residual(derivs: np.ndarray) -> float:
-    """Relative residual of D(x o y) = Dx o y + x o Dy over all D and three fixed pairs
-    (sines of integers: every coordinate nonzero, and no numpy.random import on load)."""
-    X, Y = np.sin(np.arange(1, 6 * W_DIM + 1)).reshape(2, 3, W_DIM)
+def _leibniz_defect(derivs: np.ndarray) -> float:
+    """Largest |D(x o y) - Dx o y - x o Dy| over all D and three fixed pairs of integer
+    vectors.  With the Jordan tensor's entries and those of ``derivs`` in 1/2 Z, every term
+    is a small multiple of 1/4 and every sum is exact, so a derivation gives exactly 0."""
+    X, Y = (1.0 + np.arange(6 * W_DIM) % 7).reshape(2, 3, W_DIM)
     xo, oy = np.tensordot(X, jordan_tensor(), (1, 0)), np.tensordot(Y, jordan_tensor(), (1, 1))
     lhs = derivs @ np.matmul(Y[:, None], xo)[:, 0].T                   # [D, k, t]
     rhs = (np.matmul((derivs @ X.T).transpose(2, 0, 1), oy)
            + np.matmul((derivs @ Y.T).transpose(2, 0, 1), xo)).transpose(1, 2, 0)
-    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
-
-
-def _realization_residual(L: LieAlgebra) -> float:
-    """Relative residual of [X, Y] = sum_k c(x, y)_k M_k over three fixed pairs (sines of
-    integers, as in ``_leibniz_residual``)."""
-    X, Y = np.sin(np.arange(1, 6 * L.dim + 1)).reshape(2, 3, L.dim)
-    MX, MY = np.tensordot(X, L.matrices, 1), np.tensordot(Y, L.matrices, 1)
-    lhs = MX @ MY - MY @ MX
-    coeffs = brackets(L.bracket_tensor, X, Y)[[0, 1, 2], [0, 1, 2]]    # [x_a, y_a]
-    return float(np.abs(lhs - np.tensordot(coeffs, L.matrices, 1)).max() / np.abs(lhs).max())
+    return float(np.abs(lhs - rhs).max())
 
 
 def _load_bundle(path: Path) -> Optional[F4Bundle]:
-    """The cached bundle, or None if the file is missing, stale, malformed or not finite."""
+    """The cached bundle, or None if the file is missing, stale or malformed, or its
+    derivations are not exact: an entry outside 1/2 Z, a nonzero Leibniz defect, or
+    dependent or unclosed matrices."""
     try:
         doc = read_json(path)
         if doc["schema"] != CACHE_SCHEMA or doc["provenance"]["table_hash"] != _table_hash():
@@ -535,17 +510,15 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
         derivs = from_entries(doc["derivations"], (52, W_DIM, W_DIM))
         subalgebras = {k: from_entries(doc["subalgebras"][k], (dim, 52))
                        for k, dim in F4_SUBALGEBRAS.items()}
-        involutions = {k: from_entries(doc["involutions"][k], (52, 52)) for k in _SYMMETRIC}
-        c = from_entries(doc["bracket"], (52, 52, 52), bracket=True)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        if not (np.array_equal(2.0 * derivs, np.round(2.0 * derivs))
+                and _leibniz_defect(derivs) == 0.0):
+            return None
+        L, involutions = _f4_algebra(derivs)
+        L.bracket_tensor                   # the probe check that the commutators close
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, ConstructionError):
         return None
-    if not _leibniz_residual(derivs) <= LOAD_TOL:      # about 5e-16 on a sound file
-        return None
-    L = _f4_algebra(derivs, structure=c)
-    if not _realization_residual(L) <= LOAD_TOL:       # about 8e-16 on a sound file
-        return None
-    return F4Bundle(algebra=L, derivations=derivs, subalgebras=subalgebras,
-                    involutions=involutions, provenance=doc["provenance"])
+    return F4Bundle(algebra=L, subalgebras=subalgebras, involutions=involutions,
+                    provenance=doc["provenance"])
 
 
 _BUNDLE: Optional[F4Bundle] = None

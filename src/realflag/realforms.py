@@ -20,7 +20,7 @@ builds is ad-nilpotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -63,16 +63,11 @@ def realify_quaternion(Q: np.ndarray) -> np.ndarray:
     return np.einsum("ijm,mlk->ikjl", Q, _QT).reshape(4 * n, 4 * n)
 
 
-def _theta_from_matrices(mats: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of X -> -X^T; requires the basis to be transpose-stable."""
-    flat = mats.reshape(mats.shape[0], -1)
-    neg_t = -np.einsum("ijk->ikj", mats)
-    # least squares theta^T flat = neg_t through the (dim x dim) normal equations
-    theta = np.linalg.solve(flat @ flat.T, flat @ neg_t.reshape(mats.shape[0], -1).T)
-    resid = np.linalg.norm(theta.T @ flat - neg_t.reshape(mats.shape[0], -1))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(flat)):
-        raise ConstructionError("basis is not stable under X -> -X^T")
-    return theta
+def _transposed_theta(labels: list[str], mats: np.ndarray, name: str) -> LieAlgebra:
+    """The algebra on ``mats`` with theta X -> -X^T, read at the pivot entries; InputError
+    unless the basis is stable under it."""
+    L = LieAlgebra(labels=tuple(labels), matrices=mats, name=name)
+    return replace(L, theta=L.coefficients_of(-mats.transpose(0, 2, 1)).T)
 
 
 def build_classical(family: str, p: int, q: int) -> LieAlgebra:
@@ -127,9 +122,7 @@ def build_classical(family: str, p: int, q: int) -> LieAlgebra:
     expected = {"so": N * (N - 1) // 2, "su": N * N - 1, "sp": N * (2 * N + 1)}[family]
     if len(labels) != expected:
         raise ConstructionError(f"{family}({p},{q}): built {len(labels)} generators, expected {expected}")
-    theta = _theta_from_matrices(real_mats)
-    return LieAlgebra(labels=tuple(labels), matrices=real_mats, theta=theta,
-                      name=f"{family}({p},{q})")
+    return _transposed_theta(labels, real_mats, f"{family}({p},{q})")
 
 
 def build_sl(n: int) -> LieAlgebra:
@@ -151,9 +144,7 @@ def build_sl(n: int) -> LieAlgebra:
                 E[i, j] = 1.0
                 mats.append(E)
                 labels.append(f"E{i}{j}")
-    arr = np.array(mats)
-    theta = _theta_from_matrices(arr)
-    return LieAlgebra(labels=tuple(labels), matrices=arr, theta=theta, name=f"sl{n}")
+    return _transposed_theta(labels, np.array(mats), f"sl{n}")
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

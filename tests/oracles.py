@@ -12,8 +12,7 @@ rank-one pairs it is applied to this equals the orbit count.  It never
 touches the library's orbit machinery.  The Jordan oracle multiplies two
 elements as twisted Hermitian octonion matrices, one pair at a time.  The
 alpha-line oracle is the float matching of root vectors that the integer
-simple-root coordinates replaced.  The f4 realization oracle is the nine-gather
-Q D Q^T that ``jordan._f4_algebra`` replaced with slices of the derivations.
+simple-root coordinates replaced.
 """
 
 from __future__ import annotations
@@ -21,27 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from realflag.linalg import intersect_spans, numeric_rank, stack_span
-from realflag.jordan import (_THETA_VEC, _conjugation_matrix, _coords_to_matrix,
-                             _matrix_to_coords, _oct_matmul, _trace_free_rows)
+from realflag.jordan import _coords_to_matrix, _matrix_to_coords, _oct_matmul
 
 
 def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """x o y = (xy + yx)/2 on 27-coordinates, through the 3x3 octonion matrices."""
     A, B = _coords_to_matrix(wx), _coords_to_matrix(wy)
     return _matrix_to_coords((_oct_matmul(A, B) + _oct_matmul(B, A)) / 2.0)
-
-
-def nine_gather_f4(derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(realization on V, theta) of f4 from its derivations on W: Q D Q^T summed over every
-    pair of each row's three leading columns (nonzeros first), and conjugation by
-    diag(1, 1, -1)."""
-    Q = _trace_free_rows()
-    col = np.argsort(Q == 0, axis=1, kind="stable")[:, :3]
-    w = np.take_along_axis(Q, col, axis=1)
-    mats = np.zeros((len(derivs), len(Q), len(Q)))
-    for s, t in np.ndindex(3, 3):
-        mats += w[:, s, None] * derivs[:, col[:, s, None], col[None, :, t]] * w[None, :, t]
-    return mats, _conjugation_matrix(derivs, _THETA_VEC)
 
 
 def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:

@@ -291,6 +291,29 @@ class TestCheck:
         assert "Traceback" not in err
         assert "--n" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["catalog"],
+        ["check", "--pair", "sl2:a", "--json"],
+        ["orbits", "count", "--pair", "sl2:a"],
+        ["orbits", "coincide", "--pair", "so15:so11+su2", "--sup", "so15:so11+so4"],
+        ["reduce", "step", "--pair", "sl2:a"],
+        ["f4", "verify"],
+    ], ids=["catalog", "check", "orbits-count", "orbits-coincide", "reduce", "f4"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "many"])
+    def test_seed_outside_the_generator_range_is_a_usage_error(self, capsys, argv, seed):
+        # numpy seeds only from [0, 2**64); -1 once ran, with the witness of 2**64 - 1
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--seed={seed}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"argument --seed: '{seed}' is not an integer "
+                                             "in [0, 2**64)")
+
+    def test_largest_seed_runs(self, capsys):
+        code, out = run(capsys, "check", "--pair", "sl2:a", "--seed", str(2 ** 64 - 1), "--json")
+        assert code == 0 and json.loads(out)["seed"] == 2 ** 64 - 1
+
 
 class TestCatalog:
     def test_table(self, capsys):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from realflag.core import ConstructionError, InputError, validate_algebra
+from realflag.core import (ConstructionError, InputError, from_entries, to_entries,
+                           validate_algebra)
 from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingError,
                              F4Bundle, _complex_conjugation_derivation, _coords_to_matrix,
-                             _derivation_system, _f4_algebra, _matrix_to_coords,
-                             _table_hash, _trace_free_rows, build_g2, complex_part_norm,
+                             _derivation_system, _matrix_to_coords,
+                             _table_hash, build_g2, complex_part_norm,
                              cone_point, derivation_algebra, derivation_images,
                              f4_subalgebra, jordan_product, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
@@ -18,7 +19,7 @@ from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingErr
 from realflag.linalg import RANK_BAND, signature_of
 from realflag.realforms import _complex_basis_u, build_classical
 
-from oracles import jordan_coords, nine_gather_f4
+from oracles import jordan_coords
 
 
 # the identity of the octonions and of the Jordan algebra, as coordinate vectors
@@ -180,16 +181,37 @@ class TestDerivationAlgebra:
         basis, margin = derivation_algebra(table, dim)
         return table, dim, basis, margin
 
-    def test_basis_is_orthonormal(self, solved):
+    def test_basis_is_exact(self, solved):
+        # entries in 1/2 Z, and every block of the system, so the whole unsplit system,
+        # annihilates the basis with no rounding at all
+        table, _, basis, _ = solved
+        flat = basis.reshape(len(basis), -1)
+        assert np.array_equal(2 * flat, np.round(2 * flat))
+        rows, cols, vals, n_rows = _derivation_system(table)
+        A = np.zeros((n_rows, flat.shape[1]))
+        A[rows, cols] = vals
+        assert not (A @ flat.T).any()
+
+    def test_basis_is_a_reduced_row_echelon_form(self, solved):
+        # each row leads with a 1 in a column where every other row is 0
         flat = solved[2].reshape(len(solved[2]), -1)
-        assert np.abs(flat @ flat.T - np.eye(len(flat))).max() <= 1e-14
+        lead = (flat != 0).argmax(axis=1)
+        assert np.array_equal(flat[np.arange(len(flat)), lead], np.ones(len(flat)))
+        assert np.array_equal(flat[:, lead], np.eye(len(flat)))
+
+    def test_entries(self, solved):
+        table, _, basis, _ = solved
+        values = {0.0, 1.0, -1.0} | ({0.5, -0.5} if table is not OCT_TABLE else set())
+        assert set(np.unique(basis)) == values
+        if table is not OCT_TABLE:
+            assert np.count_nonzero(basis) == 984
 
     def test_every_ordered_pair_obeys_leibniz(self, solved):
         # the system holds only a <= b; octonions do not commute, so b > a is a consequence
         table, _, basis, _ = solved
         lhs = np.einsum("kij,abj->kabi", basis, table)
         rhs = np.einsum("kia,ibe->kabe", basis, table) + np.einsum("kib,aie->kabe", basis, table)
-        assert np.abs(lhs - rhs).max() <= 1e-14
+        assert np.array_equal(lhs, rhs)
 
     def test_spans_the_null_space_of_the_unsplit_system(self, solved):
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -199,6 +221,7 @@ class TestDerivationAlgebra:
         flat = basis.reshape(len(basis), -1)
         assert N.shape[1] == len(flat) == dim
         assert np.linalg.norm(flat.T - N @ (N.T @ flat.T), 2) <= 1e-12
+        assert np.linalg.matrix_rank(flat) == dim
 
     @pytest.mark.parametrize("which", ["octonions", "jordan", "generic"])
     def test_sparse_system_equals_the_unsplit_system(self, which):
@@ -220,6 +243,13 @@ class TestDerivationAlgebra:
     def test_margin_clears_the_band(self, solved):
         upper, lower = solved[3]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
+
+    def test_a_basis_outside_half_integers_raises(self, monkeypatch):
+        # without the RREF, the orthonormal null rows rounded to halves solve no block
+        import realflag.jordan as jordan_mod
+        monkeypatch.setattr(jordan_mod, "_rref", lambda rows: rows)
+        with pytest.raises(ConstructionError, match="rounded basis"):
+            derivation_algebra(OCT_TABLE, 14)
 
     def test_cut_inside_the_band_raises(self, monkeypatch):
         # g2's smallest kept singular value is about 0.46 s_1: a cut at 0.1 s_1 is ambiguous
@@ -244,12 +274,15 @@ class TestG2:
     def test_validates(self):
         validate_algebra(build_g2())
 
+    def test_bracket_and_killing_are_exact(self):
+        g2 = build_g2()
+        assert set(np.unique(g2.bracket_tensor)) == {0.0, 1.0, -1.0, 2.0, -2.0}
+        assert set(np.unique(g2.killing)) == {0.0, -8.0, -16.0, 8.0}
+
 
 # where each kind of cached array sits in the document, and its number of entries
 _ARRAYS = {"derivation": ("derivations", None, 52 * 27 * 27),
-           "subalgebra": ("subalgebras", "so(1,8)", 36 * 52),
-           "involution": ("involutions", "so(1,8)", 52 * 52),
-           "bracket": ("bracket", None, 52 ** 3)}
+           "subalgebra": ("subalgebras", "so(1,8)", 36 * 52)}
 
 
 def _entries_edit(entries, n, value=0.0, index=None, drop=False, repeat=False):
@@ -289,10 +322,16 @@ def _entry_cases(kind):
 NESTED = "[" * 200_000 + "]" * 200_000
 
 
-def _swap_ij(f):
-    """The flat bracket index of c[j, i, k] for that of c[i, j, k]."""
-    i, j, k = np.unravel_index(f, (52, 52, 52))
-    return int(np.ravel_multi_index((j, i, k), (52, 52, 52)))
+def _ulp(entries, n):
+    """A copy of cached entries with entry ``n`` moved by one unit in the last place."""
+    return _entries_edit(entries, n, float(np.spacing(entries["value"][n])))
+
+
+def _duplicate_derivation(doc):
+    """Derivation 1 replaced by derivation 0: every entry exact and Leibniz, but dependent."""
+    derivs = from_entries(doc["derivations"], (52, 27, 27))
+    derivs[1] = derivs[0]
+    return json.dumps({**doc, "derivations": to_entries(derivs)})
 
 
 class TestF4:
@@ -334,36 +373,30 @@ class TestF4:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_realization_rounds_as_the_einsum(self, f4bundle):
-        # the witnesses and the derived bracket depend on these bits; Q D Q^T is off by an ulp.
-        # Generic matrices, whose products round, pin the order of the factors too
-        Q = _trace_free_rows()
-        for derivs in (f4bundle.derivations, np.random.default_rng(0).standard_normal((52, 27, 27))):
-            mats = _f4_algebra(derivs).matrices
-            assert np.array_equal(mats, np.einsum("va,iab,wb->ivw", Q, derivs, Q))
-            assert mats.flags.c_contiguous      # the bracket's products run on these
+    def test_bracket_theta_and_killing_are_exact(self, f4bundle):
+        L = f4bundle.algebra
+        c = L.bracket_tensor
+        assert set(np.unique(c)) == {0.0, 0.5, -0.5, 1.0, -1.0}
+        assert np.count_nonzero(c[np.triu_indices(52, 1)]) == 1116
+        assert set(np.unique(L.killing)) == {0.0, 18.0, -18.0}
+        for sigma in (L.theta, *f4bundle.involutions.values()):
+            assert np.array_equal(np.abs(sigma), np.eye(52)[np.abs(sigma).argmax(axis=1)])
+            assert np.array_equal(sigma @ sigma, np.eye(52))
 
-    def test_realization_and_theta_match_the_nine_gathers(self, f4bundle):
-        # bitwise, signed zeros included, on the f4 basis, on generic matrices, on matrices
-        # whose zeros are half -0.0 and on matrices with many zeros
-        rng = np.random.default_rng(1)
-        generic = rng.standard_normal((52, 27, 27))
-        signed = np.where(rng.random((52, 27, 27)) < 0.5, -0.0, generic)
-        for derivs in (f4bundle.derivations, generic, signed, np.where(generic < 0, 0.0, generic)):
-            L = _f4_algebra(derivs)
-            mats, theta = nine_gather_f4(derivs)
-            assert L.matrices.tobytes() == mats.tobytes()
-            assert L.theta.tobytes() == theta.tobytes()
+    def test_realization_is_the_derivations(self, f4bundle):
+        assert f4bundle.algebra.matrices.shape == (52, 27, 27)
+        assert f4bundle.derivations is f4bundle.algebra.matrices
+
+    def test_pivot_block_is_the_identity(self, f4bundle):
+        cols, inv = f4bundle.algebra._pivots
+        assert np.array_equal(f4bundle.derivations.reshape(52, -1)[:, cols], np.eye(52))
+        assert np.array_equal(inv, np.eye(52))
 
     def test_derivations_bracket_closed(self, f4bundle):
-        rng = np.random.default_rng(6)
-        flat = f4bundle.derivations.reshape(52, -1)
-        for _ in range(20):
-            i, j = rng.integers(0, 52, 2)
-            com = (f4bundle.derivations[i] @ f4bundle.derivations[j]
-                   - f4bundle.derivations[j] @ f4bundle.derivations[i])
-            co = com.ravel() @ flat.T
-            assert np.linalg.norm(co @ flat - com.ravel()) <= 1e-7 * max(1.0, np.linalg.norm(com))
+        # every commutator is exactly the combination the bracket names
+        D, c = f4bundle.derivations, f4bundle.algebra.bracket_tensor
+        com = np.einsum("iab,jbc->ijac", D, D)
+        assert np.array_equal(com - com.transpose(1, 0, 2, 3), np.einsum("ijk,kac->ijac", c, D))
 
     def test_derivations_kill_identity_and_trace_form(self, f4bundle):
         rng = np.random.default_rng(7)
@@ -387,23 +420,20 @@ class TestF4:
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         fresh = jordan_mod.f4_bundle()
         doc = json.loads((tmp_path / "f4.json").read_text())
-        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 6
+        assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 7
         upper, lower = doc["provenance"]["solver_margin"]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
-        assert set(doc) == {"schema", "provenance", "derivations", "subalgebras",
-                            "involutions", "bracket"}
+        # the bracket and the involutions are recomputed on load, not stored
+        assert set(doc) == {"schema", "provenance", "derivations", "subalgebras"}
         assert set(doc["subalgebras"]) == set(F4_SUBALGEBRAS)
-        assert set(doc["involutions"]) == {"so(1,8)", "sp(1,2)+sp(1)"}
-        # every array is its nonzero entries; the bracket only its c[i, j, k] with i < j
-        assert 2 * len(doc["bracket"]["value"]) == np.count_nonzero(fresh.algebra.bracket_tensor)
-        assert len(doc["derivations"]["value"]) == np.count_nonzero(fresh.derivations)
-        for field in ("subalgebras", "involutions"):
-            for key, entries in doc[field].items():
-                assert set(entries) == {"index", "value"}
-                assert len(entries["value"]) == np.count_nonzero(getattr(fresh, field)[key])
+        # every array is its nonzero entries
+        assert len(doc["derivations"]["value"]) == np.count_nonzero(fresh.derivations) == 984
+        for key, entries in doc["subalgebras"].items():
+            assert set(entries) == {"index", "value"}
+            assert len(entries["value"]) == np.count_nonzero(fresh.subalgebras[key])
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         loaded = jordan_mod.f4_bundle()
-        assert loaded.algebra.structure is not None
+        assert loaded is not fresh and loaded.algebra.structure is None
         pairs = [(loaded.algebra.bracket_tensor, fresh.algebra.bracket_tensor),
                  (loaded.derivations, fresh.derivations),
                  (loaded.algebra.matrices, fresh.algebra.matrices),
@@ -426,36 +456,26 @@ class TestF4:
                                                        if k != "su21+su3"}}),
         lambda doc: json.dumps({**doc, "derivations": {
             **doc["derivations"], "value": doc["derivations"]["value"][:-1]}}),
-        lambda doc: json.dumps({**doc, "involutions": {     # nested lists, not flat ones
+        lambda doc: json.dumps({**doc, "subalgebras": {     # nested lists, not flat ones
             k: {"index": [v["index"]], "value": [v["value"]]}
-            for k, v in doc["involutions"].items()}}),
+            for k, v in doc["subalgebras"].items()}}),
         lambda doc: json.dumps({**doc, "subalgebras": {k: v for k, v in doc["subalgebras"].items()
                                                        if k != "so(1,8)"}}),
         _entry_case("derivation", 100, value=1e-7),
         _entry_case("derivation", -1, value=1e-7),
+        lambda doc: json.dumps({**doc, "derivations": _ulp(doc["derivations"], 7)}),
+        _entry_case("derivation", 7, value=0.5),             # still in 1/2 Z
+        _entry_case("derivation", 7, drop=True),
+        _duplicate_derivation,
         _entry_case("subalgebra", 3, value=np.nan),
-        _entry_case("involution", 3, value=np.nan),
-        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "bracket"}),
-        _entry_case("bracket", 0, value=1e-7),
-        _entry_case("bracket", -1, value=1e-7),
-        _entry_case("bracket", 5, value=np.nan),
-        _entry_case("bracket", 3, index=lambda f: f - f % 52 + (f + 1) % 52),  # onto an unused k
-        _entry_case("bracket", -1, index=lambda f: 52 ** 3),
-        _entry_case("bracket", 9, index=_swap_ij),
-        _entry_case("bracket", 9, drop=True),
-        _entry_case("bracket", 9, repeat=True),
-        _entry_case("bracket", 9, index=lambda f: f + 0.5),
         *_entry_cases("derivation"),
         *_entry_cases("subalgebra"),
-        *_entry_cases("involution"),
     ], ids=["unreadable", "non-object", "deeply-nested", "provenance-int", "schema-1", "no-subalgebras",
-            "missing-embedding", "derivations-shape", "involution-shape",
+            "missing-embedding", "derivations-shape", "subalgebra-shape",
             "missing-symmetric-subalgebra", "derivation-entry-1e-7", "last-derivation-entry-1e-7",
-            "nan-subalgebra", "nan-involution", "no-bracket", "bracket-entry-1e-7",
-            "last-bracket-entry-1e-7", "nan-bracket-value", "bracket-k-shifted",
-            "bracket-index-past-the-end", "bracket-i-above-j", "bracket-entry-dropped",
-            "bracket-entry-repeated", "bracket-float-index",
-            *(f"{kind}-{case}" for kind in ("derivation", "subalgebra", "involution")
+            "derivation-entry-one-ulp", "derivation-entry-plus-half", "derivation-entry-dropped",
+            "dependent-derivations", "nan-subalgebra",
+            *(f"{kind}-{case}" for kind in ("derivation", "subalgebra")
               for case in ("index-past-the-end", "index-repeated", "float-index", "nan-value"))])
     def test_malformed_cache_is_a_miss(self, f4bundle, tmp_path, corrupt):
         import realflag.jordan as jordan_mod
@@ -466,35 +486,22 @@ class TestF4:
         assert jordan_mod._load_bundle(path) is None
 
     def test_clean_basis_passes_the_leibniz_check(self, f4bundle):
-        from realflag.jordan import _leibniz_residual
-        assert _leibniz_residual(f4bundle.derivations) < 1e-14
+        from realflag.jordan import _leibniz_defect
+        assert _leibniz_defect(f4bundle.derivations) == 0.0
 
-    def test_clean_bracket_passes_the_realization_check(self, f4bundle, tmp_path):
-        # a nudge at the check's own scale still loads, as with the Leibniz check
+    def test_warm_load_never_solves(self, f4bundle, tmp_path, monkeypatch):
         import realflag.jordan as jordan_mod
-        from realflag.jordan import _realization_residual
-        assert _realization_residual(f4bundle.algebra) < 1e-14
-        path = tmp_path / "f4.json"
-        jordan_mod._save_bundle(f4bundle, path)
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "bracket": _entries_edit(doc["bracket"], 0, 1e-12)}))
-        assert jordan_mod._load_bundle(path) is not None
-
-    def test_warm_load_never_derives_the_bracket(self, f4bundle, tmp_path, monkeypatch):
-        import realflag.jordan as jordan_mod
-        from realflag import core
         from realflag.catalog import build_pair
         from realflag.realforms import minimal_parabolic
         from realflag.spherical import is_spherical
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a warm f4 load derived the bracket from the realization")
+            raise AssertionError("a warm f4 load built or solved")
 
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
-        monkeypatch.setattr(core, "_structure_from_matrices", forbidden)
-        monkeypatch.setattr(core.LieAlgebra, "_flat_pinv", property(forbidden))
         monkeypatch.setattr(jordan_mod, "_build_bundle", forbidden)
+        monkeypatch.setattr(jordan_mod, "_solve_der_w", forbidden)
         monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
         bundle = jordan_mod.f4_bundle()
         assert bundle is not f4bundle
@@ -504,9 +511,26 @@ class TestF4:
         report = is_spherical(pd.g, pd.h, pd.P, samples=8, seed=0)
         assert report.verdict == "not-spherical-at-confidence"
 
+    def test_one_ulp_off_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
+        import realflag.jordan as jordan_mod
+        monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "f4.json"
+        jordan_mod._save_bundle(f4bundle, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "derivations": _ulp(doc["derivations"], 100)}))
+        builds = []
+        build = jordan_mod._build_bundle
+        monkeypatch.setattr(jordan_mod, "_build_bundle", lambda: builds.append(1) or build())
+        for _ in range(2):
+            monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+            jordan_mod.f4_bundle()
+        assert builds == [1]
+        assert json.loads(path.read_text())["derivations"] == to_entries(f4bundle.derivations)
+        monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
+
     def test_old_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
-        # schema 2 held the basis of the thin-SVD solve, schema 3 that of the unsplit QR solve,
-        # schema 4 no bracket, schema 5 every array but the bracket densely
+        # schemas 2-6 held orthonormal bases of older solves, and schema 6 the bracket and the
+        # involutions too
         import realflag.jordan as jordan_mod
         monkeypatch.setenv("REALFLAG_CACHE_DIR", str(tmp_path))
         jordan_mod._save_bundle(f4bundle, tmp_path / "f4.json")
@@ -518,14 +542,14 @@ class TestF4:
             return f4bundle
 
         monkeypatch.setattr(jordan_mod, "_build_bundle", build)
-        for old in (1, 2, 3, 4, 5):
+        for old in (1, 2, 3, 4, 5, 6):
             (tmp_path / "f4.json").write_text(json.dumps({**doc, "schema": old}))
             builds.clear()
             for _ in range(2):
                 monkeypatch.setattr(jordan_mod, "_BUNDLE", None)
                 jordan_mod.f4_bundle()
             assert len(builds) == 1
-            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 6
+            assert json.loads((tmp_path / "f4.json").read_text())["schema"] == 7
 
     def test_deeply_nested_cache_is_rebuilt_once(self, f4bundle, tmp_path, monkeypatch):
         # the JSON parser gives up on it with a RecursionError, which read_json maps to a miss
@@ -627,7 +651,7 @@ class TestEmbeddings:
     def test_accessor_raises_naming_the_key(self, f4bundle, case):
         rows = {"unclosed": np.random.default_rng(0).standard_normal((17, 52)),
                 "wrong-dim": f4bundle.subalgebras["g2"]}[case]
-        bad = F4Bundle(algebra=f4bundle.algebra, derivations=f4bundle.derivations,
+        bad = F4Bundle(algebra=f4bundle.algebra,
                        subalgebras={**f4bundle.subalgebras, "so12+g2": rows},
                        involutions=f4bundle.involutions, provenance=f4bundle.provenance)
         with pytest.raises(EmbeddingError, match=r"^so12\+g2"):

@@ -10,6 +10,7 @@ import realflag.realforms as realforms
 from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
                                 _root_lattice, build_classical, direct_sum, get_algebra,
                                 matrix_involution, minimal_parabolic, restricted_roots)
+from realflag.catalog import catalog_entries
 from realflag.reduction import parabolic_alpha
 
 from oracles import float_alpha_line
@@ -92,6 +93,54 @@ class TestConstructors:
         assert get_algebra("f4").dim == 52
         with pytest.raises(InputError):
             get_algebra("e8")
+
+
+def _is_signed_permutation(M: np.ndarray) -> bool:
+    A = np.abs(M)
+    return (set(np.unique(M)) <= {-1.0, 0.0, 1.0}
+            and (A.sum(axis=0) == 1).all() and (A.sum(axis=1) == 1).all())
+
+
+class TestPivotReader:
+    @pytest.mark.parametrize("name", sorted({e.ambient for e in catalog_entries(5)}))
+    def test_catalog_ambients_are_exact(self, name):
+        # the bracket is read at pivot entries whose block is a signed identity (so, sp and
+        # f4) or unimodular (su, sl); theta -X^T, or the f4 sign conjugation, is read there too
+        L = get_algebra(name)
+        c = L.bracket_tensor
+        assert np.array_equal(24 * c, np.round(24 * c))
+        assert not (np.signbit(c) & (c == 0)).any()
+        assert _is_signed_permutation(L.theta)
+        cols, inv = L._pivots
+        block = L.matrices.reshape(L.dim, -1)[:, cols]
+        assert np.array_equal(inv, np.round(inv)) and np.array_equal(block, np.round(block))
+        assert round(abs(np.linalg.det(block))) == 1
+        if name.startswith(("so", "sp", "f4")):
+            assert _is_signed_permutation(block)
+
+    def test_coefficients_match_least_squares(self, su12):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((5, su12.dim))
+        flat = su12.matrices.reshape(su12.dim, -1)
+        stack = (X @ flat).reshape(5, *su12.matrices.shape[1:])
+        ref = np.linalg.lstsq(flat.T, (X @ flat).T, rcond=None)[0].T
+        assert np.abs(su12.coefficients_of(stack) - ref).max() <= 1e-13
+        assert np.abs(su12.coefficients_of(stack[0]) - ref[0]).max() <= 1e-13
+
+    def test_dependent_realization_raises(self, so14):
+        mats = np.concatenate([so14.matrices, so14.matrices[:1] + so14.matrices[1:2]])
+        L = replace(so14, labels=so14.labels + ("x",), matrices=mats, theta=None)
+        with pytest.raises(InputError, match="not linearly independent"):
+            L.bracket_tensor
+
+    def test_unclosed_realization_raises(self):
+        # two matrices whose commutator leaves their span: the pivot read alone cannot tell
+        from realflag.core import LieAlgebra
+        E, F = np.zeros((2, 2, 2))
+        E[0, 1] = F[1, 0] = 1.0
+        L = LieAlgebra(labels=("E", "F"), matrices=np.array([E, F]))
+        with pytest.raises(ConstructionError, match="do not close"):
+            L.bracket_tensor
 
 
 class TestSums:
@@ -246,6 +295,14 @@ class TestMinimalParabolic:
         affine = replace(roots, cartan=np.array([[2, -2], [-2, 2]]))
         with pytest.raises(ConstructionError, match="descent"):
             minimal_parabolic(roots.algebra, affine)
+
+    def test_f4_sl2_root_vector_is_an_eigenvector(self, parabolic_of):
+        # [H, E] = alpha(H) E for the rescaled root vector of the Weyl word, H = [E, -theta E]
+        P = parabolic_of("f4")
+        L = P.algebra
+        E = realforms._sl2_weyl(L, P.roots, 0)[0]
+        HE = L.bracket(L.bracket(E, -(L.theta @ E)), E)
+        assert np.linalg.norm(HE - (E @ HE) / (E @ E) * E) <= 1e-14 * np.linalg.norm(HE)
 
     def test_dim_p_plus_flag(self, parabolic_of):
         for name in ["so(1,4)", "su(1,2)", "sp(1,2)"]:

@@ -2,6 +2,7 @@
 (``REALFLAG_CACHE_DIR`` is inherited from the environment that conftest sets)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,26 @@ def test_bound_below_one_is_a_usage_error(argv):
     assert proc.stdout == ""
     assert "error: argument" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["catalog_suite.py", "orbit_census.py"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_the_generator_range_is_a_usage_error(script, seed):
+    proc = _run(script, f"--seed={seed}", "--samples", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"argument --seed: '{seed}' is not an integer in [0, 2**64)")
+    assert "Traceback" not in proc.stderr
+
+
+def test_build_f4_rebuilds_and_passes_the_battery(tmp_path):
+    env = {**os.environ, "REALFLAG_CACHE_DIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "build_f4.py")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 12
+    assert not any(line.startswith("[FAIL]") for line in lines)
+    assert (tmp_path / "f4.json").is_file()
+    assert "cached nonzeros: derivations 984" in proc.stdout
