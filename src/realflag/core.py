@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, null_rows, numeric_rank,
-                     orth_rows, span_residual, stack_span)
+from .linalg import brackets, in_span, numeric_rank, orth_rows, span_residual
 
 
 class LieError(Exception):
@@ -79,6 +78,12 @@ class LieAlgebra:
         for arr in (self.matrices, self.theta, self.structure):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def _set_theta(self, theta: np.ndarray) -> None:
+        """Set the theta of an algebra built without one.  Theta read at this algebra's own
+        pivot entries is set here, not on a copy: a copy would search for them again."""
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def dim(self) -> int:
@@ -272,7 +277,7 @@ def pairwise_brackets(L: LieAlgebra, basis: np.ndarray) -> np.ndarray:
     return out[idx]
 
 
-def cartan_decomposition(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebra, np.ndarray]:
+def cartan_decomposition(L: LieAlgebra) -> tuple[Subalgebra, np.ndarray]:
     """(k, s): +1 eigenspace of theta as a subalgebra, -1 eigenspace as a basis.
 
     Eigenspaces come from the projectors (1 ± theta)/2, whose singular
@@ -281,51 +286,11 @@ def cartan_decomposition(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subal
     """
     if L.theta is None:
         raise UnsupportedOperation("cartan_decomposition requires theta")
-    k = orth_rows(((np.eye(L.dim) + L.theta) / 2.0).T, tol, scale=1.0)
-    s = orth_rows(((np.eye(L.dim) - L.theta) / 2.0).T, tol, scale=1.0)
+    k = orth_rows(((np.eye(L.dim) + L.theta) / 2.0).T, scale=1.0)
+    s = orth_rows(((np.eye(L.dim) - L.theta) / 2.0).T, scale=1.0)
     if k.shape[0] + s.shape[0] != L.dim:
         raise ConstructionError("theta eigenspaces do not fill the algebra")
     return Subalgebra(L, k, name="k"), s
-
-
-def ideal_closure(L: LieAlgebra, seed: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Smallest ad(L)-invariant subspace containing the rows of seed."""
-    basis = orth_rows(np.atleast_2d(seed), tol)
-    if basis.shape[0] == 0:
-        return basis
-    full = np.eye(L.dim)
-    while True:
-        br = brackets(L.bracket_tensor, full, basis).reshape(-1, L.dim)
-        new = orth_rows(stack_span(basis, br), tol)
-        if new.shape[0] == basis.shape[0]:
-            return new
-        basis = new
-
-
-def noncompact_ideal(L: LieAlgebra, tol: float = DEFAULT_TOL) -> tuple[Subalgebra, Subalgebra]:
-    """Maximal noncompact ideal (generated by the -1 eigenspace of theta) and
-    its complementary ideal, orthogonal for B_theta plus the theta-averaged
-    square of the projection onto the center along [L, L] (B_theta vanishes on
-    the center).  Requires a reductive algebra with theta; raises
-    UnsupportedOperation otherwise.
-    """
-    if L.theta is None:
-        raise UnsupportedOperation("noncompact_ideal requires theta")
-    center, derived = _assert_reductive(L, tol)
-    z = np.linalg.inv(stack_span(center, derived))[:, :center.shape[0]]
-    z = np.hstack([z, L.theta.T @ z])
-    _, s = cartan_decomposition(L, tol)
-    if s.shape[0] == 0:
-        nc = np.zeros((0, L.dim))
-    else:
-        nc = ideal_closure(L, s, tol)
-    comp = complement_in(nc, np.eye(L.dim), metric=L.b_theta + z @ z.T, tol=tol)
-    # the complement must itself be an ideal
-    if comp.shape[0]:
-        br = brackets(L.bracket_tensor, np.eye(L.dim), comp).reshape(-1, L.dim)
-        if _closure_residual(L, br, comp, L.dim) > 1e-7:
-            raise ConstructionError("complement of the noncompact ideal is not an ideal")
-    return Subalgebra(L, nc, name="noncompact"), Subalgebra(L, comp, name="compact")
 
 
 def _closure_residual(L: LieAlgebra, br: np.ndarray, basis: np.ndarray, scale: float) -> float:
@@ -338,58 +303,6 @@ def _closure_residual(L: LieAlgebra, br: np.ndarray, basis: np.ndarray, scale: f
     if np.linalg.norm(br) <= floor:
         return 0.0
     return span_residual(br, basis)
-
-
-def _assert_reductive(L: LieAlgebra, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Center and [L, L]; raises unless they span L with B non-degenerate on [L, L] (reductive)."""
-    center = center_of(L, tol)
-    derived = orth_rows(pairwise_brackets(L, np.eye(L.dim)), tol)
-    if numeric_rank(stack_span(center, derived), tol) != L.dim:
-        raise UnsupportedOperation("algebra is not reductive (center + derived does not span)")
-    if derived.shape[0]:
-        Bd = derived @ L.killing @ derived.T
-        if numeric_rank(Bd, tol) != derived.shape[0]:
-            raise UnsupportedOperation("algebra is not reductive (degenerate Killing on derived part)")
-    return center, derived
-
-
-def center_of(L: LieAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Basis of the center {X : [X, -] = 0}."""
-    # rows: for each basis index j and output k the map X -> c[i,j,k] X_i
-    M = np.einsum("ijk->jki", L.bracket_tensor).reshape(-1, L.dim)
-    return null_rows(M, tol)
-
-
-def as_algebra(sub: Subalgebra, name: str = "", tol: float = 1e-8) -> LieAlgebra:
-    """Restrict the ambient structure to a subalgebra, as a standalone algebra.
-
-    The given basis and its ordering are preserved.  Matrices are
-    restricted when the ambient has them; theta is restricted when the
-    span is theta-stable.
-    """
-    L = sub.ambient
-    basis = np.atleast_2d(sub.basis)
-    k = basis.shape[0]
-    if numeric_rank(basis) != k:
-        raise InputError("subalgebra basis is not linearly independent")
-    pinv = np.linalg.pinv(basis)                 # rows of coords: vec @ pinv
-    c_full = brackets(L.bracket_tensor, basis, basis)
-    resid = _closure_residual(L, c_full.reshape(-1, L.dim), basis,
-                              float(np.linalg.norm(basis)) ** 2)
-    if resid > tol:
-        raise InputError(f"not a subalgebra (closure residual {resid:.2e})")
-    c = np.einsum("abk,kc->abc", c_full, pinv)
-    c = (c - np.einsum("abc->bac", c)) / 2.0
-    c[np.abs(c) < 1e-12 * max(1.0, np.abs(c).max())] = 0.0
-    mats = None
-    if L.matrices is not None:
-        mats = np.einsum("ai,ijk->ajk", basis, L.matrices)
-    theta = None
-    if L.theta is not None and in_span(basis @ L.theta.T, basis, tol):
-        theta = ((basis @ L.theta.T) @ pinv).T
-    labels = tuple(f"{name or sub.name or 'h'}{i}" for i in range(k))
-    return LieAlgebra(labels=labels, matrices=mats, theta=theta,
-                      name=name or sub.name, structure=c)
 
 
 def _realization_residual(mats: np.ndarray, c: np.ndarray) -> float:

@@ -270,8 +270,9 @@ def derivation_algebra(table: np.ndarray,
     blocks = []
     for k in np.flatnonzero(label == np.arange(n * n)):   # one representative per block
         unknowns, inside = label == k, label[cols] == k
-        at = np.unique(rows[inside], return_inverse=True)[1]
-        block = np.zeros((at.max() + 1, unknowns.sum()))
+        # an unknown in no equation is a block with no rows: its own null direction
+        held, at = np.unique(rows[inside], return_inverse=True)
+        block = np.zeros((held.size, unknowns.sum()))
         block[at, np.cumsum(unknowns)[cols[inside]] - 1] = vals[inside]
         _, s, vh = np.linalg.svd(np.linalg.qr(block, mode="r"))
         blocks.append((unknowns, block, s, vh))
@@ -399,13 +400,12 @@ def _f4_algebra(derivs: np.ndarray) -> tuple[LieAlgebra, dict[str, np.ndarray]]:
     """f4 realized by ``derivs``, with theta from conjugation by diag(1, 1, -1), and the
     involutions of ``_SYMMETRIC``; each is D -> s D s for a coordinate sign vector s, read
     at the pivot entries, so on the RREF basis it is a diagonal sign matrix."""
-    labels = tuple(f"D{i}" for i in range(52))
-    plain = LieAlgebra(labels=labels, matrices=derivs, name="f4")
+    L = LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=derivs, name="f4")
     s = np.array([_THETA_VEC, _H1_VEC, _CAYLEY_VEC])[:, None]         # (3, 1, 27)
-    read = plain.coefficients_of(derivs * (s[..., None] * s[:, :, None])).reshape(3, 52, 52)
+    read = L.coefficients_of(derivs * (s[..., None] * s[:, :, None])).reshape(3, 52, 52)
     theta, *sigmas = read.transpose(0, 2, 1)
-    return (LieAlgebra(labels=labels, matrices=derivs, theta=theta, name="f4"),
-            dict(zip(_SYMMETRIC, sigmas)))
+    L._set_theta(theta)
+    return L, dict(zip(_SYMMETRIC, sigmas))
 
 
 def _build_bundle() -> F4Bundle:

@@ -41,8 +41,9 @@ def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL,
 
 def _cut_certificate(s: np.ndarray, tol: float,
                      scale: float = 0.0) -> tuple[int, float, float, bool]:
-    """``rank_certificate`` of a matrix with the singular values ``s`` (descending)."""
-    ref = max(float(s[0]), scale)
+    """``rank_certificate`` of a matrix with the singular values ``s`` (descending, perhaps
+    none)."""
+    ref = max(float(s[0]) if s.size else 0.0, scale)
     cut = tol * ref
     r = int((s > cut).sum())
     rel = np.append(s, 0.0) / ref if ref > 0.0 else np.zeros(s.size + 1)
@@ -112,25 +113,25 @@ def intersect_spans(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> n
     return orth_rows(vecs, tol)
 
 
-def complement_in(sub: np.ndarray, ambient: np.ndarray, metric: np.ndarray | None = None,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def complement_in(sub: np.ndarray, ambient: np.ndarray,
+                  metric: np.ndarray | None = None) -> np.ndarray:
     """Basis (rows) of the orthocomplement of span(sub) inside span(ambient).
 
     With ``metric`` a symmetric positive-definite matrix G, orthogonality is
     taken in the G-inner product; otherwise Euclidean.
     """
-    ambient = orth_rows(ambient, tol)
+    ambient = orth_rows(ambient)
     sub = np.atleast_2d(np.asarray(sub, dtype=float))
-    if sub.size == 0 or numeric_rank(sub, tol) == 0:
+    if sub.size == 0 or numeric_rank(sub) == 0:
         return ambient
     if metric is None:
         gram = sub @ ambient.T
     else:
         gram = sub @ metric @ ambient.T
-    coeffs = null_rows(gram, tol)  # combinations of ambient rows orthogonal to sub
+    coeffs = null_rows(gram)  # combinations of ambient rows orthogonal to sub
     if coeffs.shape[0] == 0:
         return np.zeros((0, ambient.shape[1]))
-    return orth_rows(coeffs @ ambient, tol)
+    return orth_rows(coeffs @ ambient)
 
 
 def in_span(vecs: np.ndarray, basis: np.ndarray, tol: float = 1e-8) -> bool:

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (InputError, LieAlgebra, NormalizationError, NotSphericalError,
-                   Subalgebra, UnsupportedOperation, as_algebra, cartan_decomposition,
-                   noncompact_ideal)
+                   Subalgebra, UnsupportedOperation)
 from .linalg import (DEFAULT_TOL, brackets, complement_in, in_span, intersect_spans, null_rows,
-                     numeric_rank, orth_rows, span_residual, stack_span)
-from .realforms import ParabolicData, minimal_parabolic, restricted_roots
+                     orth_rows, span_residual, stack_span)
+from .realforms import ParabolicData
 from .spherical import SphericityReport, chart_rank, sample_group_element, sample_rng
 
 
@@ -246,44 +245,3 @@ def symmetric_coincidence(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
     return CoincidenceReport(pair_name=h.name or "h", sup_name=hprime.name or "h'",
                              samples=samples, seed=seed, dims_h=dims_h, dims_sup=dims_hp,
                              coincide=dims_h == dims_hp)
-
-
-def adapted_parabolic(g: LieAlgebra, sigma: np.ndarray, seed: int = 0,
-                      tol: float = DEFAULT_TOL) -> ParabolicData:
-    """Minimal parabolic whose a lies inside s ∩ q, q the (-1)-space of sigma.
-
-    ``sigma`` is an involutive automorphism (coefficient matrix) commuting
-    with theta; in rank one any line in s ∩ q is maximal abelian in s.
-    """
-    if g.theta is None:
-        raise UnsupportedOperation("adapted parabolic requires theta")
-    if np.linalg.norm(sigma @ g.theta - g.theta @ sigma) > 1e-8 * g.dim:
-        raise InputError("sigma does not commute with theta")
-    _, s = cartan_decomposition(g, tol)
-    q = orth_rows(((np.eye(g.dim) - sigma) / 2.0).T, tol, scale=1.0)
-    sq = intersect_spans(s, q, tol)
-    if sq.shape[0] == 0:
-        raise InputError("s ∩ q is trivial; no adapted parabolic exists")
-    a = sq[:1]
-    return minimal_parabolic(g, restricted_roots(g, a_basis=a, seed=seed))
-
-
-def hprime_decomposition_check(g: LieAlgebra, h: Subalgebra, hprime: Subalgebra,
-                               P: ParabolicData, tol: float = DEFAULT_TOL) -> bool:
-    """True iff h + (h' ∩ m) spans h' and the maximal noncompact ideal of h' lies in h.
-
-    ``P`` should be adapted to the symmetric subalgebra h' (a inside s ∩ q);
-    use :func:`adapted_parabolic` to construct one.
-    """
-    if not hprime.contains(h):
-        raise InputError("h is not contained in h'")
-    if g.theta is None or span_residual(hprime.basis @ g.theta.T, hprime.basis) > 1e-8:
-        raise UnsupportedOperation("h' must be theta-stable (reductive in g)")
-    hp_cap_m = intersect_spans(hprime.basis, P.m.basis, tol)
-    spans = numeric_rank(stack_span(h.basis, hp_cap_m), tol) == hprime.dim
-    hp_alg = as_algebra(hprime, name="hprime")
-    nc, _ = noncompact_ideal(hp_alg, tol)
-    # as_algebra keeps the given basis: ideal coordinates are against the rows of hprime.basis
-    nc_ambient = nc.basis @ hprime.basis if nc.dim else np.zeros((0, g.dim))
-    ideal_inside = in_span(nc_ambient, h.basis, 1e-8)
-    return bool(spans and ideal_inside)

@@ -20,7 +20,7 @@ builds is ad-nilpotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -67,7 +67,8 @@ def _transposed_theta(labels: list[str], mats: np.ndarray, name: str) -> LieAlge
     """The algebra on ``mats`` with theta X -> -X^T, read at the pivot entries; InputError
     unless the basis is stable under it."""
     L = LieAlgebra(labels=tuple(labels), matrices=mats, name=name)
-    return replace(L, theta=L.coefficients_of(-mats.transpose(0, 2, 1)).T)
+    L._set_theta(L.coefficients_of(-mats.transpose(0, 2, 1)).T)
+    return L
 
 
 def build_classical(family: str, p: int, q: int) -> LieAlgebra:

@@ -17,6 +17,16 @@ def _f4_cache_dir(tmp_path_factory):
         yield
 
 
+@pytest.fixture
+def pivot_searches(monkeypatch):
+    """Every algebra whose pivot entries are searched during the test, once per search."""
+    from realflag.core import LieAlgebra
+    prop, searched = LieAlgebra.__dict__["_pivots"], []
+    search = prop.func
+    monkeypatch.setattr(prop, "func", lambda L: searched.append(L) or search(L))
+    return searched
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return get_algebra("sl2")

@@ -8,11 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
-                           as_algebra, cartan_decomposition, from_entries, load_algebra,
-                           noncompact_ideal, save_algebra, subalgebra, to_entries,
-                           validate_algebra)
+                           cartan_decomposition, from_entries, load_algebra, save_algebra,
+                           subalgebra, to_entries, validate_algebra)
 from realflag.linalg import signature_of
-from realflag.realforms import _root_lattice, _sl2_weyl, direct_sum, get_algebra
+from realflag.realforms import _root_lattice, _sl2_weyl, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
 from oracles import commutator_coefficients, jacobi_residual
@@ -60,13 +59,12 @@ class TestBracket:
         Ly = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
         Lz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]])
         sub = np.array([so3.coefficients_of(M) for M in (Lx, Ly, Lz)])
-        rest = as_algebra(subalgebra(so3, sub, name="so3"))
         e = np.eye(3)
         # [e1, e2] = e3 cyclically, oracle = commutators of Lx, Ly, Lz
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             oracle = commutator_coefficients([Lx, Ly, Lz], i, j)
             assert np.allclose(oracle, e[k], atol=1e-12)
-            assert np.allclose(rest.bracket(e[i], e[j]), e[k], atol=1e-10)
+            assert np.allclose(so3.bracket(sub[i], sub[j]), sub[k], atol=1e-10)
 
     def test_dimension_mismatch(self, sl2):
         with pytest.raises(InputError):
@@ -294,6 +292,9 @@ class TestClosure:
         assert subalgebra(so13, np.array(rows)).dim == 3
 
 
+CARTAN_FORMS = ["sl2", "so(1,3)", "su(1,2)", "sp(1,2)", "sl3"]
+
+
 class TestCartan:
     def test_so14(self, so14):
         k, s = cartan_decomposition(so14)
@@ -321,51 +322,35 @@ class TestCartan:
         assert signature_of(k.basis @ B @ k.basis.T) == (0, k.dim)
         assert signature_of(s @ B @ s.T) == (s.shape[0], 0)
 
+    @pytest.mark.parametrize("name", CARTAN_FORMS)
+    def test_theta_eigenspaces(self, name):
+        # k is fixed by theta, s is negated, and the two are B_theta-orthogonal and fill g
+        L = get_algebra(name)
+        k, s = cartan_decomposition(L)
+        assert k.dim + s.shape[0] == L.dim
+        assert np.abs(k.basis @ L.theta.T - k.basis).max() < 1e-10
+        assert np.abs(s @ L.theta.T + s).max() < 1e-10
+        assert np.abs(k.basis @ L.b_theta @ s.T).max() < 1e-10
+
+    @pytest.mark.parametrize("name", CARTAN_FORMS)
+    def test_bracket_relations_across_forms(self, name):
+        # absolute residuals: [k, k] is pure rounding when k is abelian, as in sl2
+        L = get_algebra(name)
+        k, s = cartan_decomposition(L)
+        from realflag.linalg import brackets
+
+        def off_span(A, B, basis):
+            br = brackets(L.bracket_tensor, A, B).reshape(-1, L.dim)
+            return np.abs(br - br @ basis.T @ basis).max()
+        assert off_span(k.basis, k.basis, k.basis) < 1e-10
+        assert off_span(k.basis, s, s) < 1e-10
+        assert off_span(s, s, k.basis) < 1e-10
+
     def test_requires_theta(self, sl2):
         from realflag.core import LieAlgebra
         bare = LieAlgebra(labels=sl2.labels, matrices=sl2.matrices, theta=None)
         with pytest.raises(UnsupportedOperation):
             cartan_decomposition(bare)
-
-
-class TestNoncompactIdeal:
-    def test_mixed_sum(self):
-        L = direct_sum(get_algebra("so(1,2)"), get_algebra("so(3)"))
-        nc, comp = noncompact_ideal(L)
-        assert nc.dim == 3 and comp.dim == 3
-        # the noncompact ideal is the first factor
-        assert np.abs(nc.basis[:, 3:]).max() < 1e-9
-
-    def test_compact(self):
-        nc, comp = noncompact_ideal(get_algebra("so(4)"))
-        assert nc.dim == 0 and comp.dim == 6
-
-    def test_all_noncompact(self):
-        L = get_algebra("sl2^3")
-        nc, _ = noncompact_ideal(L)
-        assert nc.dim == 9
-
-    def test_center_in_skewed_basis(self):
-        # so(1,1) + so(2) + so(1,2) with center and derived directions mixed by the basis:
-        # B_theta vanishes on the center, yet the complement is still the so(2) ideal
-        L = direct_sum(direct_sum(get_algebra("so(1,1)"), get_algebra("so(2)")),
-                       get_algebra("so(1,2)"))
-        A = np.eye(L.dim)
-        A[0, 1], A[1, 0], A[0, 2], A[1, 3] = 3.0, 0.5, 1.0, 2.0
-        K = as_algebra(subalgebra(L, A), name="skew")
-        nc, comp = noncompact_ideal(K)
-        assert nc.dim == 4 and comp.dim == 1
-        amb = (comp.basis @ A)[0]                # in the block coordinates of L
-        assert np.abs(np.delete(amb, 1)).max() < 1e-9 * abs(amb[1])
-
-    def test_nonreductive_rejected(self, sl2):
-        from realflag.core import LieAlgebra
-        # 2-dim affine algebra [X, Y] = Y is not reductive
-        c = np.zeros((2, 2, 2))
-        c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
-        aff = LieAlgebra(labels=("X", "Y"), structure=c, theta=np.eye(2))
-        with pytest.raises(UnsupportedOperation):
-            noncompact_ideal(aff)
 
 
 class TestProperties:
@@ -648,12 +633,3 @@ class TestEntries:
         with pytest.raises(ValueError, match="i >= j"):
             from_entries({"index": [np.ravel_multi_index(ijk, (3, 3, 3))], "value": [1.0]},
                          (3, 3, 3), bracket=True)
-
-
-class TestAsAlgebra:
-    def test_restriction_consistent(self, so14):
-        k, _ = cartan_decomposition(so14)
-        sub = as_algebra(k, name="k")
-        assert sub.dim == 6
-        validate_algebra(sub)
-        assert signature_of(sub.killing) == (0, 6)

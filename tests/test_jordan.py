@@ -251,6 +251,37 @@ class TestDerivationAlgebra:
         with pytest.raises(ConstructionError, match="rounded basis"):
             derivation_algebra(OCT_TABLE, 14)
 
+    @staticmethod
+    def _unital(products):
+        """The 4-dimensional table with unit e0 and e_a e_b = e_b e_a = e_c for (a, b, c)."""
+        table = np.zeros((4, 4, 4))
+        table[0, range(4), range(4)] = table[range(4), 0, range(4)] = 1.0
+        for a, b, c in products:
+            table[a, b, c] = table[b, a, c] = 1.0
+        return table
+
+    def test_a_free_unknown_is_its_own_null_direction(self):
+        # e2 e2 = e2 e3 = e3: no equation holds D[1, 1] or D[1, 2], since the unit cancels them
+        table = self._unital([(2, 2, 3), (2, 3, 3)])
+        _, cols, _, _ = _derivation_system(table)
+        assert {5, 6}.isdisjoint(cols)
+        basis, _ = derivation_algebra(table, 3)
+        flat = basis.reshape(3, -1)
+        for free in (5, 6):                     # each is a derivation on its own
+            assert any(np.array_equal(row, np.eye(16)[free]) for row in flat)
+        assert not (_unsplit_system(table) @ flat.T).any()
+        assert np.linalg.matrix_rank(_unsplit_system(table)) == 16 - 3
+
+    def test_a_free_unknown_beside_a_basis_outside_half_integers(self):
+        # e2 e2 = e3, e2 e3 = e1: D[1, 2] is free, and the derivations, 3 of them, include the
+        # grading diag(0, 3, 1, 2), whose reduced row carries 1/3 and 2/3: the exact basis
+        # that the solver promises does not exist, and it says so
+        table = self._unital([(2, 2, 3), (2, 3, 1)])
+        assert 6 not in _derivation_system(table)[1]
+        assert np.linalg.matrix_rank(_unsplit_system(table)) == 16 - 3
+        with pytest.raises(ConstructionError, match="rounded basis"):
+            derivation_algebra(table, 3)
+
     def test_cut_inside_the_band_raises(self, monkeypatch):
         # g2's smallest kept singular value is about 0.46 s_1: a cut at 0.1 s_1 is ambiguous
         import realflag.jordan as jordan_mod
@@ -339,6 +370,12 @@ class TestF4:
         L = f4bundle.algebra
         assert L.dim == 52
         assert signature_of(L.killing) == (16, 36)
+
+    def test_a_warm_load_searches_the_pivots_once(self, f4bundle, pivot_searches):
+        import realflag.jordan as jordan_mod
+        bundle = jordan_mod._load_bundle(jordan_mod.cache_path())
+        f4_subalgebra(bundle, "so(1,8)")
+        assert pivot_searches == [bundle.algebra]
 
     def test_flag_dim(self, parabolic_of):
         assert parabolic_of("f4").dim_flag == 15

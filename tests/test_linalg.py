@@ -120,6 +120,25 @@ def test_complement_with_metric():
     assert np.abs(sub @ G @ comp.T).max() < 1e-10
 
 
+def test_complement_inside_a_proper_ambient():
+    # the complement stays inside span(ambient), is orthogonal to sub and fills the rest
+    rng = np.random.default_rng(3)
+    ambient = rng.standard_normal((4, 7))
+    sub = rng.standard_normal((2, 4)) @ ambient
+    comp = complement_in(sub, ambient)
+    assert comp.shape[0] == 2
+    assert np.abs(sub @ comp.T).max() < 1e-10
+    assert span_residual(comp, ambient) < 1e-10
+    assert numeric_rank(np.vstack([sub, comp])) == 4
+
+
+def test_complement_of_nothing_and_of_everything():
+    ambient = np.eye(5)[:3]
+    assert complement_in(np.zeros((0, 5)), ambient).shape[0] == 3
+    assert complement_in(np.zeros((2, 5)), ambient).shape[0] == 3
+    assert complement_in(2.0 * ambient[::-1], ambient).shape == (0, 5)
+
+
 def test_null_rows():
     M = np.array([[1.0, 1, 0], [0, 0, 0]])
     ker = null_rows(M)

@@ -4,10 +4,9 @@ from scipy.linalg import expm
 
 from realflag.catalog import catalog_entries
 from realflag.core import InputError, NotSphericalError, subalgebra
-from realflag.linalg import in_span, stack_span
-from realflag.orbits import (adapted_parabolic, bruhat_cell_of, hprime_decomposition_check,
-                             nonreductive_orbit_count, normalize_nonreductive, orbit_dim_at,
-                             sampled_orbit_dims, symmetric_coincidence)
+from realflag.linalg import stack_span
+from realflag.orbits import (bruhat_cell_of, nonreductive_orbit_count, normalize_nonreductive,
+                             orbit_dim_at, sampled_orbit_dims, symmetric_coincidence)
 from realflag.realforms import get_algebra
 from realflag.spherical import is_spherical, local_dim, sample_group_element, sample_rng
 
@@ -269,50 +268,3 @@ class TestCoincidence:
         hp = pair("so15:so11+su2")
         with pytest.raises(InputError):
             symmetric_coincidence(h.g, h.h, hp.h, h.P, samples=2, seed=0)
-
-
-class TestHprimeDecomposition:
-    def test_reflexive(self, pair):
-        pd = pair("so15:so11+so4")
-        P = adapted_parabolic(pd.g, pd.sigma)
-        assert hprime_decomposition_check(pd.g, pd.h, pd.h, P)
-
-    def test_so15_instance(self, pair):
-        h = pair("so15:so11+su2")
-        hp = pair("so15:so11+so4")
-        P = adapted_parabolic(hp.g, hp.sigma)
-        assert hprime_decomposition_check(h.g, h.h, hp.h, P)
-        # the adapted parabolic really satisfies h' ∩ p ⊂ m
-        from realflag.linalg import intersect_spans
-        cap = intersect_spans(hp.h.basis, P.p.basis)
-        assert in_span(cap, P.m.basis, 1e-7)
-
-    @pytest.mark.parametrize("change", [
-        np.eye(7),
-        np.diag(np.linspace(1.0, 3.0, 7)),
-        np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))[0],
-    ], ids=["catalog-basis", "rescaled-basis", "orthogonal-basis"])
-    def test_so15_instance_any_basis(self, pair, change):
-        # the verdict is a property of the span of h', not of the basis that carries it
-        h = pair("so15:so11+su2")
-        hp = pair("so15:so11+so4")
-        P = adapted_parabolic(hp.g, hp.sigma)
-        hprime = subalgebra(hp.g, change @ hp.h.basis, name="so11+so4")
-        assert hprime_decomposition_check(h.g, h.h, hprime, P)
-
-    def test_noncompact_ideal_containment(self, pair):
-        # so(1,1) is the noncompact ideal of h' and lies inside h
-        from realflag.core import as_algebra, noncompact_ideal
-        hp = pair("so15:so11+so4")
-        alg = as_algebra(hp.h, name="hp")
-        nc, comp = noncompact_ideal(alg)
-        assert nc.dim == 1
-        amb = nc.basis @ np.atleast_2d(hp.h.basis)
-        h = pair("so15:so11+su2")
-        assert in_span(amb, h.h.basis, 1e-8)
-        # the complement is the so(4) ideal: dimension 6, closed under ad(h'), meets nc in 0
-        from realflag.linalg import brackets, numeric_rank
-        assert comp.dim == 6
-        assert numeric_rank(stack_span(nc.basis, comp.basis)) == alg.dim
-        br = brackets(alg.bracket_tensor, np.eye(alg.dim), comp.basis).reshape(-1, alg.dim)
-        assert in_span(br, comp.basis, 1e-8)

@@ -118,6 +118,12 @@ class TestPivotReader:
         if name.startswith(("so", "sp", "f4")):
             assert _is_signed_permutation(block)
 
+    def test_pivots_are_searched_once_per_algebra(self, pivot_searches):
+        # theta is read at the pivots of the algebra that is returned, which keeps them
+        L = build_classical("sp", 1, 4)
+        L.bracket_tensor, L.coefficients_of(L.matrices)
+        assert pivot_searches == [L]
+
     def test_coefficients_match_least_squares(self, su12):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, su12.dim))

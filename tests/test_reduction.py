@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from realflag.core import InputError, Subalgebra, as_algebra, pairwise_brackets, subalgebra
+from realflag.core import InputError, Subalgebra, pairwise_brackets, subalgebra
 from realflag.linalg import in_span, numeric_rank, orth_rows, stack_span
-from realflag.realforms import restricted_roots
+from realflag.realforms import _transposed_theta, restricted_roots
 from realflag.reduction import induced_pair, parabolic_alpha
 from realflag.spherical import is_spherical
 
@@ -57,12 +57,12 @@ class TestParabolicAlpha:
         ap = parabolic_alpha(pd.g, pd.P, 0)
         # [l, l] is spanned by the brackets of basis pairs, and it is closed
         derived = subalgebra(pd.g, orth_rows(pairwise_brackets(pd.g, ap.l_alpha.basis)))
-        alg = as_algebra(derived, name="levi-derived")
+        # realized by its matrices, with theta -X^T read on them
+        mats = np.tensordot(derived.basis, pd.g.matrices, 1)
+        alg = _transposed_theta([f"l{i}" for i in range(derived.dim)], mats, "levi-derived")
         rr = restricted_roots(alg)
         assert rr.rank == 1
-        pos = [v for v, p in zip(rr.root_vectors, rr.positive) if p]
-        indivisible = [v for v in pos if not any(np.allclose(v, 2 * u) for u in pos)]
-        assert len(indivisible) == 1
+        assert rr.coords.tolist() == [[1], [-1]]
 
 
 class TestLeviProjection:
