@@ -51,6 +51,7 @@ class NotSphericalError(LieError):
 
 # relative residual above which a matrix, or a commutator, is read as outside a realization's span
 READ_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +129,18 @@ class LieAlgebra:
         return cols, np.linalg.inv(flat[:, cols])
 
     @cached_property
-    def killing(self) -> np.ndarray:
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j dim + k, c[i, j, k]) of the nonzero constants, in the flat C order of
+        ``to_entries``."""
         c = self.bracket_tensor
-        B = np.einsum("ilk,jkl->ij", c, c)
+        index = np.flatnonzero(c)
+        return *np.divmod(index, self.dim * self.dim), c.ravel()[index]
+
+    @cached_property
+    def killing(self) -> np.ndarray:
+        """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{l,k} c[i, l, k] c[j, k, l], as one GEMM."""
+        n, c = self.dim, self.bracket_tensor
+        B = c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
         return (B + B.T) / 2.0
 
     @cached_property
@@ -151,11 +161,17 @@ class LieAlgebra:
         return brackets(self.bracket_tensor, X[None], Y[None])[0, 0]
 
     def ad(self, X: np.ndarray) -> np.ndarray:
+        """The matrix of ad(X), column j holding [X, e_j].
+
+        Each nonzero c[i, j, k] adds X[i] c[i, j, k] to entry (k, j), so the cost is the
+        number of nonzeros, not dim^3; a bracket with no zero constants pays about 15 times
+        a dense product for that.
+        """
         X = np.asarray(X, dtype=float)
         if X.shape != (self.dim,):
             raise InputError(f"coefficient vector must have length {self.dim}")
-        # column j holds [X, e_j]
-        return np.einsum("i,ijk->kj", X, self.bracket_tensor)
+        i, jk, value = self._nonzeros
+        return np.bincount(jk, X[i] * value, self.dim ** 2).reshape(self.dim, self.dim).T
 
     def coefficients_of(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of a realization matrix or a stack, read at the pivot entries;
@@ -185,9 +201,9 @@ class LieAlgebra:
         word = np.asarray(word, dtype=float)
         if word.ndim != 2 or word.shape[1] != self.dim:
             raise InputError(f"a group element is a (k, {self.dim}) word of coefficient vectors")
-        c, out = self.bracket_tensor.reshape(self.dim, -1), np.array(rows, dtype=float)
-        for X in word[::-1]:            # v @ (X @ c).reshape(dim, dim) = [X, v]
-            out = _exp_nilpotent(out, (X @ c).reshape(self.dim, self.dim), depth)
+        out = np.array(rows, dtype=float)
+        for X in word[::-1]:            # v @ ad(X).T = [X, v]
+            out = _exp_nilpotent(out, self.ad(X).T, depth)
         return out
 
 
@@ -210,7 +226,7 @@ def _exp_nilpotent(rows: np.ndarray, A: np.ndarray, depth: int) -> np.ndarray:
         coeff *= norm / k
         out += coeff * power
         power = power @ B
-    bound = len(A) * depth * np.finfo(float).eps * np.abs(rows).sum(axis=-1)
+    bound = len(A) * depth * _EPS * np.abs(rows).sum(axis=-1)
     if not (np.abs(power).sum(axis=-1) <= bound).all():          # NaN fails
         raise InputError("a word row is not ad-nilpotent to the given depth")
     return out

@@ -283,7 +283,8 @@ def derivation_algebra(table: np.ndarray,
                                 f"{upper:.1e}, s_r+1/s_1 = {lower:.1e})")
     null_blocks = []
     for unknowns, block, s, vh in blocks:
-        null = _rref(vh[_cut_certificate(s, SOLVER_TOL, s_all[0])[0]:])
+        # with no equation (the zero product) there is no singular value and no cut
+        null = _rref(vh[_cut_certificate(s, SOLVER_TOL, s_all.max(initial=0.0))[0]:])
         null = np.round(2.0 * null) / 2.0 + 0.0                # + 0.0 turns a -0.0 into 0.0
         if (block @ null.T).any():
             raise ConstructionError("derivation solve: the rounded basis does not solve "

@@ -13,6 +13,7 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 # a singular value within this factor of the cut tol * smax makes a rank decision ambiguous
 RANK_BAND = 10.0
+_TINY = float(np.finfo(float).tiny)
 
 
 def numeric_rank(M: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 0.0) -> int:
@@ -41,14 +42,14 @@ def rank_certificate(M: np.ndarray, tol: float = DEFAULT_TOL,
 
 def _cut_certificate(s: np.ndarray, tol: float,
                      scale: float = 0.0) -> tuple[int, float, float, bool]:
-    """``rank_certificate`` of a matrix with the singular values ``s`` (descending, perhaps
-    none)."""
+    """``rank_certificate`` of a matrix with the singular values ``s`` (descending); no
+    value at all is a matrix with no rows, ``(0, 0.0, 0.0, False)`` without a ``scale``."""
     ref = max(float(s[0]) if s.size else 0.0, scale)
     cut = tol * ref
     r = int((s > cut).sum())
     rel = np.append(s, 0.0) / ref if ref > 0.0 else np.zeros(s.size + 1)
     upper, lower = (float(rel[r - 1]) if r else 0.0), float(rel[r])
-    ambiguous = bool(cut < np.finfo(float).tiny
+    ambiguous = bool(s.size and cut < _TINY
                      or any(tol / RANK_BAND <= x <= tol * RANK_BAND for x in (upper, lower)))
     return r, upper, lower, ambiguous
 

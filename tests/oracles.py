@@ -12,7 +12,10 @@ rank-one pairs it is applied to this equals the orbit count.  It never
 touches the library's orbit machinery.  The Jordan oracle multiplies two
 elements as twisted Hermitian octonion matrices, one pair at a time.  The
 alpha-line oracle is the float matching of root vectors that the integer
-simple-root coordinates replaced.
+simple-root coordinates replaced.  The contraction oracles are the dense forms
+that ``LieAlgebra.killing`` and ``LieAlgebra.ad`` replaced: the Killing form
+as one einsum over every structure constant, and ad(X) as the dense product
+X @ c.
 """
 
 from __future__ import annotations
@@ -27,6 +30,18 @@ def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """x o y = (xy + yx)/2 on 27-coordinates, through the 3x3 octonion matrices."""
     A, B = _coords_to_matrix(wx), _coords_to_matrix(wy)
     return _matrix_to_coords((_oct_matmul(A, B) + _oct_matmul(B, A)) / 2.0)
+
+
+def killing_einsum(c: np.ndarray) -> np.ndarray:
+    """B(e_i, e_j) = tr(ad e_i ad e_j) as one einsum over all dim^3 constants, symmetrised."""
+    B = np.einsum("ilk,jkl->ij", c, c)
+    return (B + B.T) / 2.0
+
+
+def ad_dense(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The matrix of ad(X), column j holding [X, e_j], as the dense product X @ c."""
+    n = len(X)
+    return (X @ c.reshape(n, n * n)).reshape(n, n).T
 
 
 def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+from realflag.catalog import catalog_entries
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
                            cartan_decomposition, from_entries, load_algebra, save_algebra,
                            subalgebra, to_entries, validate_algebra)
-from realflag.linalg import signature_of
+from realflag.linalg import brackets, signature_of
 from realflag.realforms import _root_lattice, _sl2_weyl, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
-from oracles import commutator_coefficients, jacobi_residual
+from oracles import ad_dense, commutator_coefficients, jacobi_residual, killing_einsum
 from test_orbits import RANK_ONE_AMBIENTS
 
 
@@ -105,6 +106,48 @@ class TestKilling:
         resid = np.einsum("tk,kl,tl->t", bzx, B, Y) + np.einsum("tk,kl,tl->t", X, B, bzy)
         scale = max(1.0, np.abs(np.einsum("tk,kl,tl->t", bzx, B, Y)).max())
         assert np.abs(resid).max() / scale < 1e-8
+
+
+# every ambient of the catalog at --n 5, and the two exceptional algebras
+KERNEL_AMBIENTS = sorted({e.ambient for e in catalog_entries(5)} | {"f4", "g2"})
+
+
+def _generic_basis(L: LieAlgebra, seed: int) -> LieAlgebra:
+    """L on a seeded random basis: every constant c[a, b, k] with a != b is nonzero."""
+    T = np.random.default_rng(seed).standard_normal((L.dim, L.dim))
+    c = brackets(L.bracket_tensor, T, T) @ np.linalg.inv(T)
+    c = (c - c.transpose(1, 0, 2)) / 2.0
+    return LieAlgebra(labels=L.labels, structure=c, name=f"{L.name} (generic basis)")
+
+
+class TestContractionKernels:
+    """``killing`` and ``ad`` against the dense contractions they replaced."""
+
+    @pytest.mark.parametrize("name", KERNEL_AMBIENTS)
+    def test_killing_equals_the_einsum(self, name):
+        L = get_algebra(name)
+        B, oracle = L.killing, killing_einsum(L.bracket_tensor)
+        assert np.array_equal(B, B.T)
+        if name in ("f4", "g2"):            # exact dyadic constants: every sum is exact
+            assert np.array_equal(B, oracle)
+        else:
+            assert np.abs(B - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("name", KERNEL_AMBIENTS + ["sp(1,2) generic"])
+    def test_ad_equals_the_dense_product(self, name):
+        L = (_generic_basis(get_algebra("sp(1,2)"), 0) if name.endswith("generic")
+             else get_algebra(name))
+        rng = np.random.default_rng(5)
+        for X in rng.standard_normal((4, L.dim)):
+            A, oracle = L.ad(X), ad_dense(L.bracket_tensor, X)
+            assert np.abs(A - oracle).max() <= 1e-15 * np.abs(oracle).max()
+            for j, e in enumerate(np.eye(L.dim)):
+                assert np.abs(A[:, j] - L.bracket(X, e)).max() <= 1e-15 * np.abs(oracle).max()
+
+    def test_generic_basis_has_no_zero_constant(self, sp12):
+        c = _generic_basis(sp12, 0).bracket_tensor
+        off_diagonal = ~np.eye(sp12.dim, dtype=bool)
+        assert (c[off_diagonal] != 0).all() and not c[~off_diagonal].any()
 
 
 class TestAdjoint:

@@ -240,6 +240,11 @@ class TestDerivationAlgebra:
         with pytest.raises(ConstructionError, match=f"expected {dim + 1}"):
             derivation_algebra(table, dim + 1)
 
+    def test_zero_product_derives_every_map(self):
+        # no equation, so no rank cut: every linear map is a derivation of the zero product
+        basis, margin = derivation_algebra(np.zeros((2, 2, 2)), 4)
+        assert np.array_equal(basis.reshape(4, 4), np.eye(4)) and margin == (0.0, 0.0)
+
     def test_margin_clears_the_band(self, solved):
         upper, lower = solved[3]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
