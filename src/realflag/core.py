@@ -333,41 +333,164 @@ def _realization_residual(mats: np.ndarray, c: np.ndarray) -> float:
 
 # -- validation -------------------------------------------------------------
 
+# output keys summed at once, joined pairs made at once and lead records read at once, per
+# dim^3: the checks hold O(dim^3) floats however dense the bracket is
+_KEYS_PER_CUBE, _PAIRS_PER_CUBE, _LEADS_PER_CUBE = 2.0, 0.0625, 0.03125
+
+
+def _largest_sum(joins, first: np.ndarray, keys: np.ndarray, cube: int) -> float:
+    """The largest |sum| of the products of joined nonzero records, summed by output key;
+    NaN if a sum is not finite, so that an overflow fails its check even where the bound
+    overflows too (the dense products met inf - inf there).
+
+    Keys are summed in chunks [x0, x1) of a leading index whose keys are keys[x0], ...,
+    keys[x1] - 1 and whose lead records are first[x0], ..., first[x1] - 1; a chunk holds
+    one index, or as many as fit in _KEYS_PER_CUBE cube keys and _LEADS_PER_CUBE cube
+    leads.  ``joins(x0, x1)`` gives the chunk's joins (begin, end, key, value,
+    partner_key, partner_value, table): lead p meets the partner records q = begin[p], ...,
+    end[p] - 1, and each pair adds value[p] * partner_value[q] at key[p] + partner_key[q],
+    or at key[p] + table[partner_key[q]] if ``table`` is not None, counted from keys[x0].
+    Leads go in runs of about _PAIRS_PER_CUBE cube pairs.
+    """
+    chunks, x0 = [], 0
+    while x0 < len(first) - 1:
+        x1 = min(np.searchsorted(keys, keys[x0] + _KEYS_PER_CUBE * cube, side="right"),
+                 np.searchsorted(first, first[x0] + _LEADS_PER_CUBE * cube, side="right"))
+        chunks.append((x0, max(x1 - 1, x0 + 1)))
+        x0 = chunks[-1][1]
+    buf = np.zeros(max((keys[x1] - keys[x0] for x0, x1 in chunks), default=0))
+    batch, worst = max(int(_PAIRS_PER_CUBE * cube), 1), 0.0
+    for x0, x1 in chunks:
+        acc = buf[:keys[x1] - keys[x0]]
+        acc.fill(0.0)
+        for begin, end, key, value, partner_key, partner_value, table in joins(x0, x1):
+            count = end - begin
+            ends = np.cumsum(count)
+            cuts = np.searchsorted(ends, np.arange(batch, ends[-1] if ends.size else 0, batch),
+                                   side="right")
+            for b0, b1 in zip([0, *cuts], [*cuts, len(count)]):
+                if b0 == b1:
+                    continue
+                n, start = count[b0:b1], ends[b0:b1] - count[b0:b1]
+                q = np.arange(start[0], ends[b1 - 1]) + np.repeat(begin[b0:b1] - start, n)
+                part = partner_key[q] if table is None else table[partner_key[q]]
+                np.add.at(acc, np.repeat(key[b0:b1], n) + part,
+                          np.repeat(value[b0:b1], n) * partner_value[q])
+        worst = np.maximum(worst, np.abs(acc, out=acc).max(initial=0.0))
+    return float(worst) if worst < np.inf else np.nan
+
+
+def _offsets(index: np.ndarray, size: int) -> np.ndarray:
+    """Where each k = 0, ..., size starts among the entries of ``index`` put in order: the
+    number of entries below k."""
+    return np.concatenate(([0], np.cumsum(np.bincount(index, minlength=size))))
+
+
+def _pairs_by_last(L: LieAlgebra, scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants c[a, b, l] with a < b ordered by (l, b): the offsets of each (l, b) at
+    l dim + b, and each constant's pair number b (b - 1) / 2 + a times ``scale``, and its
+    value."""
+    d = L.dim
+    i, jk, v = L._nonzeros
+    half = np.flatnonzero(i < jk // d)
+    lb = jk[half] % d * d + jk[half] // d              # l d + b
+    order = np.argsort(lb, kind="stable")
+    half, lb = half[order], lb[order]
+    pairs = np.arange(d) * np.arange(-1, d - 1) // 2   # b (b - 1) / 2
+    return _offsets(lb, d * d), (pairs[lb % d] + i[half]) * scale, v[half]
+
+
+def _jacobi_residual(L: LieAlgebra) -> float:
+    """The largest |J(lo, mid, hi)_m| over lo < mid < hi, J(x, y, z) = A(x, y, z) +
+    A(y, z, x) + A(z, x, y) and A(a, b, k)_m = sum_l c[a, b, l] c[l, k, m].
+
+    With c exactly antisymmetric, J is the sum of the products c[a, b, l] c[l, k, m] with
+    a < b and k outside {a, b} (the others cancel), each one term of the J of the sorted
+    triple {a, b, k}, negated when a < k < b.  They are summed in chunks of whole hi, into
+    keys (triple, m) with triples numbered hi (hi - 1) (hi - 2) / 6 + mid (mid - 1) / 2 +
+    lo.  The leads are the nonzeros c[x, y, z] with x in the chunk: as c[a, b, l] =
+    -c[x, y, z] (b = x, a = y) they meet the c[l, k, m] with k < a and with a < k < b, and
+    as c[l, k, m] = -c[x, y, z] (k = x, l = y) the c[a, b, l] with b < k.
+    """
+    d = L.dim
+    i, jk, v = L._nonzeros
+    before = _offsets(i * d + jk // d, d * d)       # first c[x, y, .] at before[x d + y]
+    pair_before, pair_key, pair_value = _pairs_by_last(L, d)
+    n = np.arange(d + 1)
+    c2, c3 = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6
+    mid_key = (c2[:d, None] * d + n[:d]).ravel()              # c2[k] d + m at k d + m
+
+    def joins(h0, h1):
+        run = slice(before[h0 * d], before[h1 * d])
+        x, (y, z), w = i[run], np.divmod(jk[run], d), v[run]
+        base = c3[x] - c3[h0]
+        low = np.flatnonzero(y < x)                             # b = x, a = y, l = z
+        xl, yl, zl, wl, bl = x[low], y[low], z[low], w[low], base[low]
+        yield (before[zl * d], before[zl * d + yl], (bl + c2[yl]) * d, -wl,
+               jk, v, None)                                             # k < a
+        yield (before[zl * d + yl + 1], before[zl * d + xl], (bl + yl) * d, wl,
+               jk, v, mid_key)                                          # a < k < b
+        yield (pair_before[y * d], pair_before[y * d + x], base * d + z, -w,
+               pair_key, pair_value, None)                              # b < k
+
+    return _largest_sum(joins, before[::d], c3 * d, d ** 3)
+
+
+def _matrix_residual(L: LieAlgebra) -> float:
+    """The largest |([M_a, M_b] - sum_k c[a, b, k] M_k)[r, s]| over a < b and all r, s.
+
+    Each nonzero M_y[t, s] leads: it meets the M_x[r, t] of column t, whose product goes
+    to [M_x, M_y][r, s] when x < y and, negated, to [M_y, M_x][r, s] when x > y, and it
+    meets the c[a, b, y] with a < b, whose -c[a, b, y] M_y[t, s] goes to pair (a, b) at
+    (t, s).  Summed in chunks of whole columns s, into keys (s, r, pair) with pairs
+    numbered b (b - 1) / 2 + a.
+    """
+    d, mats = L.dim, L.matrices
+    N, pairs = mats.shape[1], d * (d - 1) // 2
+    by_col = np.ascontiguousarray(mats.transpose(2, 0, 1))     # by_col[s, x, r] = M_x[r, s]
+    flat = np.flatnonzero(by_col)
+    val = by_col.ravel()[flat]
+    before = _offsets(flat // N, N * d)             # first M_x[., s] at before[s d + x]
+    s, (x, r) = flat // (d * N), np.divmod(flat % (d * N), N)
+    pair_before, pair, pair_value = _pairs_by_last(L, 1)
+    c2 = np.arange(d) * np.arange(-1, d - 1) // 2
+    low_key, high_key = r * pairs + x, r * pairs + c2[x]     # x the lower, the higher index
+
+    def joins(s0, s1):
+        run = slice(before[s0 * d], before[s1 * d])
+        y, t, w = x[run], r[run], val[run]
+        base = (s[run] - s0) * N * pairs
+        yield before[t * d], before[t * d + y], base + c2[y], w, low_key, val, None  # x < y
+        yield (before[t * d + y + 1], before[t * d + d], base + y, -w,
+               high_key, val, None)                                             # x > y
+        yield (pair_before[y * d], pair_before[y * d + d], base + t * pairs, -w,
+               pair, pair_value, None)                                          # c M
+
+    return _largest_sum(joins, before[::d], np.arange(N + 1) * N * pairs, d ** 3)
+
+
 def validate_algebra(L: LieAlgebra) -> None:
     """Check the structural invariants, NaN-safe; raise ConstructionError on failure."""
     if not all(np.isfinite(x).all() for x in (L.structure, L.theta, L.matrices) if x is not None):
         raise ConstructionError("structure constants, theta or matrices are not finite")
     c = L.bracket_tensor
-    if not np.array_equal(c, -np.einsum("ijk->jik", c)):
+    if not np.array_equal(c, -c.transpose(1, 0, 2)):
         raise ConstructionError("bracket tensor is not exactly antisymmetric")
     cmax = max(np.abs(c).max(), 1.0)
-    # c is exactly antisymmetric, so the Jacobiator J(i, j, k) is alternating: it changes
-    # sign exactly under any swap and is exactly 0 when an index repeats; i < j < k suffice
-    d, worst = L.dim, 0.0
-    for i in range(d - 2):      # one slice at a time, over j, k > i
-        s = slice(i + 1, None)
-        r = c[i, s] @ c[s]      # r[k, j] = [e_k, [e_i, e_j]] = -[[e_i, e_j], e_k]
-        # [[e_k, e_i], e_j] = r[j, k] and [[e_j, e_k], e_i] = -(c[j, k] @ c[i])
-        worst = np.maximum(worst, np.abs(r - r.transpose(1, 0, 2) - c[s, s] @ c[i]).max())
-    if not worst <= 1e-9 * cmax * cmax * d:
+    worst = _jacobi_residual(L)
+    if not worst <= 1e-9 * cmax * cmax * L.dim:
         raise ConstructionError(f"Jacobi identity fails (residual {worst:.2e})")
     if L.theta is not None:
         th = L.theta
         if not np.linalg.norm(th @ th - np.eye(L.dim)) <= 1e-9 * L.dim:
             raise ConstructionError("theta is not an involution")
-        lhs = c @ th.T                                 # theta([e_i, e_j])
-        rhs = brackets(c, th.T, th.T)                  # [theta e_i, theta e_j]
-        if not np.abs(lhs - rhs).max() <= 1e-8 * cmax:
+        diff = c @ th.T                                # theta([e_i, e_j])
+        diff -= brackets(c, th.T, th.T)                # [theta e_i, theta e_j]
+        if not np.abs(diff, out=diff).max() <= 1e-8 * cmax:
             raise ConstructionError("theta is not an automorphism")
     if L.matrices is not None:
-        mats, worst = L.matrices, 0.0
-        # [M_i, M_j] against sum_k c_ijk M_k, one i at a time and for j > i only: both sides
-        # negate exactly under i <-> j and vanish when i = j
-        for i in range(d - 1):
-            s = slice(i + 1, None)
-            com = mats[i] @ mats[s] - mats[s] @ mats[i]
-            worst = np.maximum(worst, np.abs(com - np.tensordot(c[i, s], mats, axes=(1, 0))).max())
-        scale = max(np.abs(mats).max() ** 2, 1e-30)
+        worst = _matrix_residual(L)
+        scale = max(np.abs(L.matrices).max() ** 2, 1e-30)
         if not worst <= 1e-8 * scale * max(1.0, cmax):
             raise ConstructionError("matrix realization does not reproduce the bracket")
 

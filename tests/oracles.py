@@ -15,7 +15,9 @@ alpha-line oracle is the float matching of root vectors that the integer
 simple-root coordinates replaced.  The contraction oracles are the dense forms
 that ``LieAlgebra.killing`` and ``LieAlgebra.ad`` replaced: the Killing form
 as one einsum over every structure constant, and ad(X) as the dense product
-X @ c.
+X @ c.  The slab oracles are the dense forms that the joins of
+``core.validate_algebra`` replaced: the Jacobi identity one index slab at a
+time and the matrix realization one commutator slab at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,28 @@ def ad_dense(c: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The matrix of ad(X), column j holding [X, e_j], as the dense product X @ c."""
     n = len(X)
     return (X @ c.reshape(n, n * n)).reshape(n, n).T
+
+
+def jacobi_slabs(c: np.ndarray) -> float:
+    """The largest |J(i, j, k)| over i < j, k, one slab of i at a time: for each i, the rows
+    c[i, j] times the slices c[k] give [e_k, [e_i, e_j]], the same array with j and k
+    swapped gives [[e_k, e_i], e_j], and c[j, k] @ c[i] gives -[[e_j, e_k], e_i]."""
+    d, worst = len(c), 0.0
+    for i in range(d - 2):
+        s = slice(i + 1, None)
+        r = c[i, s] @ c[s]
+        worst = np.maximum(worst, np.abs(r - r.transpose(1, 0, 2) - c[s, s] @ c[i]).max())
+    return worst
+
+
+def realization_slabs(c: np.ndarray, mats: np.ndarray) -> float:
+    """The largest |[M_i, M_j] - sum_k c[i, j, k] M_k| over i < j, one slab of i at a time."""
+    d, worst = len(c), 0.0
+    for i in range(d - 1):
+        s = slice(i + 1, None)
+        com = mats[i] @ mats[s] - mats[s] @ mats[i]
+        worst = np.maximum(worst, np.abs(com - np.tensordot(c[i, s], mats, axes=(1, 0))).max())
+    return worst
 
 
 def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:

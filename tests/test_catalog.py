@@ -1,10 +1,12 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from realflag import jordan
+import realflag
+from realflag import catalog, jordan, spherical
 from realflag.catalog import (_ALIASES, EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED,
                               EXPECT_SPHERICAL, CatalogEntry, build_pair, catalog_entries,
                               get_entry)
@@ -98,3 +100,44 @@ class TestEntries:
     def test_subalgebra_name_is_the_entry_suffix(self, name):
         # the recipes derive h's name from their blocks; it reaches the orbit reports
         assert build_pair(name, 5).h.name == name.split(":", 2)[2]
+
+
+def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
+    """Replace ``attr`` of ``realflag.<module_name>`` at every binding in the realflag
+    modules, as the benchmark's tracer does, with a wrapper that records each call."""
+    calls, fn = [], getattr(importlib.import_module(f"realflag.{module_name}"), attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name in ("cli", "catalog", "spherical", "orbits", "reduction", "realforms", "jordan",
+                 "core", "linalg"):
+        mod = importlib.import_module(f"realflag.{name}")
+        if getattr(mod, attr, None) is fn:
+            monkeypatch.setattr(mod, attr, counted)
+    if getattr(realflag, attr, None) is fn:
+        monkeypatch.setattr(realflag, attr, counted)
+    return calls
+
+
+class TestBenchmarkBookkeeping:
+    """The traced benchmark cross-checks one ``spherical.local_dim`` call per entry of
+    ``per_sample_dims`` and one ``catalog.build_pair`` call per built entry; a change that
+    batches samples or builds a pair twice fails here first."""
+
+    @pytest.mark.parametrize("name", ["berger:su(1,3):so(1,3)", "max:f4:so(1,2)+g2"])
+    def test_one_local_dim_per_sample_and_one_build_per_entry(self, name, monkeypatch):
+        local_dim = _count_calls(monkeypatch, "spherical", "local_dim")
+        built = _count_calls(monkeypatch, "catalog", "build_pair")
+        pd = catalog.build_pair(name, 4)                 # the sweep worker's loop body
+        rep = spherical.is_spherical(pd.g, pd.h, pd.P, samples=64, seed=0, pair_name=name)
+        assert len(built) == 1 and len(local_dim) == len(rep.per_sample_dims)
+
+    @pytest.mark.parametrize("name", ["berger:su(1,3):so(1,3)", "max:f4:so(1,2)+g2"])
+    def test_one_local_dim_per_sample_of_a_check(self, name, monkeypatch, capsys):
+        local_dim = _count_calls(monkeypatch, "spherical", "local_dim")
+        built = _count_calls(monkeypatch, "catalog", "build_pair")
+        main(["check", "--pair", name, "--json", "--seed", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert len(built) == 1 and len(local_dim) == len(doc["per_sample_dims"]) > 0

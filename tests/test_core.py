@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+from realflag import core
 from realflag.catalog import catalog_entries
 from realflag.core import (ConstructionError, InputError, LieAlgebra, UnsupportedOperation,
+                           _jacobi_residual, _matrix_residual,
                            cartan_decomposition, from_entries, load_algebra, save_algebra,
                            subalgebra, to_entries, validate_algebra)
 from realflag.linalg import brackets, signature_of
 from realflag.realforms import _root_lattice, _sl2_weyl, get_algebra
 from realflag.spherical import sample_group_element, sample_rng
 
-from oracles import ad_dense, commutator_coefficients, jacobi_residual, killing_einsum
+from oracles import (ad_dense, commutator_coefficients, jacobi_residual, jacobi_slabs,
+                     killing_einsum, realization_slabs)
 from test_orbits import RANK_ONE_AMBIENTS
 
 
@@ -112,12 +116,17 @@ class TestKilling:
 KERNEL_AMBIENTS = sorted({e.ambient for e in catalog_entries(5)} | {"f4", "g2"})
 
 
-def _generic_basis(L: LieAlgebra, seed: int) -> LieAlgebra:
-    """L on a seeded random basis: every constant c[a, b, k] with a != b is nonzero."""
+def _generic_basis(L: LieAlgebra, seed: int, realized: bool = False) -> LieAlgebra:
+    """L on a seeded random basis: every constant c[a, b, k] with a != b is nonzero.  If
+    ``realized``, it keeps L's realization and theta, carried to the new basis."""
     T = np.random.default_rng(seed).standard_normal((L.dim, L.dim))
     c = brackets(L.bracket_tensor, T, T) @ np.linalg.inv(T)
     c = (c - c.transpose(1, 0, 2)) / 2.0
-    return LieAlgebra(labels=L.labels, structure=c, name=f"{L.name} (generic basis)")
+    if not realized:
+        return LieAlgebra(labels=L.labels, structure=c, name=f"{L.name} (generic basis)")
+    return LieAlgebra(labels=L.labels, structure=c, matrices=np.tensordot(T, L.matrices, 1),
+                      theta=np.linalg.inv(T).T @ L.theta @ T.T,
+                      name=f"{L.name} (generic basis)")
 
 
 class TestContractionKernels:
@@ -431,7 +440,7 @@ def _so3_and_centre(centre, defect=0.0):
 
 class TestValidate:
     def test_rejects_a_perturbed_jacobi_entry(self, so14):
-        # the check runs slice by slice over the first index; perturb the first and the last
+        # the check runs in chunks of the largest index; perturb the first and the last row
         for i in (0, so14.dim - 1):
             c = np.array(so14.bracket_tensor)
             j, k = np.argwhere(c[i] != 0)[0]
@@ -440,8 +449,8 @@ class TestValidate:
             with pytest.raises(ConstructionError, match="Jacobi"):
                 validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
 
-    # the check reads each Jacobi triple i < j < k and each realization pair i < j once; these
-    # place the only defect in the first or the last of them, so a loop that skips it passes
+    # the check sums each Jacobi triple i < j < k and each realization pair i < j once; these
+    # place the only defect in the first or the last of them, so a join that skips it passes
     @pytest.mark.parametrize("centre", ["after", "before"])
     def test_jacobi_sees_the_first_and_the_last_triple(self, centre):
         c, _ = _so3_and_centre(centre, defect=0.5)
@@ -470,6 +479,16 @@ class TestValidate:
         with pytest.raises(ConstructionError, match="Jacobi"):
             validate_algebra(LieAlgebra(labels=so14.labels, structure=c))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_a_residual_that_overflows_to_inf_fails(self, scale):
+        # a Jacobi defect whose products overflow to one-signed infs; at 1e160 the bound
+        # 1e-9 cmax^2 dim overflows to inf as well
+        c, _ = _so3_and_centre("after", defect=0.5)
+        with pytest.raises(ConstructionError, match="Jacobi"):
+            validate_algebra(LieAlgebra(labels=tuple("abcde"), structure=scale * c))
+
     @pytest.mark.parametrize("what", ["structure", "theta", "matrices"])
     def test_rejects_non_finite_input(self, su12, what):
         parts = {"structure": np.array(su12.bracket_tensor), "theta": np.array(su12.theta),
@@ -484,6 +503,94 @@ class TestValidate:
                        theta=su12.theta, structure=su12.bracket_tensor)
         with pytest.raises(ConstructionError, match="realization"):
             validate_algebra(L)
+
+
+# one-entry changes of 1/16 (exact in binary) of c[a, b, k] (c[b, a, k] with it) or M_x[r, s],
+# at the first pair and the last component, the last pair and the first, and a seeded entry
+CHANGES = ["none", "c-first", "c-last", "c-seeded", "m-first", "m-last", "m-seeded"]
+
+
+def _changed(name: str, change: str) -> LieAlgebra:
+    L = (_generic_basis(get_algebra("sp(1,2)"), 0, realized=True) if name.endswith("generic")
+         else get_algebra(name))
+    c, mats = np.array(L.bracket_tensor), np.array(L.matrices)
+    d, N = L.dim, mats.shape[1]
+    rng = np.random.default_rng(CHANGES.index(change))
+    if change.startswith("c-"):
+        a, b = sorted(rng.choice(d, 2, replace=False))
+        a, b, k = {"c-first": (0, 1, d - 1), "c-last": (d - 2, d - 1, 0),
+                   "c-seeded": (a, b, rng.integers(d))}[change]
+        c[a, b, k] += 0.0625
+        c[b, a, k] -= 0.0625
+    elif change.startswith("m-"):
+        x, r, s = {"m-first": (0, 0, N - 1), "m-last": (d - 1, N - 1, 0),
+                   "m-seeded": (rng.integers(d), rng.integers(N), rng.integers(N))}[change]
+        mats[x, r, s] += 0.0625
+    return LieAlgebra(labels=L.labels, structure=c, matrices=mats, theta=L.theta)
+
+
+class TestValidateJoins:
+    """The joins of ``validate_algebra`` against the dense slab loops they replaced."""
+
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("name", KERNEL_AMBIENTS + ["sp(1,2) generic"])
+    def test_residuals_and_verdict_equal_the_slab_loops(self, name, change):
+        L = _changed(name, change)
+        c, mats = L.bracket_tensor, L.matrices
+        cmax = max(np.abs(c).max(), 1.0)
+        scale = max(np.abs(mats).max() ** 2, 1e-30) * cmax
+        oracle, oracle_m = jacobi_slabs(c), realization_slabs(c, mats)
+        # equal to 1e-12 relative, or both 0; or both rounding, far below the check's bound,
+        # as on the generic basis, where the joins and the slabs sum in different orders
+        for ours, theirs, unit in ((_jacobi_residual(L), oracle, cmax * cmax),
+                                   (_matrix_residual(L), oracle_m, scale)):
+            assert (ours == theirs == 0 or abs(ours - theirs) <= 1e-12 * theirs
+                    or max(ours, theirs) <= 1e-11 * unit)
+        th = L.theta.T                          # the theta check, which stays dense
+        theta = np.abs(c @ th - brackets(c, th, th)).max()
+        if oracle > 1e-9 * cmax * cmax * L.dim:
+            with pytest.raises(ConstructionError, match="Jacobi"):
+                validate_algebra(L)
+        elif theta > 1e-8 * cmax:
+            with pytest.raises(ConstructionError, match="automorphism"):
+                validate_algebra(L)
+        elif oracle_m > 1e-8 * scale:
+            with pytest.raises(ConstructionError, match="realization"):
+                validate_algebra(L)
+        else:
+            validate_algebra(L)
+        # every change shows
+        assert (change == "none") == (max(oracle, oracle_m) <= 1e-9)
+
+    @pytest.mark.parametrize("name", ["so(1,4)", "g2", "sp(1,2) generic"])
+    def test_residuals_do_not_depend_on_the_chunks(self, name, monkeypatch):
+        L = _changed(name, "c-seeded")
+        whole = _jacobi_residual(L), _matrix_residual(L)
+        # one leading index per chunk and a few pairs per run, the smallest the joins allow
+        monkeypatch.setattr(core, "_KEYS_PER_CUBE", 0.0)
+        monkeypatch.setattr(core, "_LEADS_PER_CUBE", 0.0)
+        monkeypatch.setattr(core, "_PAIRS_PER_CUBE", 3.0 / L.dim ** 3)
+        split = _jacobi_residual(L), _matrix_residual(L)
+        for a, b in zip(whole, split):
+            assert abs(a - b) <= 1e-14 * a
+
+    # the peaks of the dense slab loops at the parent commit, with the same set-up: 4,501,704
+    # B on f4, where the theta check made the peak, and 269,256 B on generic-basis sp(1,2);
+    # the joins measured 3,916,745 B (the theta check, its difference now taken in place) and
+    # 223,525 B (numpy 2.4).  The algebra's nonzero constants are read as ``ad`` reads them,
+    # from its cache, which is built before tracing as the bracket is.
+    @pytest.mark.parametrize("name, cap", [("f4", 4_501_704), ("sp(1,2) generic", 269_256)])
+    def test_peak_memory_stays_under_the_slab_loops(self, name, cap):
+        L = _generic_basis(get_algebra("sp(1,2)"), 0) if name.endswith("generic") else \
+            get_algebra(name)
+        L._nonzeros
+        tracemalloc.start()
+        try:
+            validate_algebra(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap
 
 
 # so(3): [e_0, e_1] = e_2, [e_1, e_2] = e_0, [e_2, e_0] = e_1, as rows with i < j
