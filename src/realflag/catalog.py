@@ -6,12 +6,13 @@ non-symmetric pairs, ``ml:`` sphere-transitive compact-factor pairs) and
 short ``ambient:recipe`` names for the rank-one workhorse examples.  Short
 aliases like ``so15:so11+su2`` resolve to their systematic rows.
 
-Each row carries its recipe ``(g, P) -> (h, sigma)``: the subalgebra inside
-the registry algebra ``g`` with its standard parabolic ``P``, and for a
-symmetric pair the involution fixing it.  Only the recipes of the f4 rows
-touch the f4 bundle, and each reads its subalgebra through
-``jordan.f4_subalgebra``, which raises if the subalgebra does not validate;
-listing the catalog or looking up an entry never loads f4.
+Each row carries its recipe ``(g, P) -> h``: the subalgebra inside the
+registry algebra ``g`` with its standard parabolic ``P``.  A ``berger:`` row
+is a symmetric pair; no verdict reads the automorphism that fixes its h, so
+only the tests build it.  Only the recipes of the f4 rows touch the f4
+bundle, and each reads its subalgebra through ``jordan.f4_subalgebra``,
+which raises if the subalgebra does not validate; listing the catalog or
+looking up an entry never loads f4.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from .core import LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
 from .realforms import (ParabolicData, _complex_basis_u, _complex_to_quaternion_real,
-                        build_classical, from_matrices, get_algebra, matrix_involution,
-                        minimal_parabolic, realify_complex, realify_quaternion, restricted_roots)
+                        build_classical, from_matrices, get_algebra, minimal_parabolic,
+                        realify_complex, realify_quaternion, restricted_roots)
 
 EXPECT_SPHERICAL = "spherical"
 EXPECT_NOT_SPHERICAL = "not-spherical"
@@ -58,10 +59,9 @@ class PairData:
     g: LieAlgebra
     P: ParabolicData
     h: Subalgebra
-    sigma: Optional[np.ndarray] = None  # involution fixing h (symmetric pairs)
 
 
-_Recipe = Callable[[LieAlgebra, ParabolicData], tuple[Subalgebra, Optional[np.ndarray]]]
+_Recipe = Callable[[LieAlgebra, ParabolicData], Subalgebra]
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
     return out
 
 
-def _block_signs(g: LieAlgebra, n: int, m: int, width: int) -> np.ndarray:
-    """Conjugation by diag(I_{m+1}, -I_{n-m}), each sign repeated ``width`` times."""
-    signs = np.repeat(np.array([1.0] * (m + 1) + [-1.0] * (n - m)), width)
-    return matrix_involution(g, np.diag(signs))
-
-
 def _unit_quat_diag(N: int, unit: int) -> np.ndarray:
     Q = np.zeros((N, N, 4))
     for i in range(N):
@@ -90,11 +84,11 @@ def _unit_quat_diag(N: int, unit: int) -> np.ndarray:
     return Q
 
 
-# -- recipes: (g, P, *params) -> (h, sigma) -----------------------------------
+# -- recipes: (g, P, *params) -> h --------------------------------------------
 
 def _maximal_compact(g: LieAlgebra, P: ParabolicData, name: str):
     k, _ = cartan_decomposition(g)
-    return subalgebra(g, k.basis, name=name), None
+    return subalgebra(g, k.basis, name=name)
 
 
 def _slots(g: LieAlgebra, P: ParabolicData, assignment: tuple[int, ...], name: str):
@@ -103,20 +97,19 @@ def _slots(g: LieAlgebra, P: ParabolicData, assignment: tuple[int, ...], name: s
     (0, 0, 0) is the diagonal, (0, 0, 1) is (x, y) -> (x, x, y).
     """
     fills = np.equal.outer(np.arange(max(assignment) + 1), assignment).astype(float)
-    return subalgebra(g, np.kron(fills, np.eye(g.dim // len(assignment))), name=name), None
+    return subalgebra(g, np.kron(fills, np.eye(g.dim // len(assignment))), name=name)
 
 
 def _block_sum(g: LieAlgebra, P: ParabolicData, N: int,
-               blocks: tuple[tuple[str, int, int, int], ...], signs: Optional[tuple] = None):
+               blocks: tuple[tuple[str, int, int, int], ...]):
     """Direct sum of classical blocks (family, p, q, offset), padded into N x N matrices.
 
     An so block with p + q < 2 is zero and adds no matrices, but keeps its name.
-    ``signs`` are the ``_block_signs`` arguments of the involution fixing h, if any.
     """
     mats = [_pad(M, N, off) for fam, p, q, off in blocks if fam != "so" or p + q >= 2
             for M in build_classical(fam, p, q).matrices]
     name = "+".join(f"{fam}({p},{q})" if p else f"{fam}({q})" for fam, p, q, _ in blocks)
-    return from_matrices(g, mats, name=name), None if signs is None else _block_signs(g, *signs)
+    return from_matrices(g, mats, name=name)
 
 
 def _su_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
@@ -131,36 +124,32 @@ def _su_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
     for k in range(N):
         D[k, k] = 1j * (a if k <= m else b)
     blocks.append(D)
-    h = from_matrices(g, [realify_complex(Z) for Z in blocks], name=f"s(u(1,{m})+u({n - m}))")
-    return h, _block_signs(g, n, m, 2)
+    return from_matrices(g, [realify_complex(Z) for Z in blocks], name=f"s(u(1,{m})+u({n - m}))")
 
 
 def _so_in_su(g: LieAlgebra, P: ParabolicData, n: int):
     """so(1,n) (real matrices) inside su(1,n), fixed by complex conjugation."""
     mats = [realify_complex(M) for M in build_classical("so", 1, n).matrices]
-    sigma = matrix_involution(g, np.diag(np.array([1.0, -1.0] * (n + 1))))
-    return from_matrices(g, mats, name=f"so(1,{n})"), sigma
+    return from_matrices(g, mats, name=f"so(1,{n})")
 
 
 def _u_in_sp(g: LieAlgebra, P: ParabolicData, n: int):
     """u(1,n) (complex scalars inside the quaternions) inside sp(1,n)."""
     mats = [_complex_to_quaternion_real(Z) for Z in _complex_basis_u(1, n, traceless=False)]
-    sigma = matrix_involution(g, realify_quaternion(_unit_quat_diag(n + 1, 1)))
-    return from_matrices(g, mats, name=f"u(1,{n})"), sigma
+    return from_matrices(g, mats, name=f"u(1,{n})")
 
 
 def _so_sp1(g: LieAlgebra, P: ParabolicData, n: int):
     """so(1,n) (real matrices) + sp(1) (imaginary scalars) inside sp(1,n)."""
     mats = [_complex_to_quaternion_real(M) for M in build_classical("so", 1, n).matrices]
     mats += [realify_quaternion(_unit_quat_diag(n + 1, u)) for u in range(1, 4)]
-    return from_matrices(g, mats, name=f"so(1,{n})+sp(1)"), None
+    return from_matrices(g, mats, name=f"so(1,{n})+sp(1)")
 
 
 def _f4_pair(g: LieAlgebra, P: ParabolicData, key: str):
-    """The f4 bundle's validated subalgebra ``key`` and, for a symmetric pair, its involution."""
+    """The f4 bundle's validated subalgebra ``key``."""
     from .jordan import f4_bundle, f4_subalgebra
-    bundle = f4_bundle()
-    return f4_subalgebra(bundle, key), bundle.involutions.get(key)
+    return f4_subalgebra(f4_bundle(), key)
 
 
 # -- catalog assembly ---------------------------------------------------------
@@ -179,8 +168,7 @@ def _berger_blocks(fam: str, n: int, m: int) -> _Row:
     return _Row(CatalogEntry(f"berger:{fam}(1,{n}):{sub}", f"{fam}(1,{n})", f"{sub} block pair",
                              EXPECT_SPHERICAL, "symmetric pair"),
                 partial(_block_sum, N=width * (n + 1),
-                        blocks=((fam, 1, m, 0), (fam, 0, n - m, width * (m + 1))),
-                        signs=(n, m, width)))
+                        blocks=((fam, 1, m, 0), (fam, 0, n - m, width * (m + 1)))))
 
 
 @lru_cache(maxsize=None)
@@ -192,13 +180,13 @@ def _rows(n_max: int) -> tuple[_Row, ...]:
              partial(_maximal_compact, name="k")),
         _Row(CatalogEntry("sl2:a", "sl2", "split torus a", EXPECT_SPHERICAL,
                           "one-dimensional subalgebra, symmetric", orbit_count=4),
-             lambda g, P: (subalgebra(g, P.roots.a, name="a"), None)),
+             lambda g, P: subalgebra(g, P.roots.a, name="a")),
         _Row(CatalogEntry("sl2:n", "sl2", "nilpotent line n", EXPECT_SPHERICAL,
                           "one-dimensional subalgebra, nilpotent", orbit_count=2),
-             lambda g, P: (subalgebra(g, P.n.basis, name="n"), None)),
+             lambda g, P: subalgebra(g, P.n.basis, name="n")),
         _Row(CatalogEntry("so13:ma", "so(1,3)", "m + a inside p", EXPECT_SPHERICAL,
                           "parabolic Levi factor", orbit_count=3),
-             lambda g, P: (subalgebra(g, stack_span(P.m.basis, P.roots.a), name="m+a"), None)),
+             lambda g, P: subalgebra(g, stack_span(P.m.basis, P.roots.a), name="m+a")),
         _Row(CatalogEntry("sl2^3:diag", "sl2^3", "diagonal copy of sl2", EXPECT_SPHERICAL,
                           "diagonal in a triple product"),
              partial(_slots, assignment=(0, 0, 0), name="diag")),
@@ -300,9 +288,8 @@ def _parabolic_for(ambient: str) -> ParabolicData:
 
 
 def build_pair(name: str, n_max: int = 4) -> PairData:
-    """Construct (g, P, h, sigma) for a catalog entry name or alias."""
+    """Construct (g, P, h) for a catalog entry name or alias."""
     row = _row(name, n_max)
     g = get_algebra(row.entry.ambient)
     P = _parabolic_for(row.entry.ambient)
-    h, sigma = row.recipe(g, P)
-    return PairData(entry=row.entry, g=g, P=P, h=h, sigma=sigma)
+    return PairData(entry=row.entry, g=g, P=P, h=row.recipe(g, P))

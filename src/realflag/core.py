@@ -580,6 +580,8 @@ def load_algebra(source: str | Path | dict) -> LieAlgebra:
         dim = doc["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise TypeError(f"dim is not an integer: {dim!r}")
+        if dim < 1:
+            raise ValueError(f"dim is not positive: {dim}")
         labels, name = doc.get("labels", [f"e{i}" for i in range(dim)]), doc.get("name", "")
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise TypeError(f"labels are not a list of strings: {labels!r}")

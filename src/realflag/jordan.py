@@ -16,14 +16,16 @@ g2 and f4 come from one solver, ``derivation_algebra``, applied to the
 octonion table and to the Jordan tensor; it splits the derivation system
 into the blocks that no equation links, solves each, and returns the exact
 dyadic RREF basis of the solutions.  f4 is realized by those 27x27
-derivations of W: its pivot block is the identity, so its bracket, theta
-and the two involutions, all read at the pivot entries (``core.LieAlgebra``),
-are exact gathers.  The f4 build is cached to disk.  The cache
+derivations of W: its pivot block is the identity, so its bracket and every
+sign conjugation D -> s D s (``_sign_conjugations``: theta, and the two
+involutions whose fixed algebras the build takes), all read at the pivot
+entries (``core.LieAlgebra``), are exact gathers.  The two involutions
+belong to the build alone.  The f4 build is cached to disk.  The cache
 (``CACHE_SCHEMA`` 7) holds what the solve and the embedding search produce:
 the derivation basis, the bases of the eight subalgebras in
 ``F4_SUBALGEBRAS`` and the provenance, which carries the solve's rank
 margin, each array as its nonzero entries (``core.to_entries``).  The
-bracket, theta and the involutions are recomputed on load.  A file is used
+bracket and theta are recomputed on load.  A file is used
 only if its schema and its hash of the multiplication tables match, every
 array decodes (``core.from_entries``), every derivation entry lies in 1/2 Z,
 the derivations obey the Leibniz rule exactly on fixed integer probes, and
@@ -334,13 +336,11 @@ class F4Bundle:
     """The f4 algebra plus the Jordan-level data its embeddings need.
 
     The algebra is realized by its derivations of W, one 27x27 matrix per
-    basis element.  Subalgebra bases and involutions are coefficient rows
-    and matrices against the f4 basis.
+    basis element.  Subalgebra bases are coefficient rows against the f4 basis.
     """
 
     algebra: LieAlgebra
     subalgebras: dict[str, np.ndarray]       # every key of F4_SUBALGEBRAS
-    involutions: dict[str, np.ndarray]       # every key of _SYMMETRIC
     provenance: dict
 
     @property
@@ -397,22 +397,27 @@ def cache_path() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))) / "realflag" / "f4.json"
 
 
-def _f4_algebra(derivs: np.ndarray) -> tuple[LieAlgebra, dict[str, np.ndarray]]:
-    """f4 realized by ``derivs``, with theta from conjugation by diag(1, 1, -1), and the
-    involutions of ``_SYMMETRIC``; each is D -> s D s for a coordinate sign vector s, read
-    at the pivot entries, so on the RREF basis it is a diagonal sign matrix."""
+def _sign_conjugations(L: LieAlgebra, signs: np.ndarray) -> np.ndarray:
+    """The coefficient matrices of D -> s D s on f4 = ``L``, one per row s of ``signs``
+    (coordinate sign vectors on W), read at the pivot entries, so on the RREF basis each is
+    a signed permutation."""
+    s = np.atleast_2d(signs)[:, None]                                  # (k, 1, 27)
+    read = L.coefficients_of(L.matrices * (s[..., None] * s[:, :, None]))
+    return read.reshape(len(s), L.dim, L.dim).transpose(0, 2, 1)
+
+
+def _f4_algebra(derivs: np.ndarray) -> LieAlgebra:
+    """f4 realized by ``derivs``, with theta from conjugation by diag(1, 1, -1)."""
     L = LieAlgebra(labels=tuple(f"D{i}" for i in range(52)), matrices=derivs, name="f4")
-    s = np.array([_THETA_VEC, _H1_VEC, _CAYLEY_VEC])[:, None]         # (3, 1, 27)
-    read = L.coefficients_of(derivs * (s[..., None] * s[:, :, None])).reshape(3, 52, 52)
-    theta, *sigmas = read.transpose(0, 2, 1)
-    L._set_theta(theta)
-    return L, dict(zip(_SYMMETRIC, sigmas))
+    L._set_theta(_sign_conjugations(L, _THETA_VEC)[0])
+    return L
 
 
 def _build_bundle() -> F4Bundle:
     t0 = time.perf_counter()
     derivs, margin = _solve_der_w()
-    L, involutions = _f4_algebra(derivs)
+    L = _f4_algebra(derivs)
+    involutions = dict(zip(_SYMMETRIC, _sign_conjugations(L, [_H1_VEC, _CAYLEY_VEC])))
 
     sig = signature_of(L.killing)
     if sig != (16, 36):
@@ -454,8 +459,7 @@ def _build_bundle() -> F4Bundle:
         "solver_margin": list(margin),
         "build_seconds": round(time.perf_counter() - t0, 3),
     }
-    bundle = F4Bundle(algebra=L, subalgebras=subalgebras, involutions=involutions,
-                      provenance=provenance)
+    bundle = F4Bundle(algebra=L, subalgebras=subalgebras, provenance=provenance)
     for name, expected_sig in _SYMMETRIC.items():
         fixed = f4_subalgebra(bundle, name).basis
         sig = signature_of(fixed @ L.killing @ fixed.T)
@@ -514,12 +518,11 @@ def _load_bundle(path: Path) -> Optional[F4Bundle]:
         if not (np.array_equal(2.0 * derivs, np.round(2.0 * derivs))
                 and _leibniz_defect(derivs) == 0.0):
             return None
-        L, involutions = _f4_algebra(derivs)
+        L = _f4_algebra(derivs)
         L.bracket_tensor                   # the probe check that the commutators close
     except (OSError, ValueError, TypeError, KeyError, AttributeError, ConstructionError):
         return None
-    return F4Bundle(algebra=L, subalgebras=subalgebras, involutions=involutions,
-                    provenance=doc["provenance"])
+    return F4Bundle(algebra=L, subalgebras=subalgebras, provenance=doc["provenance"])
 
 
 _BUNDLE: Optional[F4Bundle] = None

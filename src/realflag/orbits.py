@@ -59,7 +59,6 @@ class NonreductiveNormalForm:
     P: ParabolicData
     m1: np.ndarray                     # basis rows of h ∩ m
     X: Optional[np.ndarray]            # None when h = m1 + n1 (requires n1 = n)
-    Y: Optional[np.ndarray]            # m-component of X
     Z: Optional[np.ndarray]            # a-component of X, alpha(Z) = 1
     n1: np.ndarray
     n1_graded: tuple[np.ndarray, np.ndarray]
@@ -111,26 +110,24 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra,
         raise NormalizationError(
             "reductive part of h is not inside m + a; conjugate h before normalizing")
 
-    X = Y = Z = None
+    X = Z = None
     if w.shape[0] == m1.shape[0] + 1:
         xdir = complement_in(m1, w, metric=g.b_theta)
         if xdir.shape[0] != 1:
             raise NormalizationError("could not split R X off m1")
         X = xdir[0]
-        # split X = Y + Z against the joint (m, a) basis
+        # the a-component Z of X = Y + Z, split against the joint (m, a) basis
         stacked = stack_span(P.m.basis, P.roots.a)
         coords = X @ np.linalg.pinv(stacked)
         t = coords[P.m.dim:]
         Z = t @ P.roots.a
-        Y = X - Z
         alpha_val = float(P.roots.simple_roots[0] @ t)
         if abs(alpha_val) < 1e-9:
             if n1_dim != P.n.dim:
                 raise NotSphericalError("X has no a-component and n1 is proper in n")
-            X = Y = Z = None
+            X = Z = None
         else:
             X = X / alpha_val
-            Y = Y / alpha_val
             Z = Z / alpha_val
     elif w.shape[0] == m1.shape[0]:
         if n1_dim != P.n.dim:
@@ -164,7 +161,7 @@ def normalize_nonreductive(g: LieAlgebra, h: Subalgebra,
     if n0.shape[0] == 1:
         j = 1 if in_span(n0, galpha, 1e-7) else 2
 
-    return NonreductiveNormalForm(h=h, P=P, m1=m1, X=X, Y=Y, Z=Z, n1=n1,
+    return NonreductiveNormalForm(h=h, P=P, m1=m1, X=X, Z=Z, n1=n1,
                                   n1_graded=n1_graded, n0=n0, n0_graded=n0_graded, j=j)
 
 

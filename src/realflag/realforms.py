@@ -187,17 +187,6 @@ def from_matrices(L: LieAlgebra, mats: np.ndarray, name: str = "") -> Subalgebra
     return subalgebra(L, rows, name=name)
 
 
-def matrix_involution(L: LieAlgebra, D: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of X -> D X D^{-1}; validates it is an involutive automorphism."""
-    if L.matrices is None:
-        raise UnsupportedOperation("needs a matrix realization")
-    Dinv = np.linalg.inv(D)
-    sigma = L.coefficients_of(D @ L.matrices @ Dinv).T
-    if np.linalg.norm(sigma @ sigma - np.eye(L.dim)) > 1e-8 * L.dim:
-        raise ConstructionError("conjugation is not an involution on the algebra")
-    return sigma
-
-
 # -- complex bases of u(p,q) and su(p,q), and their quaternionic images ---
 
 def _complex_basis_u(p: int, q: int, traceless: bool) -> list[np.ndarray]:
@@ -366,8 +355,11 @@ def restricted_roots(L: LieAlgebra, a_basis: Optional[np.ndarray] = None,
             raise InputError("prescribed a is not maximal abelian in s")
 
     # joint eigenspaces of ad(Z_i), computed in B_theta-orthonormal coordinates
-    G = L.b_theta
-    lo = np.linalg.cholesky(G)
+    try:
+        lo = np.linalg.cholesky(L.b_theta)
+    except np.linalg.LinAlgError as exc:
+        raise ConstructionError("B_theta(X, Y) = -B(X, theta Y) is not positive "
+                                "definite") from exc
     lo_inv = np.linalg.inv(lo)
     spaces = [np.eye(L.dim)]            # rows = B_theta-orthonormal coordinates
     values: list[list[float]] = [[]]

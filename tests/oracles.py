@@ -17,15 +17,24 @@ that ``LieAlgebra.killing`` and ``LieAlgebra.ad`` replaced: the Killing form
 as one einsum over every structure constant, and ad(X) as the dense product
 X @ c.  The slab oracles are the dense forms that the joins of
 ``core.validate_algebra`` replaced: the Jacobi identity one index slab at a
-time and the matrix realization one commutator slab at a time.
+time and the matrix realization one commutator slab at a time.  The
+symmetric-pair oracle builds, for each ``berger:`` row, the involution that
+fixes its h, which the package itself never builds: conjugation by a sign or
+unit diagonal for the classical rows, and the f4 build's own sign
+conjugations for the f4 rows.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
+from realflag import jordan
+from realflag.catalog import _unit_quat_diag
 from realflag.linalg import intersect_spans, numeric_rank, stack_span
 from realflag.jordan import _coords_to_matrix, _matrix_to_coords, _oct_matmul
+from realflag.realforms import realify_quaternion
 
 
 def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -82,6 +91,33 @@ def jacobi_residual(L, triples: int = 1000, seed: int = 0) -> float:
     jac = bb(X, bb(Y, Z)) + bb(Y, bb(Z, X)) + bb(Z, bb(X, Y))
     scale = max(np.linalg.norm(bb(X, bb(Y, Z)), axis=1).max(), 1e-30)
     return float(np.abs(jac).max() / scale)
+
+
+def symmetric_involution(pd) -> np.ndarray:
+    """The involution sigma of a ``berger:`` row's ambient that fixes its h, as the
+    coefficient matrix whose column i is sigma(e_i).
+
+    A classical row conjugates by a diagonal D, read through ``coefficients_of``: the signs
+    diag(I_{m+1}, -I_{n-m}) of a block pair, each sign repeated over the 1, 2 or 4 real
+    coordinates of an so, su or sp scalar; diag(1, -1, ...), complex conjugation, for
+    so(1,n) in su(1,n); and the unit-i quaternion diagonal for u(1,n) in sp(1,n).  An f4
+    row takes the build's sign conjugation D -> s D s.
+    """
+    g, (_, ambient, sub) = pd.g, pd.entry.name.split(":", 2)
+    if ambient == "f4":
+        signs = {"so(1,8)": jordan._H1_VEC, "sp(1,2)+sp(1)": jordan._CAYLEY_VEC}[sub]
+        return jordan._sign_conjugations(g, signs)[0]
+    fam, n = re.fullmatch(r"(so|su|sp)\(1,(\d+)\)", ambient).groups()
+    n = int(n)
+    if sub == f"so(1,{n})":
+        D = np.diag([1.0, -1.0] * (n + 1))
+    elif sub == f"u(1,{n})":
+        D = realify_quaternion(_unit_quat_diag(n + 1, 1))
+    else:
+        m = int(re.search(r"\(1,(\d+)\)", sub).group(1))
+        width = {"so": 1, "su": 2, "sp": 4}[fam]
+        D = np.diag(np.repeat([1.0] * (m + 1) + [-1.0] * (n - m), width))
+    return g.coefficients_of(D @ g.matrices @ np.linalg.inv(D)).T
 
 
 def _moved_p(g, P, word):

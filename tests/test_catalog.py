@@ -11,6 +11,9 @@ from realflag.catalog import (_ALIASES, EXPECT_NOT_SPHERICAL, EXPECT_OBSTRUCTED,
                               EXPECT_SPHERICAL, CatalogEntry, build_pair, catalog_entries,
                               get_entry)
 from realflag.cli import main
+from realflag.linalg import brackets
+
+from oracles import symmetric_involution
 
 
 class TestEntries:
@@ -88,11 +91,12 @@ class TestEntries:
     @pytest.mark.parametrize("name", [e.name for e in catalog_entries(5)
                                       if e.name.startswith("berger:")])
     def test_sigma_fixes_h(self, name):
-        # the stored involution fixes the symmetric subalgebra pointwise
+        # every berger row is a symmetric pair: an involutive automorphism fixes h pointwise
         pd = build_pair(name, 5)
-        assert pd.sigma is not None
-        moved = pd.h.basis @ pd.sigma.T
-        assert np.abs(moved - pd.h.basis).max() < 1e-8
+        sigma, c = symmetric_involution(pd), pd.g.bracket_tensor
+        assert np.abs(sigma @ sigma - np.eye(pd.g.dim)).max() < 1e-9
+        assert np.abs(c @ sigma.T - brackets(c, sigma.T, sigma.T)).max() < 1e-8
+        assert np.abs(pd.h.basis @ sigma.T - pd.h.basis).max() < 1e-8
 
     @pytest.mark.parametrize("name", [e.name for e in catalog_entries(5)
                                       if e.name.split(":")[0] in ("berger", "ml", "max")

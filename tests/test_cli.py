@@ -167,7 +167,8 @@ class TestCheck:
                                       "bracket-i-above-j", "non-numeric-theta",
                                       "ragged-matrices", "integer-labels", "string-labels",
                                       "non-string-labels", "list-name", "fractional-dim",
-                                      "three-dimensional-subalgebra"])
+                                      "three-dimensional-subalgebra", "zero-dim",
+                                      "non-cartan-theta"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = {"non-numeric-row": ["x", 0.0, 0.0],
                "nan-subalgebra-row": [float("nan"), 0.0, 1.0],
@@ -179,6 +180,11 @@ class TestCheck:
             path.write_text(f"[{path.read_text()}]")
         elif case == "deeply-nested":                # deeper than the parser's recursion limit
             path.write_text("[" * 200_000 + "]" * 200_000)
+        elif case == "zero-dim":                 # no constant to scale the checks by
+            path.write_text(json.dumps({"dim": 0, "bracket": [], "subalgebra": []}))
+        elif case == "non-cartan-theta":         # abelian, so B_theta = 0 has no Cholesky
+            path.write_text(json.dumps({"dim": 2, "bracket": [], "theta": [[1, 0], [0, -1]],
+                                        "subalgebra": [[1.0, 0.0]]}))
         elif case == "negative-bracket-index":   # the same bracket, with index 2 written -1
             doc = json.loads(path.read_text())
             entry = next(e for e in doc["bracket"] if e[1] == 2)

@@ -637,6 +637,7 @@ class TestJSON:
 
     @pytest.mark.parametrize("doc", [
         {"dim": -1, "bracket": []},
+        {"dim": 0, "bracket": []},
         {"dim": "three", "bracket": []},
         {"dim": 3, "bracket": [[0, 1, 2]]},
         # so(3) plus a repeat of [e_1, e_2] = e_0, read last at a loose loader: c[1, 2, 0] = 2
@@ -645,8 +646,8 @@ class TestJSON:
         {"dim": 3, "bracket": _SO3 + [[1, 2, 0, 1.0]]},
         {"dim": 3, "bracket": _SO3[:2] + [[2, 0, 1, 1.0]]},   # so(3) itself, one row as j < i
         {"dim": 3, "bracket": _SO3 + [[1, 1, 0, 1.0]]},
-    ], ids=["negative-dim", "word-dim", "short-row", "repeated-entry", "repeated-same-value",
-            "bracket-i-above-j", "bracket-i-equals-j"])
+    ], ids=["negative-dim", "zero-dim", "word-dim", "short-row", "repeated-entry",
+            "repeated-same-value", "bracket-i-above-j", "bracket-i-equals-j"])
     def test_loader_rejects_a_malformed_document(self, doc):
         with pytest.raises(InputError, match="malformed"):
             load_algebra(doc)

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from realflag.core import (ConstructionError, InputError, from_entries, to_entries,
                            validate_algebra)
 from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingError,
-                             F4Bundle, _complex_conjugation_derivation, _coords_to_matrix,
-                             _derivation_system, _matrix_to_coords,
-                             _table_hash, build_g2, complex_part_norm,
+                             F4Bundle, _CAYLEY_VEC, _H1_VEC, _complex_conjugation_derivation,
+                             _coords_to_matrix, _derivation_system, _matrix_to_coords,
+                             _sign_conjugations, _table_hash, build_g2, complex_part_norm,
                              cone_point, derivation_algebra, derivation_images,
                              f4_subalgebra, jordan_product, jordan_tensor, omul, oconj,
                              projective_orbit_dim, projective_stabilizer_dim,
@@ -421,7 +421,8 @@ class TestF4:
         assert set(np.unique(c)) == {0.0, 0.5, -0.5, 1.0, -1.0}
         assert np.count_nonzero(c[np.triu_indices(52, 1)]) == 1116
         assert set(np.unique(L.killing)) == {0.0, 18.0, -18.0}
-        for sigma in (L.theta, *f4bundle.involutions.values()):
+        # theta and the two involutions whose fixed algebras the build takes
+        for sigma in (L.theta, *_sign_conjugations(L, [_H1_VEC, _CAYLEY_VEC])):
             assert np.array_equal(np.abs(sigma), np.eye(52)[np.abs(sigma).argmax(axis=1)])
             assert np.array_equal(sigma @ sigma, np.eye(52))
 
@@ -465,7 +466,7 @@ class TestF4:
         assert doc["schema"] == jordan_mod.CACHE_SCHEMA == 7
         upper, lower = doc["provenance"]["solver_margin"]
         assert upper > SOLVER_TOL * RANK_BAND and lower < SOLVER_TOL / RANK_BAND
-        # the bracket and the involutions are recomputed on load, not stored
+        # the bracket and theta are recomputed on load, not stored
         assert set(doc) == {"schema", "provenance", "derivations", "subalgebras"}
         assert set(doc["subalgebras"]) == set(F4_SUBALGEBRAS)
         # every array is its nonzero entries
@@ -480,8 +481,7 @@ class TestF4:
                  (loaded.derivations, fresh.derivations),
                  (loaded.algebra.matrices, fresh.algebra.matrices),
                  (loaded.algebra.theta, fresh.algebra.theta),
-                 *((loaded.subalgebras[k], fresh.subalgebras[k]) for k in F4_SUBALGEBRAS),
-                 *((loaded.involutions[k], v) for k, v in fresh.involutions.items())]
+                 *((loaded.subalgebras[k], fresh.subalgebras[k]) for k in F4_SUBALGEBRAS)]
         for got, built in pairs:                   # bitwise, so a -0.0 would show too
             assert got.shape == built.shape and got.tobytes() == built.tobytes()
         assert loaded.provenance["table_hash"] == fresh.provenance["table_hash"]
@@ -695,7 +695,7 @@ class TestEmbeddings:
                 "wrong-dim": f4bundle.subalgebras["g2"]}[case]
         bad = F4Bundle(algebra=f4bundle.algebra,
                        subalgebras={**f4bundle.subalgebras, "so12+g2": rows},
-                       involutions=f4bundle.involutions, provenance=f4bundle.provenance)
+                       provenance=f4bundle.provenance)
         with pytest.raises(EmbeddingError, match=r"^so12\+g2"):
             f4_subalgebra(bad, "so12+g2")
 

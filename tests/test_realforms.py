@@ -9,7 +9,7 @@ from realflag.linalg import in_span, orth_rows, span_residual, stack_span
 import realflag.realforms as realforms
 from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
                                 _root_lattice, build_classical, direct_sum, get_algebra,
-                                matrix_involution, minimal_parabolic, restricted_roots)
+                                minimal_parabolic, restricted_roots)
 from realflag.catalog import catalog_entries
 from realflag.reduction import parabolic_alpha
 
@@ -347,14 +347,3 @@ class TestRootLattice:
                 assert np.array_equal(ap.u_alpha, expected)
             else:
                 assert ap.u_alpha.shape[0] == 0
-
-
-class TestMatrixInvolution:
-    def test_block_involution(self, so14):
-        sigma = matrix_involution(so14, np.diag([1.0, 1, -1, -1, -1]))
-        assert np.linalg.norm(sigma @ sigma - np.eye(so14.dim)) < 1e-9
-        # it is an automorphism
-        c = so14.bracket_tensor
-        lhs = np.einsum("ijm,km->ijk", c, sigma)
-        rhs = np.einsum("ai,bj,abk->ijk", sigma, sigma, c)
-        assert np.abs(lhs - rhs).max() < 1e-8
