@@ -5,7 +5,7 @@ subalgebras, and the octonionic construction of the noncompact f4."""
 from .core import (LieAlgebra, Subalgebra, cartan_decomposition, load_algebra, save_algebra,
                    subalgebra)
 from .linalg import numeric_rank
-from .realforms import (build_classical, build_sl, direct_sum, get_algebra, minimal_parabolic,
+from .realforms import (build_classical, build_sl, get_algebra, minimal_parabolic,
                         restricted_roots)
 from .spherical import SphericityReport, is_spherical, local_dim
 
@@ -29,7 +29,7 @@ def __getattr__(name):
 __all__ = [
     "LieAlgebra", "Subalgebra", "SphericityReport",
     "bruhat_cell_of", "build_classical", "build_g2", "build_sl", "cartan_decomposition",
-    "cone_point", "direct_sum", "get_algebra", "induced_pair", "is_spherical",
+    "cone_point", "get_algebra", "induced_pair", "is_spherical",
     "load_algebra", "local_dim", "minimal_parabolic", "nonreductive_orbit_count",
     "normalize_nonreductive", "numeric_rank", "orbit_dim_at", "parabolic_alpha",
     "restricted_roots", "save_algebra", "subalgebra", "symmetric_coincidence",

@@ -26,9 +26,8 @@ import numpy as np
 
 from .core import LieAlgebra, Subalgebra, cartan_decomposition, subalgebra
 from .linalg import stack_span
-from .realforms import (ParabolicData, _complex_basis_u, _complex_to_quaternion_real,
-                        build_classical, from_matrices, get_algebra, minimal_parabolic,
-                        realify_complex, realify_quaternion, restricted_roots)
+from .realforms import (_FIELD, ParabolicData, classical_basis, from_matrices, get_algebra,
+                        minimal_parabolic, realify, restricted_roots)
 
 EXPECT_SPHERICAL = "spherical"
 EXPECT_NOT_SPHERICAL = "not-spherical"
@@ -70,18 +69,12 @@ class _Row:
     recipe: _Recipe
 
 
-def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
-    out = np.zeros((N, N), dtype=M.dtype)
-    k = M.shape[0]
-    out[offset:offset + k, offset:offset + k] = M
+def _pad(X: np.ndarray, N: int, offset: int) -> np.ndarray:
+    """The stack X (d, k, k, ...) placed at [offset, offset + k) in (d, N, N, ...) zeros."""
+    out = np.zeros((len(X), N, N) + X.shape[3:])
+    k = X.shape[1]
+    out[:, offset:offset + k, offset:offset + k] = X
     return out
-
-
-def _unit_quat_diag(N: int, unit: int) -> np.ndarray:
-    Q = np.zeros((N, N, 4))
-    for i in range(N):
-        Q[i, i, unit] = 1.0
-    return Q
 
 
 # -- recipes: (g, P, *params) -> h --------------------------------------------
@@ -102,48 +95,41 @@ def _slots(g: LieAlgebra, P: ParabolicData, assignment: tuple[int, ...], name: s
 
 def _block_sum(g: LieAlgebra, P: ParabolicData, N: int,
                blocks: tuple[tuple[str, int, int, int], ...]):
-    """Direct sum of classical blocks (family, p, q, offset), padded into N x N matrices.
-
-    An so block with p + q < 2 is zero and adds no matrices, but keeps its name.
-    """
-    mats = [_pad(M, N, off) for fam, p, q, off in blocks if fam != "so" or p + q >= 2
-            for M in build_classical(fam, p, q).matrices]
+    """Direct sum of realified classical blocks (family, p, q, offset) in N x N matrices."""
+    mats = [_pad(realify(classical_basis(fam, p, q)[1], _FIELD[fam]), N, off)
+            for fam, p, q, off in blocks]
     name = "+".join(f"{fam}({p},{q})" if p else f"{fam}({q})" for fam, p, q, _ in blocks)
-    return from_matrices(g, mats, name=name)
+    return from_matrices(g, np.concatenate(mats), name=name)
 
 
 def _su_blocks(g: LieAlgebra, P: ParabolicData, n: int, m: int):
     """s(u(1,m) x u(n-m)) realified inside su(1,n)."""
     N = n + 1
-    # traceless su parts of each block
-    blocks = [_pad(Z, N, off) for p, q, off in [(1, m, 0), (0, n - m, m + 1)]
-              for Z in _complex_basis_u(p, q, traceless=True)]
-    # the trace-balancing diagonal i diag(a I_{m+1}, b I_{n-m}), (m+1)a + (n-m)b = 0
-    D = np.zeros((N, N), dtype=complex)
-    a, b = float(n - m), -float(m + 1)
-    for k in range(N):
-        D[k, k] = 1j * (a if k <= m else b)
-    blocks.append(D)
-    return from_matrices(g, [realify_complex(Z) for Z in blocks], name=f"s(u(1,{m})+u({n - m}))")
+    # the su parts of both blocks, and the trace-balancing i diag(a I_{m+1}, b I_{n-m}),
+    # (m+1)a + (n-m)b = 0
+    D = np.zeros((1, N, N, 2))
+    D[0, :, :, 1] = np.diag([float(n - m)] * (m + 1) + [-float(m + 1)] * (n - m))
+    blocks = ((1, m, 0), (0, n - m, m + 1))
+    X = [_pad(classical_basis("su", p, q)[1], N, off) for p, q, off in blocks] + [D]
+    return from_matrices(g, realify(np.concatenate(X), "C"), name=f"s(u(1,{m})+u({n - m}))")
 
 
 def _so_in_su(g: LieAlgebra, P: ParabolicData, n: int):
     """so(1,n) (real matrices) inside su(1,n), fixed by complex conjugation."""
-    mats = [realify_complex(M) for M in build_classical("so", 1, n).matrices]
-    return from_matrices(g, mats, name=f"so(1,{n})")
+    return from_matrices(g, realify(classical_basis("so", 1, n)[1], "C"), name=f"so(1,{n})")
 
 
 def _u_in_sp(g: LieAlgebra, P: ParabolicData, n: int):
     """u(1,n) (complex scalars inside the quaternions) inside sp(1,n)."""
-    mats = [_complex_to_quaternion_real(Z) for Z in _complex_basis_u(1, n, traceless=False)]
-    return from_matrices(g, mats, name=f"u(1,{n})")
+    return from_matrices(g, realify(classical_basis("su", 1, n, traceless=False)[1], "H"),
+                         name=f"u(1,{n})")
 
 
 def _so_sp1(g: LieAlgebra, P: ParabolicData, n: int):
     """so(1,n) (real matrices) + sp(1) (imaginary scalars) inside sp(1,n)."""
-    mats = [_complex_to_quaternion_real(M) for M in build_classical("so", 1, n).matrices]
-    mats += [realify_quaternion(_unit_quat_diag(n + 1, u)) for u in range(1, 4)]
-    return from_matrices(g, mats, name=f"so(1,{n})+sp(1)")
+    scalars = classical_basis("sp", 1, 0)[1] * np.eye(n + 1)[:, :, None]
+    mats = [realify(X, "H") for X in (classical_basis("so", 1, n)[1], scalars)]
+    return from_matrices(g, np.concatenate(mats), name=f"so(1,{n})+sp(1)")
 
 
 def _f4_pair(g: LieAlgebra, P: ParabolicData, key: str):

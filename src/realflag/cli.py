@@ -42,6 +42,9 @@ def _load_pair_file(path: str):
         rows = np.array(doc["subalgebra"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"pair file: 'subalgebra' is not a list of numeric rows ({exc})") from exc
+    # scale by the power of two (exact) that puts the largest |entry| in [0.5, 1), so that
+    # the products of rows near the float range neither overflow nor underflow
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(initial=0.0))[1])
     h = subalgebra(g, rows, name="h(file)")
     P = minimal_parabolic(g)
     return g, P, h, None
@@ -233,45 +236,46 @@ _SEED = _checked(int, lambda s: 0 <= s < 2 ** 64, "an integer in [0, 2**64)")
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
-                        default=64)
-    common.add_argument("--seed", type=_SEED, default=0)
-    common.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0,
-                                                "a number in (0, 1)"), default=1e-9)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--n", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+    # a subcommand takes only the options it reads, so that no option is silently ignored
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
+                         default=64)
+    sampled.add_argument("--seed", type=_SEED, default=0)
+    listed = argparse.ArgumentParser(add_help=False)
+    listed.add_argument("--json", action="store_true")
+    listed.add_argument("--n", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
                         default=4, help="catalog family bound")
+    paired = argparse.ArgumentParser(add_help=False, parents=[sampled, listed])
+    paired.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0,
+                                                "a number in (0, 1)"), default=1e-9)
+    paired.add_argument("--pair", required=True)
 
     parser = argparse.ArgumentParser(prog="realflag",
                                      description="sphericality and orbit decomposition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[paired],
                        help="sphericality check for a named pair or pair file")
-    p.add_argument("--pair", required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("catalog", parents=[common], help="list the catalog")
+    p = sub.add_parser("catalog", parents=[listed], help="list the catalog")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("orbits", parents=[common],
+    p = sub.add_parser("orbits", parents=[paired],
                        help="orbit counting and coincidence reports")
     p.add_argument("mode", choices=["count", "coincide"])
-    p.add_argument("--pair", required=True)
     p.add_argument("--sup")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[paired],
                        help="one reduction step along a simple root")
     p.add_argument("mode", choices=["step"])
-    p.add_argument("--pair", required=True)
     p.add_argument("--alpha", type=int, default=0)
     p.add_argument("--translate", action="store_true",
                    help="translate h by a sphericality witness first")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("f4", parents=[common],
+    p = sub.add_parser("f4", parents=[sampled],
                        help="build and verify the exceptional algebra")
     p.add_argument("mode", choices=["verify"])
     p.set_defaults(func=cmd_f4)

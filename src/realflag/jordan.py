@@ -56,7 +56,7 @@ import numpy as np
 from .core import (ConstructionError, InputError, LieAlgebra, Subalgebra, from_entries,
                    read_json, to_entries)
 from .linalg import _cut_certificate, numeric_rank, orth_rows, signature_of
-from .realforms import _QT, _complex_basis_u, build_classical
+from .realforms import _QT, classical_basis
 
 SOLVER_TOL = 1e-9
 
@@ -357,11 +357,11 @@ def _solve_der_w() -> tuple[np.ndarray, tuple[float, float]]:
     return derivation_algebra(jordan_tensor(), 52)
 
 
-def _complex_conjugation_derivation(Zr: np.ndarray, Zi: np.ndarray) -> np.ndarray:
-    """x -> Zx - xZ on W coordinates, Z = Zr + Zi e1 a complex 3x3 matrix."""
+def _complex_conjugation_derivation(Z: np.ndarray) -> np.ndarray:
+    """x -> Zx - xZ on W coordinates, Z a 3x3 matrix over R or C, (3, 3, 1 or 2) on the
+    components (1, e1)."""
     X = _coords_to_matrix(np.eye(W_DIM))                          # column a is X[a]
-    Z = np.zeros((3, 3, 8))
-    Z[:, :, 0], Z[:, :, 1] = Zr, Zi
+    Z = np.concatenate([Z, np.zeros((3, 3, 8 - Z.shape[-1]))], axis=-1)
     return _matrix_to_coords(_oct_matmul(Z, X) - _oct_matmul(X, Z)).T
 
 
@@ -442,10 +442,10 @@ def _build_bundle() -> F4Bundle:
         raise EmbeddingError(f"su(3) commutant has dim {su3_lift.shape[0]}, expected 8")
 
     # su(2,1) and so(2,1) for the form diag(1, 1, -1)
-    su21 = coeffs_of([_complex_conjugation_derivation(Z.real, Z.imag)
-                      for Z in _complex_basis_u(2, 1, traceless=True)], "su(2,1) conjugation")
-    so12 = coeffs_of([_complex_conjugation_derivation(R, np.zeros((3, 3)))
-                      for R in build_classical("so", 2, 1).matrices], "so(1,2) conjugation")
+    su21 = coeffs_of([_complex_conjugation_derivation(Z) for Z in classical_basis("su", 2, 1)[1]],
+                     "su(2,1) conjugation")
+    so12 = coeffs_of([_complex_conjugation_derivation(R) for R in classical_basis("so", 2, 1)[1]],
+                     "so(1,2) conjugation")
 
     subalgebras = {"g2": g2_lift, "su3": su3_lift, "su21": su21, "so12": so12,
                    "su21+su3": np.vstack([su21, su3_lift]), "so12+g2": np.vstack([so12, g2_lift])}

@@ -1,8 +1,12 @@
-"""Constructors for the classical real rank-one families and their parabolics.
+"""Constructors for the classical real forms and their parabolics.
 
-``build_classical`` produces so(p,q), su(p,q), sp(p,q) as real matrix
-algebras (complex and quaternionic entries are realified blockwise), with
-the Cartan involution X -> -X^T.  ``restricted_roots`` extracts a maximal
+``classical_basis`` writes so(p,q), su(p,q) (or u(p,q)) and sp(p,q), the
+algebras preserving a form of signature (p, q) over R, C and H, from one
+formula, as float arrays whose trailing axis holds the 1, 2 or 4 components
+of an entry; ``realify`` replaces each entry by its real left-multiplication
+block, and ``build_classical`` is the real matrix algebra on those blocks
+with the Cartan involution X -> -X^T.  ``algebra_power`` repeats an algebra
+block-diagonally (sl2^3).  ``restricted_roots`` extracts a maximal
 abelian subspace of s, the joint ad-eigenspace decomposition, the simple
 roots, every root's integer coordinates in them and the integer Cartan
 matrix; no root vector is matched against a tolerance after that.
@@ -41,26 +45,18 @@ for _a, _b, _c in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
     _QT[_a, _b, _c] = 1.0
     _QT[_b, _a, _c] = -1.0
 _QT.setflags(write=False)
+# the field each family preserves a form over, and its real width
+_FIELD = {"so": "R", "su": "C", "sp": "H"}
+_WIDTH = {"R": 1, "C": 2, "H": 4}
 
 
-def realify_complex(Z: np.ndarray) -> np.ndarray:
-    """Complex N x N matrix -> real 2N x 2N, entry z = a+bi -> [[a,-b],[b,a]]."""
-    Z = np.asarray(Z, dtype=complex)
-    n = Z.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = Z.real
-    out[1::2, 1::2] = Z.real
-    out[0::2, 1::2] = -Z.imag
-    out[1::2, 0::2] = Z.imag
-    return out
-
-
-def realify_quaternion(Q: np.ndarray) -> np.ndarray:
-    """Quaternionic N x N matrix (shape (N,N,4)) -> real 4N x 4N left-multiplication blocks."""
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    # block (i, j) is [k, l] -> sum_m Q[i,j,m] QT[m, l, k]
-    return np.einsum("ijm,mlk->ikjl", Q, _QT).reshape(4 * n, 4 * n)
+def realify(X: np.ndarray, field: str) -> np.ndarray:
+    """Matrices (..., N, N, k) over R, C or H (``field``), on the components (1, i, j, k)[:k]
+    with any missing ones zero, as real (..., wN, wN), w = 1, 2 or 4: each entry becomes
+    its w x w left-multiplication block, so a + bi -> [[a, -b], [b, a]]."""
+    w, (*batch, n, _, k) = _WIDTH[field], np.shape(X)
+    # block (i, j) is [k, l] -> sum_m X[i,j,m] QT[m, l, k]
+    return np.einsum("...ijm,mlk->...ikjl", X, _QT[:k, :w, :w]).reshape(*batch, w * n, w * n)
 
 
 def _transposed_theta(labels: list[str], mats: np.ndarray, name: str) -> LieAlgebra:
@@ -71,59 +67,48 @@ def _transposed_theta(labels: list[str], mats: np.ndarray, name: str) -> LieAlge
     return L
 
 
+def classical_basis(family: str, p: int, q: int,
+                    traceless: bool = True) -> tuple[list[str], np.ndarray]:
+    """Labels and the (dim, N, N, k) basis of so, su (u when not ``traceless``) or sp of
+    signature (p, q), N = p + q, over R, C or H (k = 1, 2, 4 components 1, i, j, k).
+
+    Off the diagonal each unit u of the field gives J(u E_ij - conj(u) E_ji), J = diag(I_p,
+    -I_q); on it su has i(E_mm - E_m+1,m+1) (and iI for u), sp has J_ii u E_ii, u imaginary.
+    """
+    k, N, J = _WIDTH[_FIELD[family]], p + q, np.array([1.0] * p + [-1.0] * q)
+    units = np.eye(k)
+    conj = units * np.array([1.0, -1.0, -1.0, -1.0])[:k]
+    gens = []                           # (label, [(row, column, entry)])
+    for i in range(N):
+        for j in range(i + 1, N):
+            for u in range(k):
+                # so: rotation or boost; su: antisymmetric or symmetric; sp: by unit
+                kind = "O" if k == 4 else "AS"[u] if k == 2 else "RB"[int(J[i] != J[j])]
+                gens.append((f"{kind}{i}{j}{'1ijk'[u] if k == 4 else ''}",
+                             [(i, j, J[i] * units[u]), (j, i, -conj[u] * J[j])]))
+    if family == "su":
+        gens += [(f"D{m}", [(m, m, units[1]), (m + 1, m + 1, -units[1])]) for m in range(N - 1)]
+        gens += [] if traceless else [("I", [(m, m, units[1]) for m in range(N)])]
+    elif family == "sp":
+        gens += [(f"D{i}{'1ijk'[u]}", [(i, i, J[i] * units[u])])
+                 for i in range(N) for u in (1, 2, 3)]
+    X = np.zeros((len(gens), N, N, k))
+    for g, (_, entries) in enumerate(gens):
+        for i, j, entry in entries:
+            X[g, i, j] = entry
+    return [label for label, _ in gens], X
+
+
 def build_classical(family: str, p: int, q: int) -> LieAlgebra:
     """so/su/sp of signature (p, q) as a real matrix algebra with theta = -transpose."""
-    if family not in ("so", "su", "sp"):
+    if family not in _FIELD:
         raise InputError(f"unknown family {family!r}")
     # sp(1) is a genuine 3-dimensional algebra; so(1) and su(1) are trivial
     min_size = 1 if family == "sp" else 2
     if p < 0 or q < 0 or p + q < min_size:
         raise InputError(f"need p, q >= 0 and p + q >= {min_size}")
-    N = p + q
-    J = np.diag([1.0] * p + [-1.0] * q)
-    mats: list[np.ndarray] = []
-    labels: list[str] = []
-
-    if family == "so":
-        for i in range(N):
-            for j in range(i + 1, N):
-                E = np.zeros((N, N))
-                E[i, j] = 1.0
-                E[j, i] = -1.0
-                mats.append(J @ E)
-                kind = "R" if J[i, i] == J[j, j] else "B"
-                labels.append(f"{kind}{i}{j}")
-        real_mats = np.array(mats)
-    elif family == "su":
-        labels = [f"{kind}{i}{j}" for i in range(N) for j in range(i + 1, N) for kind in "AS"]
-        labels += [f"D{m}" for m in range(N - 1)]
-        real_mats = np.array([realify_complex(Z) for Z in _complex_basis_u(p, q, traceless=True)])
-    else:  # sp
-        qmx: list[np.ndarray] = []
-        units = np.eye(4)
-        for i in range(N):
-            for j in range(i + 1, N):
-                for u in range(4):
-                    Q = np.zeros((N, N, 4))
-                    Q[i, j] = units[u]
-                    conj = units[u] if u == 0 else -units[u]
-                    Q[j, i] = -conj
-                    Q[i, j] *= J[i, i]
-                    Q[j, i] *= J[j, j]
-                    qmx.append(Q)
-                    labels.append(f"O{i}{j}{'1ijk'[u]}")
-        for i in range(N):
-            for u in range(1, 4):
-                Q = np.zeros((N, N, 4))
-                Q[i, i] = J[i, i] * units[u]
-                qmx.append(Q)
-                labels.append(f"D{i}{'1ijk'[u]}")
-        real_mats = np.array([realify_quaternion(Q) for Q in qmx])
-
-    expected = {"so": N * (N - 1) // 2, "su": N * N - 1, "sp": N * (2 * N + 1)}[family]
-    if len(labels) != expected:
-        raise ConstructionError(f"{family}({p},{q}): built {len(labels)} generators, expected {expected}")
-    return _transposed_theta(labels, real_mats, f"{family}({p},{q})")
+    labels, X = classical_basis(family, p, q)
+    return _transposed_theta(labels, realify(X, _FIELD[family]), f"{family}({p},{q})")
 
 
 def build_sl(n: int) -> LieAlgebra:
@@ -148,80 +133,33 @@ def build_sl(n: int) -> LieAlgebra:
     return _transposed_theta(labels, np.array(mats), f"sl{n}")
 
 
-def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    """Block direct sum; matrices and theta are combined blockwise when both present."""
-    d1, d2 = L1.dim, L2.dim
-    c = np.zeros((d1 + d2, d1 + d2, d1 + d2))
-    c[:d1, :d1, :d1] = L1.bracket_tensor
-    c[d1:, d1:, d1:] = L2.bracket_tensor
-    mats = None
-    if L1.matrices is not None and L2.matrices is not None:
-        n1, n2 = L1.matrices.shape[1], L2.matrices.shape[1]
-        mats = np.zeros((d1 + d2, n1 + n2, n1 + n2))
-        mats[:d1, :n1, :n1] = L1.matrices
-        mats[d1:, n1:, n1:] = L2.matrices
-    theta = None
-    if L1.theta is not None and L2.theta is not None:
-        theta = np.zeros((d1 + d2, d1 + d2))
-        theta[:d1, :d1] = L1.theta
-        theta[d1:, d1:] = L2.theta
-    labels = tuple(f"0.{l}" for l in L1.labels) + tuple(f"1.{l}" for l in L2.labels)
-    return LieAlgebra(labels=labels, matrices=mats, theta=theta,
-                      name=f"{L1.name}+{L2.name}", structure=c)
-
-
 def algebra_power(L: LieAlgebra, copies: int) -> LieAlgebra:
+    """L^copies: the bracket, the matrices and theta of L repeated block-diagonally."""
     if copies < 1:
         raise InputError("copies must be >= 1")
-    out = L
-    for _ in range(copies - 1):
-        out = direct_sum(out, L)
+    d, mats, theta = L.dim, L.matrices, L.theta
+    c = np.zeros((copies * d,) * 3)
+    if mats is not None:
+        n = mats.shape[1]
+        mats = np.zeros((copies * d, copies * n, copies * n))
+    if theta is not None:
+        theta = np.zeros((copies * d, copies * d))
+    for s in range(copies):
+        b = slice(s * d, (s + 1) * d)
+        c[b, b, b] = L.bracket_tensor
+        if mats is not None:
+            mats[b, s * n:(s + 1) * n, s * n:(s + 1) * n] = L.matrices
+        if theta is not None:
+            theta[b, b] = L.theta
     labels = tuple(f"{i}.{l}" for i in range(copies) for l in L.labels)
-    return LieAlgebra(labels=labels, matrices=out.matrices, theta=out.theta,
-                      name=f"{L.name}^{copies}", structure=out.bracket_tensor)
+    return LieAlgebra(labels=labels, matrices=mats, theta=theta,
+                      name=f"{L.name}^{copies}", structure=c)
 
 
 def from_matrices(L: LieAlgebra, mats: np.ndarray, name: str = "") -> Subalgebra:
     """Subalgebra spanned by the given realization matrices."""
     rows = L.coefficients_of(np.asarray(mats, dtype=float))
     return subalgebra(L, rows, name=name)
-
-
-# -- complex bases of u(p,q) and su(p,q), and their quaternionic images ---
-
-def _complex_basis_u(p: int, q: int, traceless: bool) -> list[np.ndarray]:
-    """Complex basis of u(p,q) (or su(p,q) when traceless)."""
-    N = p + q
-    J = np.diag([1.0] * p + [-1.0] * q).astype(complex)
-    out = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            E = np.zeros((N, N), dtype=complex)
-            E[i, j] = 1.0
-            E[j, i] = -1.0
-            out.append(J @ E)
-            E = np.zeros((N, N), dtype=complex)
-            E[i, j] = 1j
-            E[j, i] = 1j
-            out.append(J @ E)
-    for m in range(N - 1):
-        D = np.zeros((N, N), dtype=complex)
-        D[m, m] = 1j
-        D[m + 1, m + 1] = -1j
-        out.append(D)
-    if not traceless:
-        out.append(1j * np.eye(N, dtype=complex))
-    return out
-
-
-def _complex_to_quaternion_real(Z: np.ndarray) -> np.ndarray:
-    """Complex matrix -> quaternionic (i -> quaternion i) -> real 4N x 4N."""
-    Z = np.asarray(Z, dtype=complex)
-    n = Z.shape[0]
-    Q = np.zeros((n, n, 4))
-    Q[:, :, 0] = Z.real
-    Q[:, :, 1] = Z.imag
-    return realify_quaternion(Q)
 
 
 # -- restricted roots and parabolics -----------------------------------------

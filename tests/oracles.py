@@ -21,7 +21,11 @@ time and the matrix realization one commutator slab at a time.  The
 symmetric-pair oracle builds, for each ``berger:`` row, the involution that
 fixes its h, which the package itself never builds: conjugation by a sign or
 unit diagonal for the classical rows, and the f4 build's own sign
-conjugations for the f4 rows.
+conjugations for the f4 rows.  The classical oracles are the hand loops that
+``realforms.classical_basis`` and ``realforms.realify`` replaced: one loop per
+family over complex and quaternionic matrices, the complex basis of u(p,q),
+the entrywise realifiers, the pairwise ``direct_sum`` that ``algebra_power``
+folded, and the catalog's classical recipes written with them.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ import re
 import numpy as np
 
 from realflag import jordan
-from realflag.catalog import _unit_quat_diag
+from realflag.core import LieAlgebra
 from realflag.linalg import intersect_spans, numeric_rank, stack_span
 from realflag.jordan import _coords_to_matrix, _matrix_to_coords, _oct_matmul
-from realflag.realforms import realify_quaternion
+from realflag.realforms import _QT
 
 
 def jordan_coords(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -112,7 +116,7 @@ def symmetric_involution(pd) -> np.ndarray:
     if sub == f"so(1,{n})":
         D = np.diag([1.0, -1.0] * (n + 1))
     elif sub == f"u(1,{n})":
-        D = realify_quaternion(_unit_quat_diag(n + 1, 1))
+        D = realify_quaternion(unit_quat_diag(n + 1, 1))
     else:
         m = int(re.search(r"\(1,(\d+)\)", sub).group(1))
         width = {"so": 1, "su": 2, "sp": 4}[fam]
@@ -233,3 +237,172 @@ def commutator_coefficients(mats: list[np.ndarray], i: int, j: int) -> np.ndarra
     coef, *_ = np.linalg.lstsq(flat.T, com.ravel(), rcond=None)
     assert np.linalg.norm(coef @ flat - com.ravel()) < 1e-9 * max(1.0, np.linalg.norm(com))
     return coef
+
+
+# -- classical matrices, one hand loop per family -----------------------------
+
+def realify_complex(Z: np.ndarray) -> np.ndarray:
+    """Complex N x N matrix -> real 2N x 2N, entry z = a+bi -> [[a,-b],[b,a]]."""
+    Z = np.asarray(Z, dtype=complex)
+    n = Z.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[0::2, 0::2] = Z.real
+    out[1::2, 1::2] = Z.real
+    out[0::2, 1::2] = -Z.imag
+    out[1::2, 0::2] = Z.imag
+    return out
+
+
+def realify_quaternion(Q: np.ndarray) -> np.ndarray:
+    """Quaternionic N x N matrix (shape (N,N,4)) -> real 4N x 4N left-multiplication blocks."""
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    # block (i, j) is [k, l] -> sum_m Q[i,j,m] QT[m, l, k]
+    return np.einsum("ijm,mlk->ikjl", Q, _QT).reshape(4 * n, 4 * n)
+
+
+def complex_basis_u(p: int, q: int, traceless: bool) -> list[np.ndarray]:
+    """Complex basis of u(p,q) (or su(p,q) when traceless)."""
+    N = p + q
+    J = np.diag([1.0] * p + [-1.0] * q).astype(complex)
+    out = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            E = np.zeros((N, N), dtype=complex)
+            E[i, j] = 1.0
+            E[j, i] = -1.0
+            out.append(J @ E)
+            E = np.zeros((N, N), dtype=complex)
+            E[i, j] = 1j
+            E[j, i] = 1j
+            out.append(J @ E)
+    for m in range(N - 1):
+        D = np.zeros((N, N), dtype=complex)
+        D[m, m] = 1j
+        D[m + 1, m + 1] = -1j
+        out.append(D)
+    if not traceless:
+        out.append(1j * np.eye(N, dtype=complex))
+    return out
+
+
+def complex_to_quaternion_real(Z: np.ndarray) -> np.ndarray:
+    """Complex matrix -> quaternionic (i -> quaternion i) -> real 4N x 4N."""
+    Z = np.asarray(Z, dtype=complex)
+    Q = np.zeros(Z.shape + (4,))
+    Q[:, :, 0] = Z.real
+    Q[:, :, 1] = Z.imag
+    return realify_quaternion(Q)
+
+
+def unit_quat_diag(N: int, unit: int) -> np.ndarray:
+    """The quaternionic N x N matrix u I, u the unit with index ``unit`` in (1, i, j, k)."""
+    Q = np.zeros((N, N, 4))
+    Q[range(N), range(N), unit] = 1.0
+    return Q
+
+
+def classical_loops(family: str, p: int, q: int) -> tuple[list[str], np.ndarray]:
+    """Labels and real matrices of so/su/sp(p, q), one hand loop per family."""
+    N = p + q
+    J = np.diag([1.0] * p + [-1.0] * q)
+    mats: list[np.ndarray] = []
+    labels: list[str] = []
+    if family == "so":
+        for i in range(N):
+            for j in range(i + 1, N):
+                E = np.zeros((N, N))
+                E[i, j] = 1.0
+                E[j, i] = -1.0
+                mats.append(J @ E)
+                kind = "R" if J[i, i] == J[j, j] else "B"
+                labels.append(f"{kind}{i}{j}")
+        return labels, np.array(mats).reshape(-1, N, N)
+    if family == "su":
+        labels = [f"{kind}{i}{j}" for i in range(N) for j in range(i + 1, N) for kind in "AS"]
+        labels += [f"D{m}" for m in range(N - 1)]
+        return labels, np.array([realify_complex(Z) for Z in complex_basis_u(p, q, True)])
+    units = np.eye(4)
+    for i in range(N):
+        for j in range(i + 1, N):
+            for u in range(4):
+                Q = np.zeros((N, N, 4))
+                Q[i, j] = units[u]
+                conj = units[u] if u == 0 else -units[u]
+                Q[j, i] = -conj
+                Q[i, j] *= J[i, i]
+                Q[j, i] *= J[j, j]
+                mats.append(realify_quaternion(Q))
+                labels.append(f"O{i}{j}{'1ijk'[u]}")
+    for i in range(N):
+        for u in range(1, 4):
+            Q = np.zeros((N, N, 4))
+            Q[i, i] = J[i, i] * units[u]
+            mats.append(realify_quaternion(Q))
+            labels.append(f"D{i}{'1ijk'[u]}")
+    return labels, np.array(mats)
+
+
+def direct_sum(L1, L2):
+    """Block direct sum; matrices and theta are combined blockwise when both present."""
+    d1, d2 = L1.dim, L2.dim
+    c = np.zeros((d1 + d2, d1 + d2, d1 + d2))
+    c[:d1, :d1, :d1] = L1.bracket_tensor
+    c[d1:, d1:, d1:] = L2.bracket_tensor
+    mats = None
+    if L1.matrices is not None and L2.matrices is not None:
+        n1, n2 = L1.matrices.shape[1], L2.matrices.shape[1]
+        mats = np.zeros((d1 + d2, n1 + n2, n1 + n2))
+        mats[:d1, :n1, :n1] = L1.matrices
+        mats[d1:, n1:, n1:] = L2.matrices
+    theta = None
+    if L1.theta is not None and L2.theta is not None:
+        theta = np.zeros((d1 + d2, d1 + d2))
+        theta[:d1, :d1] = L1.theta
+        theta[d1:, d1:] = L2.theta
+    labels = tuple(f"0.{l}" for l in L1.labels) + tuple(f"1.{l}" for l in L2.labels)
+    return LieAlgebra(labels=labels, matrices=mats, theta=theta,
+                      name=f"{L1.name}+{L2.name}", structure=c)
+
+
+def power_by_direct_sums(L, copies: int):
+    """L^copies as repeated ``direct_sum``, relabelled as ``algebra_power`` labels it."""
+    out = L
+    for _ in range(copies - 1):
+        out = direct_sum(out, L)
+    labels = tuple(f"{i}.{l}" for i in range(copies) for l in L.labels)
+    return LieAlgebra(labels=labels, matrices=out.matrices, theta=out.theta,
+                      name=f"{L.name}^{copies}", structure=out.bracket_tensor)
+
+
+def _pad(M: np.ndarray, N: int, offset: int) -> np.ndarray:
+    out = np.zeros((N, N), dtype=M.dtype)
+    k = M.shape[0]
+    out[offset:offset + k, offset:offset + k] = M
+    return out
+
+
+def classical_recipe_matrices(recipe):
+    """The matrices a catalog recipe over classical blocks spans, from the hand loops;
+    None for every other recipe."""
+    kw, name = getattr(recipe, "keywords", {}), getattr(recipe, "func", recipe).__name__
+    if name == "_block_sum":
+        return [_pad(M, kw["N"], off) for fam, p, q, off in kw["blocks"]
+                if fam != "so" or p + q >= 2 for M in classical_loops(fam, p, q)[1]]
+    if name == "_su_blocks":
+        n, m = kw["n"], kw["m"]
+        blocks = [_pad(Z, n + 1, off) for p, q, off in [(1, m, 0), (0, n - m, m + 1)]
+                  for Z in complex_basis_u(p, q, traceless=True)]
+        D = np.zeros((n + 1, n + 1), dtype=complex)
+        for k in range(n + 1):
+            D[k, k] = 1j * (float(n - m) if k <= m else -float(m + 1))
+        return [realify_complex(Z) for Z in blocks + [D]]
+    if name == "_so_in_su":
+        return [realify_complex(M) for M in classical_loops("so", 1, kw["n"])[1]]
+    if name == "_u_in_sp":
+        return [complex_to_quaternion_real(Z) for Z in complex_basis_u(1, kw["n"], False)]
+    if name == "_so_sp1":
+        n = kw["n"]
+        return ([complex_to_quaternion_real(M) for M in classical_loops("so", 1, n)[1]]
+                + [realify_quaternion(unit_quat_diag(n + 1, u)) for u in range(1, 4)])
+    return None

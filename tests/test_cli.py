@@ -92,7 +92,7 @@ class TestCheck:
                      ["orbits", "count", "--pair", "so13:ma"],
                      ["orbits", "coincide", "--pair", "so15:so11+su2", "--sup", "so15:so11+so4"],
                      ["reduce", "step", "--pair", "sl3:so3"]):
-            code, _ = run(capsys, *argv, "--samples", "8")
+            code, _ = run(capsys, *argv, *([] if argv[0] == "catalog" else ["--samples", "8"]))
             assert code == 0, argv
 
     def test_failed_symmetric_subalgebra_stops_the_build(self, monkeypatch):
@@ -143,6 +143,19 @@ class TestCheck:
         assert code == 0
         assert "spherical" in out
 
+    def test_pair_file_row_scale_does_not_change_the_report(self, capsys, tmp_path):
+        # the rows are rescaled by a power of two, which is exact: at 1e300 the products of
+        # the unscaled row overflowed and 64 samples read dimension 2
+        reports = []
+        for i, scale in enumerate((1.0, 3.0, 1e300, 2.0 ** -1000)):
+            (tmp_path / str(i)).mkdir()
+            path = write_pair_file(tmp_path / str(i), [[scale, 0.0, 0.0]])
+            code, out = run(capsys, "check", "--pair", str(path), "--json")
+            assert code == 0
+            reports.append({**json.loads(out), "pair": "pair.json"})
+        assert reports[0]["verdict"] == "spherical" and reports[0]["per_sample_dims"] == [3]
+        assert all(report == reports[0] for report in reports)
+
     def test_pair_file_without_a_realization(self, capsys, tmp_path):
         # structure constants and theta are all a check needs
         pd = build_pair("sl2:a")
@@ -161,7 +174,7 @@ class TestCheck:
         assert len(report["witness"]) == 1
 
     @pytest.mark.parametrize("case", ["invalid-json", "non-object", "deeply-nested",
-                                      "non-numeric-row",
+                                      "non-numeric-row", "zero-subalgebra-row",
                                       "nan-subalgebra-row", "negative-bracket-index",
                                       "boolean-bracket-index", "repeated-bracket-entry",
                                       "bracket-i-above-j", "non-numeric-theta",
@@ -171,6 +184,7 @@ class TestCheck:
                                       "non-cartan-theta"])
     def test_malformed_pair_file_exits_three(self, capsys, tmp_path, case):
         row = {"non-numeric-row": ["x", 0.0, 0.0],
+               "zero-subalgebra-row": [0.0, 0.0, 0.0],
                "nan-subalgebra-row": [float("nan"), 0.0, 1.0],
                "three-dimensional-subalgebra": [[1.0], [0.0], [0.0]]}.get(case, [0.0, 0.0, 1.0])
         path = write_pair_file(tmp_path, [row])
@@ -307,14 +321,32 @@ class TestCheck:
     ], ids=["catalog", "check", "orbits-count", "orbits-coincide", "reduce", "f4"])
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "many"])
     def test_seed_outside_the_generator_range_is_a_usage_error(self, capsys, argv, seed):
-        # numpy seeds only from [0, 2**64); -1 once ran, with the witness of 2**64 - 1
+        # numpy seeds only from [0, 2**64); -1 once ran, with the witness of 2**64 - 1;
+        # catalog draws nothing, so it takes no --seed at all
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"--seed={seed}"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
-        assert err.splitlines()[-1].endswith(f"argument --seed: '{seed}' is not an integer "
-                                             "in [0, 2**64)")
+        assert err.splitlines()[-1].endswith(
+            f"unrecognized arguments: --seed={seed}" if argv[0] == "catalog"
+            else f"argument --seed: '{seed}' is not an integer in [0, 2**64)")
+
+    @pytest.mark.parametrize("command,option", [
+        (["catalog"], ["--samples", "8"]),
+        (["catalog"], ["--seed", "1"]),
+        (["catalog"], ["--tol", "1e-6"]),
+        (["f4", "verify"], ["--tol", "1e-6"]),
+        (["f4", "verify"], ["--n", "5"]),
+        (["f4", "verify"], ["--json"]),
+    ], ids=["catalog-samples", "catalog-seed", "catalog-tol", "f4-tol", "f4-n", "f4-json"])
+    def test_option_the_command_does_not_read_is_a_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *option])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].endswith("unrecognized arguments: " + " ".join(option))
 
     def test_largest_seed_runs(self, capsys):
         code, out = run(capsys, "check", "--pair", "sl2:a", "--seed", str(2 ** 64 - 1), "--json")

@@ -30,9 +30,9 @@ ALLOWED = {
     ("jordan.py", "_build_bundle", "i,ijk->jk"):
         "the eight su(3) combinations of g2's 8 x 8 matrices, once per cold f4 build; their "
         "bits fix the cache",
-    ("realforms.py", "realify_quaternion", "ijm,mlk->ikjl"):
-        "one quaternionic matrix at a time against the 4 x 4 x 4 quaternion table; its bits "
-        "fix the sp(p,q) matrices and so every sp row",
+    ("realforms.py", "realify", "...ijm,mlk->...ikjl"):
+        "a stack of C or H matrices against the 1-, 2- or 4-wide quaternion table; its bits "
+        "fix the su(p,q) and sp(p,q) matrices and so every su and sp row",
 }
 
 

@@ -17,7 +17,7 @@ from realflag.jordan import (F4_SUBALGEBRAS, OCT_TABLE, SOLVER_TOL, EmbeddingErr
                              projective_orbit_dim, projective_stabilizer_dim,
                              sample_cone_points, trace_form)
 from realflag.linalg import RANK_BAND, signature_of
-from realflag.realforms import _complex_basis_u, build_classical
+from realflag.realforms import classical_basis
 
 from oracles import jordan_coords
 
@@ -633,15 +633,14 @@ class TestEmbeddings:
         def mul(A, B):
             return np.einsum("ijp,jkq,pqr->ikr", A, B, OCT_TABLE)
 
-        zs = ([(Z.real, Z.imag) for Z in _complex_basis_u(2, 1, traceless=True)]
-              + [(R, np.zeros((3, 3))) for R in build_classical("so", 2, 1).matrices])
+        zs = list(classical_basis("su", 2, 1)[1]) + list(classical_basis("so", 2, 1)[1])
         assert len(zs) == 11
-        for Zr, Zi in zs:
+        for Zc in zs:
             Z = np.zeros((3, 3, 8))
-            Z[:, :, 0], Z[:, :, 1] = Zr, Zi
+            Z[:, :, :Zc.shape[-1]] = Zc
             ref = np.array([_matrix_to_coords(mul(Z, X) - mul(X, Z))
                             for X in _coords_to_matrix(np.eye(27))]).T
-            assert np.array_equal(_complex_conjugation_derivation(Zr, Zi), ref)
+            assert np.array_equal(_complex_conjugation_derivation(Zc), ref)
 
     def test_su21_su3(self, f4bundle):
         sub = f4_subalgebra(f4bundle, "su21+su3")

@@ -6,14 +6,16 @@ import pytest
 from realflag.core import (ConstructionError, InputError, UnsupportedOperation,
                            cartan_decomposition, validate_algebra)
 from realflag.linalg import in_span, orth_rows, span_residual, stack_span
+from realflag import catalog
 import realflag.realforms as realforms
-from realflag.realforms import (_QT, _complex_basis_u, _complex_to_quaternion_real,
-                                _root_lattice, build_classical, direct_sum, get_algebra,
-                                minimal_parabolic, restricted_roots)
+from realflag.realforms import (_QT, _root_lattice, _transposed_theta, algebra_power,
+                                build_classical, classical_basis, from_matrices, get_algebra,
+                                minimal_parabolic, realify, restricted_roots)
 from realflag.catalog import catalog_entries
 from realflag.reduction import parabolic_alpha
 
-from oracles import float_alpha_line
+from oracles import (classical_loops, classical_recipe_matrices, float_alpha_line,
+                     power_by_direct_sums)
 from test_core import DEPTHS
 
 WEYL_AMBIENTS = sorted(DEPTHS) + ["sl4"]
@@ -50,21 +52,14 @@ class TestConstructors:
         validate_algebra(L)
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_realify_quaternion_matches_the_block_loop(self, n, monkeypatch):
-        # every quaternionic matrix realified while building sp(1, n) and su(1, n) in sp(1, n)
-        seen = []
-        vectorized = realforms.realify_quaternion
-
-        def spy(Q):
-            out = vectorized(Q)
-            seen.append(np.array_equal(out, _realify_quaternion_loop(np.asarray(Q, dtype=float))))
-            return out
-
-        monkeypatch.setattr(realforms, "realify_quaternion", spy)
-        build_classical("sp", 1, n)
-        for Z in _complex_basis_u(1, n, False):
-            _complex_to_quaternion_real(Z)
-        assert len(seen) == (n + 1) * (2 * n + 3) + (n + 1) ** 2 and all(seen)
+    def test_realify_quaternion_matches_the_block_loop(self, n):
+        # every quaternionic matrix realified for sp(1, n) and for u(1, n) inside it
+        Q = np.concatenate([classical_basis("sp", 1, n)[1],
+                            np.pad(classical_basis("su", 1, n, traceless=False)[1],
+                                   ((0, 0), (0, 0), (0, 0), (0, 2)))])
+        out = realify(Q, "H")
+        assert len(out) == (n + 1) * (2 * n + 3) + (n + 1) ** 2
+        assert all(np.array_equal(M, _realify_quaternion_loop(X)) for M, X in zip(out, Q))
 
     def test_sp12_flag_dimension(self, parabolic_of):
         assert parabolic_of("sp(1,2)").dim_flag == 7
@@ -149,26 +144,65 @@ class TestPivotReader:
             L.bracket_tensor
 
 
-class TestSums:
-    def test_direct_sum_dims(self):
-        L = direct_sum(get_algebra("so(3)"), get_algebra("so(3)"))
+CLASSICAL = [(fam, p, q) for fam in ("so", "su", "sp") for p in range(4) for q in range(6)
+             if p + q >= (1 if fam == "sp" else 2)]
+CLASSICAL_ROWS = [row.entry.name for row in catalog._rows(5)
+                  if classical_recipe_matrices(row.recipe) is not None]
+
+
+class TestHandLoops:
+    """The one basis formula and realifier against the per-family loops they replaced."""
+
+    @pytest.mark.parametrize("family,p,q", CLASSICAL)
+    def test_classical_basis_matches_the_hand_loops(self, family, p, q):
+        L = build_classical(family, p, q)
+        labels, mats = classical_loops(family, p, q)
+        ref = _transposed_theta(labels, mats, L.name)
+        # su differs from the loop only in the sign of some zero entries
+        assert list(L.labels) == labels and np.array_equal(L.matrices, mats)
+        assert L.bracket_tensor.tobytes() == ref.bracket_tensor.tobytes()
+        assert L.theta.tobytes() == ref.theta.tobytes()
+
+    def test_every_classical_recipe_is_compared(self):
+        names = {"_block_sum", "_su_blocks", "_so_in_su", "_u_in_sp", "_so_sp1"}
+        assert {row.entry.name for row in catalog._rows(5)
+                if getattr(row.recipe, "func", row.recipe).__name__ in names} == set(CLASSICAL_ROWS)
+        assert len(CLASSICAL_ROWS) == 42
+
+    @pytest.mark.parametrize("name", CLASSICAL_ROWS)
+    def test_catalog_h_basis_matches_the_hand_loops(self, name):
+        pd = catalog.build_pair(name, 5)
+        ref = from_matrices(pd.g, classical_recipe_matrices(catalog._row(name, 5).recipe))
+        assert pd.h.basis.tobytes() == ref.basis.tobytes()
+
+    @pytest.mark.parametrize("name,copies", [("sl2", 2), ("sl2", 3), ("sl3", 2)])
+    def test_power_matches_direct_sums(self, name, copies):
+        L = get_algebra(name)
+        A, B = algebra_power(L, copies), power_by_direct_sums(L, copies)
+        assert A.labels == B.labels and A.name == B.name
+        for a, b in ((A.matrices, B.matrices), (A.bracket_tensor, B.bracket_tensor),
+                     (A.theta, B.theta)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestPowers:
+    def test_power_dims(self):
+        L = algebra_power(get_algebra("so(3)"), 2)
         assert L.dim == 6
         validate_algebra(L)
 
-    def test_cross_brackets_vanish(self):
-        L1, L2 = get_algebra("so(1,2)"), get_algebra("so(3)")
-        L = direct_sum(L1, L2)
+    def test_power_cross_brackets_vanish(self):
+        L = algebra_power(get_algebra("so(1,2)"), 2)
         X = np.zeros(6); X[0] = 1.0
         Y = np.zeros(6); Y[4] = 1.0
         assert np.linalg.norm(L.bracket(X, Y)) < 1e-12
 
-    def test_killing_block_diagonal(self):
-        L1, L2 = get_algebra("so(1,2)"), get_algebra("so(3)")
-        L = direct_sum(L1, L2)
-        B = L.killing
+    def test_power_killing_block_diagonal(self):
+        L1 = get_algebra("so(1,2)")
+        B = algebra_power(L1, 2).killing
         assert np.abs(B[:3, 3:]).max() < 1e-10
         assert np.allclose(B[:3, :3], L1.killing, atol=1e-10)
-        assert np.allclose(B[3:, 3:], L2.killing, atol=1e-10)
+        assert np.allclose(B[3:, 3:], L1.killing, atol=1e-10)
 
 
 class TestRestrictedRoots:
